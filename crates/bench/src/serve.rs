@@ -565,11 +565,11 @@ fn run_shard(
         }
     }
 
-    // Shard-local peak in-flight.
-    let mut sorted = flight.clone();
-    sorted.sort_by_key(|&(t, delta)| (t, -delta));
+    // Shard-local peak in-flight (sorted in place: the global sweep sorts
+    // the concatenation again anyway).
+    flight.sort_unstable_by_key(|&(t, delta)| (t, -delta));
     let (mut cur, mut peak) = (0i64, 0i64);
-    for &(_, delta) in &sorted {
+    for &(_, delta) in &flight {
         cur += delta as i64;
         peak = peak.max(cur);
     }

@@ -50,9 +50,12 @@ pub struct SimConfig {
     /// instrumentation point to a single branch.
     pub obs: Obs,
     /// Live operation-event sink for streaming consumers (e.g. the online
-    /// linearizability checker). `None` (the default) keeps the benched
-    /// offline path untouched; send errors are ignored so a departed
-    /// receiver never affects the run.
+    /// linearizability checker). Events arrive in engine order, in bursts of
+    /// at most 256 (the consumer is woken once per burst, not once per
+    /// event), and are fully flushed when the run ends by any path —
+    /// quiescence, `max_real_time`, or `max_events`. `None` (the default)
+    /// keeps the benched offline path untouched; send errors are ignored so
+    /// a departed receiver never affects the run.
     pub op_sink: Option<std::sync::mpsc::Sender<OpEvent>>,
     /// Open-loop admission epoch: after this many open arrivals have been
     /// admitted, further admissions hold until *every* pending operation has
@@ -65,8 +68,11 @@ pub struct SimConfig {
     pub admission_epoch: Option<u64>,
 }
 
-/// A structured operation event emitted through [`SimConfig::op_sink`] the
-/// moment the engine records it, in simulated-time order.
+/// A structured operation event emitted through [`SimConfig::op_sink`] in
+/// the order the engine records it (simulated-time order). The engine hands
+/// events over in bursts of at most 256, so a consumer may lag the engine by
+/// up to one burst while the run is going; nothing is held back once the run
+/// has ended.
 #[derive(Clone, Debug)]
 pub enum OpEvent {
     /// `pid` invoked `op(arg)` at real time `t`.
@@ -144,7 +150,8 @@ impl SimConfig {
     }
 
     /// Attach a live operation-event sink (see [`OpEvent`]); invocations and
-    /// responses are sent the moment the engine records them.
+    /// responses are sent in engine order, in bursts of at most 256, and the
+    /// last partial burst is flushed when the run ends by any path.
     pub fn with_op_sink(mut self, sink: std::sync::mpsc::Sender<OpEvent>) -> Self {
         self.op_sink = Some(sink);
         self
@@ -316,6 +323,71 @@ impl<M, T> Ord for Entry<M, T> {
     }
 }
 
+/// Op events handed to [`SimConfig::op_sink`] per burst. A consumer faster
+/// than the engine parks between events, so sending each event as it is
+/// recorded costs one thread wake per event; sending a full burst back to
+/// back wakes it once and the remaining sends find it running.
+const SINK_BURST: usize = 256;
+
+/// Run-local buffer in front of [`SimConfig::op_sink`]: collects events in
+/// engine order and sends them when a burst is full and when it is dropped,
+/// so every exit of the event loop flushes.
+struct BurstSink<'a> {
+    tx: &'a std::sync::mpsc::Sender<OpEvent>,
+    buf: Vec<OpEvent>,
+}
+
+impl<'a> BurstSink<'a> {
+    fn new(tx: &'a std::sync::mpsc::Sender<OpEvent>) -> Self {
+        BurstSink { tx, buf: Vec::with_capacity(SINK_BURST) }
+    }
+
+    fn push(&mut self, ev: OpEvent) {
+        self.buf.push(ev);
+        if self.buf.len() >= SINK_BURST {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        for ev in self.buf.drain(..) {
+            // A departed receiver never affects the run.
+            let _ = self.tx.send(ev);
+        }
+    }
+}
+
+impl Drop for BurstSink<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// A `Schedule::timed` / `Schedule::open` arrival, kept out of the heap and
+/// borrowed from the schedule until the instant it fires.
+type Arrival<'a> = (EventKey, Pid, &'a Invocation, InvokeSource);
+
+/// The next event in `(time, class, seq)` order from the scheduled arrivals
+/// (sorted latest first, so the next one is `last()`) and the heap of
+/// everything created during the run. Keys are unique, so this is exactly
+/// the order one heap holding both would pop.
+fn next_entry<M, T>(
+    arrivals: &mut Vec<Arrival<'_>>,
+    heap: &mut BinaryHeap<Reverse<Entry<M, T>>>,
+) -> Option<Entry<M, T>> {
+    let arrival_first = match (arrivals.last(), heap.peek()) {
+        (Some(a), Some(Reverse(h))) => a.0 < h.key,
+        (Some(_), None) => true,
+        (None, _) => false,
+    };
+    if arrival_first {
+        let (key, pid, inv, source) = arrivals.pop()?;
+        Some(Entry { key, pid, kind: EventKind::Invoke { inv: inv.clone(), source } })
+    } else {
+        heap.pop().map(|Reverse(entry)| entry)
+    }
+}
+
 struct ProcState {
     /// Index into `ops` of the pending operation, if any, and where it came
     /// from (scripts only advance on their own operations' responses).
@@ -416,7 +488,7 @@ pub fn simulate_full<N: Node>(
         })
         .collect();
 
-    let mut ops: Vec<OpRecord> = Vec::new();
+    let mut ops: Vec<OpRecord> = Vec::with_capacity(config.schedule.len());
     let mut msgs: Vec<MsgRecord> = Vec::new();
     let mut views: Vec<Vec<ViewStep>> = (0..n).map(|_| Vec::new()).collect();
     let mut errors: Vec<String> = Vec::new();
@@ -440,6 +512,7 @@ pub fn simulate_full<N: Node>(
 
     let obs = &config.obs;
     let metrics = obs.is_active().then(|| EngineMetrics::register(obs));
+    let mut sink = config.op_sink.as_ref().map(BurstSink::new);
 
     // Refuse structurally invalid configurations up front with a clear
     // error instead of panicking mid-run (e.g. an undersized delay matrix).
@@ -466,24 +539,23 @@ pub fn simulate_full<N: Node>(
         return (run, nodes);
     }
 
-    // Seed the heap from the schedule.
-    for t in &config.schedule.timed {
-        heap.push(Reverse(Entry {
-            key: EventKey { time: t.at, class: 2, seq },
-            pid: t.pid,
-            kind: EventKind::Invoke { inv: t.inv.clone(), source: InvokeSource::Timed },
-        }));
-        seq += 1;
+    // Scheduled arrivals take their sequence numbers here, in schedule
+    // order, but stay in a side list (sorted latest first) merged with the
+    // heap at each step (see `next_entry`): the heap then holds only what the run itself
+    // creates — in-flight deliveries, timers, script steps, admission
+    // markers, stall deferrals — instead of sifting those through the whole
+    // remaining input.
+    let Schedule { timed, open, scripts } = &config.schedule;
+    let mut arrivals: Vec<Arrival<'_>> = Vec::with_capacity(timed.len() + open.len());
+    for (list, source) in [(timed, InvokeSource::Timed), (open, InvokeSource::Open)] {
+        for t in list {
+            arrivals.push((EventKey { time: t.at, class: 2, seq }, t.pid, &t.inv, source));
+            seq += 1;
+        }
     }
-    for t in &config.schedule.open {
-        heap.push(Reverse(Entry {
-            key: EventKey { time: t.at, class: 2, seq },
-            pid: t.pid,
-            kind: EventKind::Invoke { inv: t.inv.clone(), source: InvokeSource::Open },
-        }));
-        seq += 1;
-    }
-    for s in &config.schedule.scripts {
+    arrivals.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+    // Scripts are closed-loop: only each first step is known up front.
+    for s in scripts {
         let p = &mut procs[s.pid.0];
         p.script = s.invocations.iter().cloned().collect();
         p.script_gap = s.gap;
@@ -497,7 +569,7 @@ pub fn simulate_full<N: Node>(
         }
     }
 
-    while let Some(Reverse(entry)) = heap.pop() {
+    while let Some(entry) = next_entry(&mut arrivals, &mut heap) {
         let now = entry.key.time;
         if let Some(cap) = config.max_real_time {
             if now > cap {
@@ -628,13 +700,8 @@ pub fn simulate_full<N: Node>(
                 if let Some(m) = &metrics {
                     m.invocations.inc();
                 }
-                if let Some(sink) = &config.op_sink {
-                    let _ = sink.send(OpEvent::Invoke {
-                        pid,
-                        t: now,
-                        op: inv.op,
-                        arg: inv.arg.clone(),
-                    });
+                if let Some(sink) = &mut sink {
+                    sink.push(OpEvent::Invoke { pid, t: now, op: inv.op, arg: inv.arg.clone() });
                 }
                 procs[pid.0].pending_op = Some((ops.len(), source));
                 ops.push(OpRecord {
@@ -827,8 +894,8 @@ pub fn simulate_full<N: Node>(
                         m.responses.inc();
                         m.op_latency.observe_i64((now - ops[op_idx].t_invoke).0);
                     }
-                    if let Some(sink) = &config.op_sink {
-                        let _ = sink.send(OpEvent::Respond { pid, t: now, ret: ret.clone() });
+                    if let Some(sink) = &mut sink {
+                        sink.push(OpEvent::Respond { pid, t: now, ret: ret.clone() });
                     }
                     ops[op_idx].ret = Some(ret);
                     ops[op_idx].t_respond = Some(now);
@@ -1061,9 +1128,9 @@ mod tests {
 
     #[test]
     fn open_arrivals_left_queued_are_counted() {
-        // The run is cut at t = 60: the third arrival is admitted at 50 but
-        // cannot respond by 60... actually it responds at 100 > cap, so it
-        // stays pending; the fourth never leaves the ingress queue.
+        // The run is cut at t = 60. The first arrival responds at 50, which
+        // admits the second; its response would come at 100 > cap, so it
+        // stays pending and the third never leaves the ingress queue.
         let cfg = SimConfig { max_real_time: Some(Time(60)), ..config() }.with_schedule(
             Schedule::new()
                 .arrival(Pid(0), Time(0), Invocation::new("echo", 1))
@@ -1146,6 +1213,194 @@ mod tests {
         let rets: Vec<_> = run.ops.iter().map(|o| o.ret.clone().unwrap()).collect();
         assert_eq!(rets, (1..=4).map(Value::Int).collect::<Vec<_>>());
         assert_eq!(obs.metrics.counter("sim.ingress.epochs").get(), 2);
+    }
+
+    /// An op event reduced to what the tests compare: `(is_respond, pid, t,
+    /// arg or ret)`.
+    type Seen = (bool, Pid, Time, Value);
+
+    fn seen(ev: OpEvent) -> Seen {
+        match ev {
+            OpEvent::Invoke { pid, t, arg, .. } => (false, pid, t, arg),
+            OpEvent::Respond { pid, t, ret } => (true, pid, t, ret),
+        }
+    }
+
+    /// The sink stream implied by `run.ops`, in engine order. Exact for
+    /// constant-wait [`EchoNode`]s on synchronized clocks: responses are
+    /// timer events, which precede invocations at the same instant, and
+    /// same-instant timers fire in the order they were set — invocation
+    /// order, which is `ops` order.
+    fn implied_events(run: &Run) -> Vec<Seen> {
+        let mut evs: Vec<(usize, Seen)> = Vec::new();
+        for (i, op) in run.ops.iter().enumerate() {
+            evs.push((i, (false, op.pid, op.t_invoke, op.invocation.arg.clone())));
+            if let (Some(t), Some(ret)) = (op.t_respond, &op.ret) {
+                evs.push((i, (true, op.pid, t, ret.clone())));
+            }
+        }
+        evs.sort_by_key(|&(i, (respond, _, t, _))| (t, !respond, i));
+        evs.into_iter().map(|(_, ev)| ev).collect()
+    }
+
+    /// 350 operations (a 150-step script at p0, 200 open arrivals that queue
+    /// at p1..p3): 700 op events, two full bursts and a partial one.
+    fn sink_workload() -> SimConfig {
+        let mut sched = Schedule::new().script(crate::schedule::Script {
+            pid: Pid(0),
+            start: Time(0),
+            gap: Time(3),
+            invocations: (0..150).map(|i| Invocation::new("echo", i)).collect(),
+        });
+        for i in 0..200 {
+            let pid = Pid(1 + (i as usize) % 3);
+            sched = sched.arrival(pid, Time(7 * i), Invocation::new("echo", 1000 + i));
+        }
+        config().with_schedule(sched)
+    }
+
+    fn echo(_: Pid) -> EchoNode {
+        EchoNode { wait: Time(50), ping_peers: false }
+    }
+
+    /// Run `cfg` with a sink whose consumer thread keeps the first `keep`
+    /// events and then hangs up; returns what it kept, after checking that
+    /// the sink did not change the run.
+    fn run_with_sink(cfg: &SimConfig, keep: usize) -> (Run, Vec<Seen>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumer =
+            std::thread::spawn(move || rx.into_iter().take(keep).map(seen).collect::<Vec<_>>());
+        let run = simulate(&cfg.clone().with_op_sink(tx), echo);
+        let got = consumer.join().expect("consumer panicked");
+        let bare = simulate(cfg, echo);
+        assert_eq!(run.ops, bare.ops);
+        assert_eq!(run.events, bare.events);
+        assert_eq!(run.truncated, bare.truncated);
+        (run, got)
+    }
+
+    #[test]
+    fn sink_receives_every_event_at_every_exit_of_the_loop() {
+        // Quiescence.
+        let (run, got) = run_with_sink(&sink_workload(), usize::MAX);
+        assert!(run.complete());
+        assert_eq!(got.len(), 700);
+        assert_eq!(got, implied_events(&run));
+
+        // Cut by `max_real_time`, mid-burst, with operations still pending.
+        let cut = SimConfig { max_real_time: Some(Time(2000)), ..sink_workload() };
+        let (run, got) = run_with_sink(&cut, usize::MAX);
+        assert!(run.pending().count() > 0 && run.unadmitted > 0);
+        assert!(got.len() > SINK_BURST && got.len() % SINK_BURST != 0, "{}", got.len());
+        assert_eq!(got, implied_events(&run));
+
+        // Cut by `max_events`, mid-burst.
+        let cut = SimConfig { max_events: 600, ..sink_workload() };
+        let (run, got) = run_with_sink(&cut, usize::MAX);
+        assert!(run.truncated);
+        assert!(got.len() > SINK_BURST && got.len() % SINK_BURST != 0, "{}", got.len());
+        assert_eq!(got, implied_events(&run));
+    }
+
+    #[test]
+    fn sink_receiver_dropped_mid_run_is_ignored() {
+        // The consumer hangs up 300 events in — inside the second burst —
+        // while the engine is still producing; the failed sends are ignored.
+        let (run, got) = run_with_sink(&sink_workload(), 300);
+        assert!(run.complete() && run.errors.is_empty());
+        assert_eq!(got, implied_events(&run)[..300]);
+    }
+
+    #[test]
+    fn schedule_vector_order_does_not_matter() {
+        // 40 arrivals at distinct instants (ten per process, 37 ticks apart,
+        // so some queue behind a 50-tick service), given in time order and in
+        // a scrambled vector order: the engine sorts them itself.
+        fn build(order: impl Iterator<Item = i64>) -> SimConfig {
+            let mut sched = Schedule::new();
+            for i in order {
+                let (pid, at, inv) =
+                    (Pid((i % 4) as usize), Time(37 * i), Invocation::new("echo", i));
+                // Even entries are open arrivals; odd ones (at p1, p3, always
+                // idle by then) are timed.
+                sched =
+                    if i % 2 == 0 { sched.arrival(pid, at, inv) } else { sched.at(pid, at, inv) };
+            }
+            config().with_schedule(sched)
+        }
+        let sorted = simulate(&build(0..40), echo);
+        let scrambled = simulate(&build((0..40).map(|k| (k * 17 + 5) % 40)), echo);
+        assert!(sorted.complete() && sorted.errors.is_empty(), "{:?}", sorted.errors);
+        assert_eq!(sorted.ops, scrambled.ops);
+        assert_eq!(sorted.events, scrambled.events);
+        // Pinned: every odd op is invoked on arrival; p0 and p2 each see an
+        // arrival every 148 ticks, so theirs are too.
+        let invokes: Vec<_> = sorted.ops.iter().map(|o| o.t_invoke).collect();
+        assert_eq!(invokes, (0..40).map(|i| Time(37 * i)).collect::<Vec<_>>());
+        assert_eq!(sorted.events, 80);
+    }
+
+    #[test]
+    fn scheduled_arrivals_tie_runtime_events_in_key_order() {
+        // At t = 30 four kinds of event meet: deliveries of p0's broadcast
+        // (class 0), p2's response timer (class 1), and three class-2 events
+        // — a timed arrival at p1 and an open arrival at p2 (setup-time
+        // sequence numbers) and the admission marker p2's response pushes
+        // (run-time sequence number, so it sorts last).
+        let params = ModelParams::new(3, Time(30), Time(10), Time(5));
+        let cfg = SimConfig::new(params, DelaySpec::AllMax).with_schedule(
+            Schedule::new()
+                .at(Pid(0), Time(0), Invocation::new("echo", 1))
+                .arrival(Pid(2), Time(20), Invocation::new("echo", 2))
+                .arrival(Pid(2), Time(25), Invocation::new("echo", 3))
+                .arrival(Pid(2), Time(30), Invocation::new("echo", 4))
+                .at(Pid(1), Time(30), Invocation::new("echo", 5)),
+        );
+        let run = simulate(&cfg, |_| EchoNode { wait: Time(10), ping_peers: true });
+        assert!(run.complete() && run.errors.is_empty(), "{:?}", run.errors);
+        let got: Vec<_> =
+            run.ops.iter().map(|o| (o.invocation.arg.clone(), o.pid, o.t_invoke)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Value::Int(1), Pid(0), Time(0)),
+                (Value::Int(2), Pid(2), Time(20)),
+                // The timed arrival goes first among the class-2 events; the
+                // open arrival at 30 queues behind op 3 (FIFO), which the
+                // marker then admits.
+                (Value::Int(5), Pid(1), Time(30)),
+                (Value::Int(3), Pid(2), Time(30)),
+                (Value::Int(4), Pid(2), Time(40)),
+            ]
+        );
+        // 5 invocations + 2 queued arrivals + 10 deliveries + 5 timers.
+        assert_eq!(run.events, 22);
+    }
+
+    #[test]
+    fn stalled_scheduled_arrival_is_deferred_through_the_heap() {
+        use crate::faults::FaultPlan;
+        // p1 is stalled over [5, 40): its arrival at 10 moves to 40 with a
+        // fresh sequence number, behind the arrival already scheduled at 40.
+        let plan = FaultPlan::new(1).stall(Pid(1), Time(5), Time(40));
+        let cfg = config()
+            .with_schedule(
+                Schedule::new()
+                    .arrival(Pid(1), Time(10), Invocation::new("echo", 1))
+                    .arrival(Pid(1), Time(40), Invocation::new("echo", 2))
+                    .at(Pid(0), Time(10), Invocation::new("echo", 3)),
+            )
+            .with_faults(plan);
+        let run = simulate(&cfg, echo);
+        assert!(run.complete() && run.errors.is_empty(), "{:?}", run.errors);
+        let got: Vec<_> = run.ops.iter().map(|o| (o.ret.clone().unwrap(), o.t_invoke)).collect();
+        assert_eq!(
+            got,
+            vec![(Value::Int(3), Time(10)), (Value::Int(2), Time(40)), (Value::Int(1), Time(90)),]
+        );
+        // 3 invocations + 1 queued arrival + 3 timers (the deferral itself is
+        // not an event).
+        assert_eq!(run.events, 7);
     }
 
     #[test]
