@@ -17,7 +17,7 @@
 //!   ([`lintime_check::monitor::check_fast_pending`]).
 //!
 //! Each backend *declares* the fault classes it tolerates
-//! ([`Backend::tolerance`]); a `NotLinearizable` verdict on a non-suspect
+//! ([`Algorithm::tolerance`]); a `NotLinearizable` verdict on a non-suspect
 //! run inside a tolerated cell is a **confirmed violation** — the CI gate
 //! (`fault_sweep --matrix-only`) exits non-zero on any.
 
@@ -28,7 +28,7 @@ use lintime_adt::types::{Counter, FifoQueue, KvStore, Register};
 use lintime_check::history::History;
 use lintime_check::monitor::check_fast_pending_observed;
 use lintime_check::wing_gong::{CheckConfig, Verdict};
-use lintime_core::backend::{run_backend, Backend, FaultTolerance};
+use lintime_core::backend::{run_backend, FaultTolerance};
 use lintime_core::cluster::Algorithm;
 use lintime_core::reliable::RecoveryConfig;
 use lintime_obs::Obs;

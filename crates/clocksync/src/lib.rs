@@ -29,7 +29,7 @@ use lintime_adt::spec::Invocation;
 use lintime_adt::value::Value;
 use lintime_sim::delay::DelaySpec;
 use lintime_sim::engine::{simulate_full, SimConfig};
-use lintime_sim::node::{Effects, Node};
+use lintime_sim::node::{Effects, NoTimer, Node};
 use lintime_sim::schedule::Schedule;
 use lintime_sim::time::{ModelParams, Pid, Time};
 
@@ -39,10 +39,6 @@ pub struct Ping {
     /// Sender's local time when the message was sent.
     pub sent_local: Time,
 }
-
-/// Timer type (the synchronization round needs no timers).
-#[derive(Clone, Debug, PartialEq)]
-pub enum NoTimer {}
 
 /// One process of the Lundelius–Lynch averaging synchronizer.
 pub struct ClockSyncNode {

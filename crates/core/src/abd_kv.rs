@@ -23,12 +23,12 @@
 //! any `⌊(n−1)/2⌋` crashes, duplication, and unbounded stalls — no clocks
 //! are consulted anywhere.
 
-use crate::mr_register::{MrTs, NoTimer};
+use crate::mr_register::MrTs;
 use lintime_adt::spec::{Invocation, ObjectSpec, SpecKind};
 use lintime_adt::types::kv_store::ops;
 use lintime_adt::value::Value;
 use lintime_obs::{EventCategory, Obs};
-use lintime_sim::node::{Effects, Node};
+use lintime_sim::node::{Effects, NoTimer, Node};
 use lintime_sim::time::Pid;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

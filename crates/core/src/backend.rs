@@ -1,24 +1,34 @@
-//! A uniform `Backend` abstraction over every implementation in this crate.
+//! Declared fault tolerance and the one driver for every implementation in
+//! this crate.
 //!
 //! The paper's Algorithm 1 and the folklore baselines assume reliable
 //! channels and crash-free processes; the quorum register
 //! ([`crate::mr_register`]) and the recovery wrapper ([`crate::reliable`])
 //! each relax a different part of that assumption. This module makes those
 //! differences *declarative*: every backend states the fault classes it
-//! claims to survive ([`FaultTolerance`]), and [`run_backend`] drives any of
-//! them through the simulator uniformly, folding backend-specific
-//! bookkeeping (recovery-layer suspects, quorum metrics) into one
-//! [`BackendRun`].
+//! claims to survive ([`FaultTolerance`]), and [`run_backend`] picks the
+//! [`Algorithm`]'s concrete node type once per run, simulates a cluster of
+//! it, and folds backend-specific bookkeeping (recovery-layer suspects,
+//! quorum metrics) into one [`BackendRun`].
 //!
 //! The availability matrix in `lintime-bench` sweeps
 //! scenario × backend cells and uses the tolerance claims to decide which
 //! cells *must* stay linearizable: a `NotLinearizable` verdict inside a
 //! claimed-tolerated cell on a non-suspect run is a confirmed violation.
 
-use crate::cluster::{Algorithm, AnyNode};
+use crate::abd_kv::AbdKvNode;
+use crate::batch::BatchWtlwNode;
+use crate::broadcast::BroadcastNode;
+use crate::centralized::CentralizedNode;
+use crate::cluster::Algorithm;
+use crate::mr_register::MrNode;
+use crate::naive::NaiveLocalNode;
+use crate::quorum_sm::QsmNode;
+use crate::reliable::run_reliable;
+use crate::wtlw::WtlwNode;
 use lintime_adt::spec::{ObjectSpec, SpecKind};
-use lintime_obs::Obs;
-use lintime_sim::engine::{simulate_full, SimConfig};
+use lintime_sim::engine::{simulate, simulate_full, SimConfig};
+use lintime_sim::node::Node;
 use lintime_sim::run::Run;
 use lintime_sim::time::{ModelParams, Pid};
 use std::fmt;
@@ -68,54 +78,10 @@ impl FaultTolerance {
     }
 }
 
-/// A runnable shared-object implementation: something that can build a node
-/// per process and declare what faults it survives.
-///
-/// Implemented by [`Algorithm`]; the trait exists so drivers (simulator
-/// sweeps, the live runtime router, the availability matrix) can treat all
-/// implementations — and future ones — uniformly.
-pub trait Backend {
-    /// Human-readable label for reports.
-    fn label(&self) -> String;
-
-    /// Build the node for process `pid`, attaching `obs` where the backend
-    /// exports metrics.
-    fn make_node(
-        &self,
-        pid: Pid,
-        spec: &Arc<dyn ObjectSpec>,
-        params: ModelParams,
-        obs: &Obs,
-    ) -> AnyNode;
-
+impl Algorithm {
     /// The fault classes this backend claims to survive in a cluster of
     /// `params.n` processes.
-    fn tolerance(&self, params: ModelParams) -> FaultTolerance;
-
-    /// Whether this backend can implement `spec` at all (e.g. the quorum
-    /// register only implements read/write registers).
-    fn supports(&self, spec: &Arc<dyn ObjectSpec>) -> Result<(), String> {
-        let _ = spec;
-        Ok(())
-    }
-}
-
-impl Backend for Algorithm {
-    fn label(&self) -> String {
-        Algorithm::label(self)
-    }
-
-    fn make_node(
-        &self,
-        pid: Pid,
-        spec: &Arc<dyn ObjectSpec>,
-        params: ModelParams,
-        obs: &Obs,
-    ) -> AnyNode {
-        AnyNode::build_observed(*self, pid, Arc::clone(spec), params, obs)
-    }
-
-    fn tolerance(&self, params: ModelParams) -> FaultTolerance {
+    pub fn tolerance(&self, params: ModelParams) -> FaultTolerance {
         match self {
             // Algorithm 1 assumes reliable channels, live processes, and
             // honest timers; stalls break its timer-based ordering windows.
@@ -160,7 +126,9 @@ impl Backend for Algorithm {
         }
     }
 
-    fn supports(&self, spec: &Arc<dyn ObjectSpec>) -> Result<(), String> {
+    /// Whether this backend can implement `spec` at all (e.g. the quorum
+    /// register only implements read/write registers).
+    pub fn supports(&self, spec: &Arc<dyn ObjectSpec>) -> Result<(), String> {
         match self {
             Algorithm::MrRegister if spec.kind() != SpecKind::Register => {
                 Err(format!("mr-register implements a read/write register, not {:?}", spec.kind()))
@@ -211,50 +179,76 @@ pub struct BackendRun {
     pub read_writebacks: u64,
 }
 
-/// Run `backend` over `spec` under `cfg`: simulate, then fold
-/// backend-specific node state into the result uniformly.
+/// Simulate a cluster of quorum nodes and add each node's
+/// `[round_trips, fast_reads, read_writebacks]` to `totals`.
+fn run_quorum<N: Node>(
+    cfg: &SimConfig,
+    totals: &mut [u64; 3],
+    make_node: impl FnMut(Pid) -> N,
+    counters: impl Fn(&N) -> [u64; 3],
+) -> Run {
+    let (run, nodes) = simulate_full(cfg, make_node);
+    for node in &nodes {
+        for (total, count) in totals.iter_mut().zip(counters(node)) {
+            *total += count;
+        }
+    }
+    run
+}
+
+/// Run `algo` over `spec` under `cfg`: simulate a cluster of its concrete
+/// node type, then fold backend-specific node state into the result.
 ///
 /// Returns [`UnsupportedSpec`] (without simulating anything) when
-/// `backend.supports(spec)` fails, so callers probing arbitrary
+/// `algo.supports(spec)` fails, so callers probing arbitrary
 /// backend × type combinations can render honest `n/a` cells.
 pub fn run_backend(
-    backend: &dyn Backend,
+    algo: &Algorithm,
     spec: &Arc<dyn ObjectSpec>,
     cfg: &SimConfig,
 ) -> Result<BackendRun, UnsupportedSpec> {
-    if let Err(why) = backend.supports(spec) {
-        return Err(UnsupportedSpec {
-            backend: backend.label(),
-            spec: spec.name().to_string(),
-            why,
-        });
+    if let Err(why) = algo.supports(spec) {
+        return Err(UnsupportedSpec { backend: algo.label(), spec: spec.name().to_string(), why });
     }
-    let (mut run, nodes) =
-        simulate_full(cfg, |pid| backend.make_node(pid, spec, cfg.params, &cfg.obs));
-    let mut quorum_round_trips = 0;
-    let mut fast_reads = 0;
-    let mut read_writebacks = 0;
-    for node in &nodes {
-        match node {
-            AnyNode::Rel(n) => run.suspect.extend(n.violations().iter().cloned()),
-            AnyNode::Mr(n) => {
-                quorum_round_trips += n.round_trips();
-                fast_reads += n.fast_reads();
-                read_writebacks += n.read_writebacks();
-            }
-            AnyNode::Qsm(n) => {
-                quorum_round_trips += n.round_trips();
-                fast_reads += n.fast_reads();
-                read_writebacks += n.read_writebacks();
-            }
-            AnyNode::Abd(n) => {
-                quorum_round_trips += n.round_trips();
-                fast_reads += n.fast_reads();
-                read_writebacks += n.read_writebacks();
-            }
-            _ => {}
+    let params = cfg.params;
+    let spec_of = || Arc::clone(spec);
+    let obs = || cfg.obs.clone();
+    let mut quorum = [0; 3];
+    let mut run = match *algo {
+        Algorithm::Wtlw { x } => simulate(cfg, |pid| WtlwNode::new(pid, spec_of(), params, x)),
+        Algorithm::WtlwWaits(waits) => {
+            simulate(cfg, |pid| WtlwNode::with_waits(pid, spec_of(), waits))
         }
-    }
+        Algorithm::Centralized => simulate(cfg, |pid| CentralizedNode::new(pid, spec_of())),
+        Algorithm::Broadcast => simulate(cfg, |pid| BroadcastNode::new(pid, params.n, spec_of())),
+        Algorithm::MrRegister => run_quorum(
+            cfg,
+            &mut quorum,
+            |pid| MrNode::new(pid, spec_of(), params.n).with_obs(obs()),
+            |n| [n.round_trips(), n.fast_reads(), n.read_writebacks()],
+        ),
+        Algorithm::QuorumSm => run_quorum(
+            cfg,
+            &mut quorum,
+            |pid| QsmNode::new(pid, spec_of(), params).with_obs(obs()),
+            |n| [n.round_trips(), n.fast_reads(), n.read_writebacks()],
+        ),
+        Algorithm::AbdKv => run_quorum(
+            cfg,
+            &mut quorum,
+            |pid| AbdKvNode::new(pid, spec_of(), params.n).with_obs(obs()),
+            |n| [n.round_trips(), n.fast_reads(), n.read_writebacks()],
+        ),
+        Algorithm::BatchedWtlw { x, tick } => {
+            simulate(cfg, |pid| BatchWtlwNode::new(pid, spec_of(), params, x, tick).with_obs(obs()))
+        }
+        Algorithm::ReliableWtlw { x, recovery } => run_reliable(spec, cfg, x, recovery),
+        Algorithm::NaiveLocal(wait) => simulate(cfg, |_| NaiveLocalNode::new(spec_of(), wait)),
+    };
+    // One algorithm-tag byte per message on the wire, on top of the payload
+    // estimate each node's `msg_wire_bytes` reports.
+    run.bytes_sent += run.msgs_sent;
+    let [quorum_round_trips, fast_reads, read_writebacks] = quorum;
     Ok(BackendRun { run, quorum_round_trips, fast_reads, read_writebacks })
 }
 

@@ -20,7 +20,7 @@
 //! part of the real cost of a broadcast primitive over point-to-point links.
 
 use lintime_adt::spec::{Invocation, ObjState, ObjectSpec};
-use lintime_sim::node::{Effects, Node};
+use lintime_sim::node::{Effects, NoTimer, Node};
 use lintime_sim::time::Pid;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -61,10 +61,6 @@ impl BcastMsg {
         }
     }
 }
-
-/// Timer type (the broadcast algorithm needs no timers).
-#[derive(Clone, Debug, PartialEq)]
-pub enum NoTimer {}
 
 /// One process of the total-order-broadcast replica algorithm.
 pub struct BroadcastNode {

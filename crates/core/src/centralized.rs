@@ -8,7 +8,7 @@
 
 use lintime_adt::spec::{Invocation, ObjState, ObjectSpec};
 use lintime_adt::value::Value;
-use lintime_sim::node::{Effects, Node};
+use lintime_sim::node::{Effects, NoTimer, Node};
 use lintime_sim::time::Pid;
 use std::sync::Arc;
 
@@ -33,10 +33,6 @@ impl CentralMsg {
         }
     }
 }
-
-/// Timer type (the centralized algorithm needs no timers).
-#[derive(Clone, Debug, PartialEq)]
-pub enum NoTimer {}
 
 /// One process of the centralized algorithm. Only the coordinator holds the
 /// object; everyone else forwards.

@@ -2,21 +2,12 @@
 //! [`Algorithm`], a data type, and a [`SimConfig`], get a recorded run and
 //! per-class latency statistics. Used by the table binaries and benches.
 
-use crate::abd_kv::{AbdKvNode, AbdMsg};
-use crate::batch::{BatchMsg, BatchTimer, BatchWtlwNode};
-use crate::broadcast::{BcastMsg, BroadcastNode};
-use crate::centralized::{CentralMsg, CentralizedNode};
-use crate::mr_register::{MrMsg, MrNode};
-use crate::naive::{NaiveLocalNode, NaiveMsg, NaiveTimer};
-use crate::quorum_sm::{QsmMsg, QsmNode, QsmTimer};
-use crate::reliable::{RecoveryConfig, RelMsg, RelTimer, ReliableWtlwNode};
-use crate::wtlw::{Waits, WtlwMsg, WtlwNode, WtlwTimer};
-use lintime_adt::spec::{Invocation, ObjectSpec, OpClass};
-use lintime_obs::Obs;
+use crate::reliable::RecoveryConfig;
+use crate::wtlw::Waits;
+use lintime_adt::spec::{ObjectSpec, OpClass};
 use lintime_sim::engine::SimConfig;
-use lintime_sim::node::{Effects, Node};
 use lintime_sim::run::Run;
-use lintime_sim::time::{Pid, Time};
+use lintime_sim::time::Time;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -82,275 +73,9 @@ impl Algorithm {
     }
 }
 
-/// Unified message type for [`AnyNode`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum AnyMsg {
-    /// Algorithm 1 announcement.
-    Wtlw(WtlwMsg),
-    /// Centralized request/reply.
-    Central(CentralMsg),
-    /// Broadcast-baseline message.
-    Bcast(BcastMsg),
-    /// Quorum-register phase message.
-    Mr(MrMsg),
-    /// Quorum state-machine phase message.
-    Qsm(QsmMsg),
-    /// Per-key quorum kv-store phase message.
-    Abd(AbdMsg),
-    /// Recovery-wrapped announcement or acknowledgement.
-    Rel(RelMsg),
-    /// Tick-batched announcement bundle.
-    Batch(BatchMsg),
-    /// Naive gossip.
-    Naive(NaiveMsg),
-}
-
-impl AnyMsg {
-    /// Estimated serialized size in bytes: algorithm tag plus the inner
-    /// message's own estimate.
-    pub fn wire_bytes(&self) -> usize {
-        1 + match self {
-            AnyMsg::Wtlw(m) => m.wire_bytes(),
-            AnyMsg::Central(m) => m.wire_bytes(),
-            AnyMsg::Bcast(m) => m.wire_bytes(),
-            AnyMsg::Mr(m) => m.wire_bytes(),
-            AnyMsg::Qsm(m) => m.wire_bytes(),
-            AnyMsg::Abd(m) => m.wire_bytes(),
-            AnyMsg::Rel(m) => m.wire_bytes(),
-            AnyMsg::Batch(m) => m.wire_bytes(),
-            AnyMsg::Naive(m) => m.wire_bytes(),
-        }
-    }
-}
-
-/// Unified timer type for [`AnyNode`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum AnyTimer {
-    /// Algorithm 1 timer.
-    Wtlw(WtlwTimer),
-    /// Recovery-wrapper timer (inner Algorithm 1 or retransmit).
-    Rel(RelTimer),
-    /// Batching-wrapper timer (inner Algorithm 1 or flush).
-    Batch(BatchTimer),
-    /// Naive respond timer.
-    Naive(NaiveTimer),
-    /// Quorum state-machine stability timer.
-    Qsm(QsmTimer),
-}
-
-/// A node of any of the supported algorithms, with unified message/timer
-/// types so heterogeneous experiments share one engine instantiation.
-pub enum AnyNode {
-    /// Algorithm 1.
-    Wtlw(WtlwNode),
-    /// Centralized baseline.
-    Central(CentralizedNode),
-    /// Broadcast baseline.
-    Bcast(BroadcastNode),
-    /// Quorum register.
-    Mr(MrNode),
-    /// Quorum state machine.
-    Qsm(QsmNode),
-    /// Per-key quorum kv-store.
-    Abd(AbdKvNode),
-    /// Recovery-wrapped Algorithm 1.
-    Rel(ReliableWtlwNode),
-    /// Tick-batched Algorithm 1.
-    Batch(BatchWtlwNode),
-    /// Naive strawman.
-    Naive(NaiveLocalNode),
-}
-
-impl AnyNode {
-    /// Build a node of `algo` for process `pid` (works for both the
-    /// simulator and the live runtime — only the model parameters matter).
-    pub fn build(
-        algo: Algorithm,
-        pid: Pid,
-        spec: Arc<dyn ObjectSpec>,
-        params: lintime_sim::time::ModelParams,
-    ) -> AnyNode {
-        Self::build_observed(algo, pid, spec, params, &Obs::off())
-    }
-
-    /// [`AnyNode::build`] with an observability bundle attached to the
-    /// algorithms that export metrics (quorum register, recovery wrapper).
-    pub fn build_observed(
-        algo: Algorithm,
-        pid: Pid,
-        spec: Arc<dyn ObjectSpec>,
-        params: lintime_sim::time::ModelParams,
-        obs: &Obs,
-    ) -> AnyNode {
-        match algo {
-            Algorithm::Wtlw { x } => AnyNode::Wtlw(WtlwNode::new(pid, spec, params, x)),
-            Algorithm::WtlwWaits(waits) => AnyNode::Wtlw(WtlwNode::with_waits(pid, spec, waits)),
-            Algorithm::Centralized => AnyNode::Central(CentralizedNode::new(pid, spec)),
-            Algorithm::Broadcast => AnyNode::Bcast(BroadcastNode::new(pid, params.n, spec)),
-            Algorithm::MrRegister => {
-                AnyNode::Mr(MrNode::new(pid, spec, params.n).with_obs(obs.clone()))
-            }
-            Algorithm::QuorumSm => {
-                AnyNode::Qsm(QsmNode::new(pid, spec, params).with_obs(obs.clone()))
-            }
-            Algorithm::AbdKv => {
-                AnyNode::Abd(AbdKvNode::new(pid, spec, params.n).with_obs(obs.clone()))
-            }
-            Algorithm::BatchedWtlw { x, tick } => {
-                AnyNode::Batch(BatchWtlwNode::new(pid, spec, params, x, tick).with_obs(obs.clone()))
-            }
-            Algorithm::ReliableWtlw { x, recovery } => AnyNode::Rel(
-                ReliableWtlwNode::new(pid, spec, params, x, recovery).with_obs(obs.clone()),
-            ),
-            Algorithm::NaiveLocal(wait) => AnyNode::Naive(NaiveLocalNode::new(spec, wait)),
-        }
-    }
-}
-
-/// Dispatch a handler call through the unified types.
-macro_rules! dispatch {
-    ($fx:ident, $inner:ident, $call:expr, $msg_var:expr, $tmr_var:expr) => {{
-        let mut inner_fx = Effects::new($fx.pid(), $fx.n(), $fx.local_time());
-        {
-            let $inner = &mut inner_fx;
-            $call;
-        }
-        $fx.absorb(inner_fx.into_parts(), $msg_var, $tmr_var);
-    }};
-}
-
-impl Node for AnyNode {
-    type Msg = AnyMsg;
-    type Timer = AnyTimer;
-
-    fn msg_wire_bytes(msg: &AnyMsg) -> usize {
-        msg.wire_bytes()
-    }
-
-    fn on_invoke(&mut self, inv: Invocation, fx: &mut Effects<AnyMsg, AnyTimer>) {
-        match self {
-            AnyNode::Wtlw(n) => {
-                dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Wtlw, AnyTimer::Wtlw)
-            }
-            AnyNode::Central(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Central,
-                |t: crate::centralized::NoTimer| match t {}
-            ),
-            AnyNode::Bcast(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Bcast,
-                |t: crate::broadcast::NoTimer| match t {}
-            ),
-            AnyNode::Mr(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Mr,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
-            AnyNode::Qsm(n) => {
-                dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Qsm, AnyTimer::Qsm)
-            }
-            AnyNode::Abd(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Abd,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
-            AnyNode::Rel(n) => {
-                dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Rel, AnyTimer::Rel)
-            }
-            AnyNode::Batch(n) => {
-                dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Batch, AnyTimer::Batch)
-            }
-            AnyNode::Naive(n) => {
-                dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Naive, AnyTimer::Naive)
-            }
-        }
-    }
-
-    fn on_deliver(&mut self, from: Pid, msg: AnyMsg, fx: &mut Effects<AnyMsg, AnyTimer>) {
-        match (self, msg) {
-            (AnyNode::Wtlw(n), AnyMsg::Wtlw(m)) => {
-                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Wtlw, AnyTimer::Wtlw)
-            }
-            (AnyNode::Central(n), AnyMsg::Central(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Central,
-                |t: crate::centralized::NoTimer| match t {}
-            ),
-            (AnyNode::Bcast(n), AnyMsg::Bcast(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Bcast,
-                |t: crate::broadcast::NoTimer| match t {}
-            ),
-            (AnyNode::Mr(n), AnyMsg::Mr(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Mr,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
-            (AnyNode::Qsm(n), AnyMsg::Qsm(m)) => {
-                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Qsm, AnyTimer::Qsm)
-            }
-            (AnyNode::Abd(n), AnyMsg::Abd(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Abd,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
-            (AnyNode::Rel(n), AnyMsg::Rel(m)) => {
-                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Rel, AnyTimer::Rel)
-            }
-            (AnyNode::Batch(n), AnyMsg::Batch(m)) => {
-                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Batch, AnyTimer::Batch)
-            }
-            (AnyNode::Naive(n), AnyMsg::Naive(m)) => {
-                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Naive, AnyTimer::Naive)
-            }
-            _ => panic!("message type does not match node algorithm"),
-        }
-    }
-
-    fn on_timer(&mut self, timer: AnyTimer, fx: &mut Effects<AnyMsg, AnyTimer>) {
-        match (self, timer) {
-            (AnyNode::Wtlw(n), AnyTimer::Wtlw(t)) => {
-                dispatch!(fx, ifx, n.on_timer(t, ifx), AnyMsg::Wtlw, AnyTimer::Wtlw)
-            }
-            (AnyNode::Rel(n), AnyTimer::Rel(t)) => {
-                dispatch!(fx, ifx, n.on_timer(t, ifx), AnyMsg::Rel, AnyTimer::Rel)
-            }
-            (AnyNode::Batch(n), AnyTimer::Batch(t)) => {
-                dispatch!(fx, ifx, n.on_timer(t, ifx), AnyMsg::Batch, AnyTimer::Batch)
-            }
-            (AnyNode::Naive(n), AnyTimer::Naive(t)) => {
-                dispatch!(fx, ifx, n.on_timer(t, ifx), AnyMsg::Naive, AnyTimer::Naive)
-            }
-            (AnyNode::Qsm(n), AnyTimer::Qsm(t)) => {
-                dispatch!(fx, ifx, n.on_timer(t, ifx), AnyMsg::Qsm, AnyTimer::Qsm)
-            }
-            _ => panic!("timer type does not match node algorithm"),
-        }
-    }
-}
-
-/// Run `algo` over `spec` under `cfg`.
-///
-/// Delegates to [`crate::backend::run_backend`], so algorithm-level
-/// bookkeeping (recovery-layer suspects folded into [`Run::suspect`],
-/// quorum metrics) is applied uniformly no matter which entry point is used.
+/// Run `algo` over `spec` under `cfg`: the [`Run`] of
+/// [`crate::backend::run_backend`] (recovery-layer suspects already folded
+/// into [`Run::suspect`]), panicking on a spec `algo` does not support.
 pub fn run_algorithm(algo: Algorithm, spec: &Arc<dyn ObjectSpec>, cfg: &SimConfig) -> Run {
     crate::backend::run_backend(&algo, spec, cfg).unwrap_or_else(|err| panic!("{err}")).run
 }
@@ -395,11 +120,15 @@ pub fn op_stats(run: &Run, spec: &Arc<dyn ObjectSpec>) -> Vec<OpStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lintime_adt::spec::erase;
-    use lintime_adt::types::FifoQueue;
+    use crate::reliable::run_reliable;
+    use crate::wtlw::WtlwNode;
+    use lintime_adt::spec::{erase, Invocation};
+    use lintime_adt::types::{FifoQueue, KvStore, Register};
+    use lintime_adt::value::Value;
     use lintime_sim::delay::DelaySpec;
+    use lintime_sim::engine::simulate;
     use lintime_sim::schedule::Schedule;
-    use lintime_sim::time::ModelParams;
+    use lintime_sim::time::{ModelParams, Pid};
 
     fn queue_workload() -> Schedule {
         Schedule::new()
@@ -412,18 +141,63 @@ mod tests {
     #[test]
     fn all_algorithms_complete_the_workload() {
         let p = ModelParams::default_experiment();
-        let spec = erase(FifoQueue::new());
-        for algo in [
-            Algorithm::Wtlw { x: Time(600) },
-            Algorithm::Centralized,
-            Algorithm::Broadcast,
-            Algorithm::NaiveLocal(Time::ZERO),
+        let recovery = RecoveryConfig::standard(p);
+        let queue = (erase(FifoQueue::new()), queue_workload());
+        let register = (
+            erase(Register::new(0)),
+            Schedule::new().at(Pid(0), Time(0), Invocation::new("write", 5)).at(
+                Pid(1),
+                Time(40_000),
+                Invocation::nullary("read"),
+            ),
+        );
+        let kv = (
+            erase(KvStore::new()),
+            Schedule::new().at(Pid(0), Time(0), Invocation::new("put", Value::pair(1, 10))).at(
+                Pid(1),
+                Time(40_000),
+                Invocation::new("get", 1),
+            ),
+        );
+        for (algo, (spec, workload)) in [
+            (Algorithm::Wtlw { x: Time(600) }, &queue),
+            (Algorithm::WtlwWaits(Waits::standard(p, Time(600))), &queue),
+            (Algorithm::Centralized, &queue),
+            (Algorithm::Broadcast, &queue),
+            (Algorithm::MrRegister, &register),
+            (Algorithm::QuorumSm, &queue),
+            (Algorithm::AbdKv, &kv),
+            (Algorithm::BatchedWtlw { x: Time(600), tick: Time(300) }, &queue),
+            (Algorithm::ReliableWtlw { x: Time(600), recovery }, &queue),
+            (Algorithm::NaiveLocal(Time::ZERO), &queue),
         ] {
             let cfg = SimConfig::new(p, DelaySpec::UniformRandom { seed: 1 })
-                .with_schedule(queue_workload());
-            let run = run_algorithm(algo, &spec, &cfg);
+                .with_schedule(workload.clone());
+            let run = run_algorithm(algo, spec, &cfg);
             assert!(run.complete(), "{} did not complete: {run}", algo.label());
             assert!(run.errors.is_empty(), "{}: {:?}", algo.label(), run.errors);
+        }
+    }
+
+    #[test]
+    fn run_algorithm_is_the_concrete_run_plus_one_tag_byte_per_message() {
+        let p = ModelParams::default_experiment();
+        let spec = erase(FifoQueue::new());
+        let x = Time(600);
+        let recovery = RecoveryConfig::standard(p);
+        let cfg =
+            SimConfig::new(p, DelaySpec::UniformRandom { seed: 1 }).with_schedule(queue_workload());
+        let wtlw = simulate(&cfg, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, x));
+        let reliable = run_reliable(&spec, &cfg, x, recovery);
+        for (algo, direct) in
+            [(Algorithm::Wtlw { x }, wtlw), (Algorithm::ReliableWtlw { x, recovery }, reliable)]
+        {
+            let run = run_algorithm(algo, &spec, &cfg);
+            assert!(direct.msgs_sent > 0, "{}", algo.label());
+            assert_eq!(run.ops, direct.ops, "{}", algo.label());
+            assert_eq!(run.events, direct.events, "{}", algo.label());
+            assert_eq!(run.msgs_sent, direct.msgs_sent, "{}", algo.label());
+            assert_eq!(run.bytes_sent, direct.bytes_sent + direct.msgs_sent, "{}", algo.label());
         }
     }
 

@@ -29,9 +29,9 @@
 //!   kv-store at register cost per key (locality of linearizability);
 //! * [`timestamp`] — `(local time, pid)` lexicographic timestamps;
 //! * [`cluster`] — uniform driver + latency statistics over all of the above;
-//! * [`backend`] — the [`backend::Backend`] trait: fault-tolerance claims and
-//!   uniform construction for every backend, driven by the cross-backend
-//!   availability matrix.
+//! * [`backend`] — declared fault-tolerance claims per [`cluster::Algorithm`]
+//!   and [`backend::run_backend`], the one way from an `Algorithm` to a
+//!   running cluster; driven by the cross-backend availability matrix.
 //!
 //! ## Quick example
 //!
@@ -75,15 +75,13 @@ pub mod wtlw;
 /// Convenient re-exports of the most-used items.
 pub mod prelude {
     pub use crate::abd_kv::{AbdKvNode, AbdMsg};
-    pub use crate::backend::{run_backend, Backend, BackendRun, FaultTolerance, UnsupportedSpec};
+    pub use crate::backend::{run_backend, BackendRun, FaultTolerance, UnsupportedSpec};
     pub use crate::batch::{
         batched_predicted_latency, batched_waits, BatchMsg, BatchTimer, BatchWtlwNode,
     };
     pub use crate::broadcast::BroadcastNode;
     pub use crate::centralized::CentralizedNode;
-    pub use crate::cluster::{
-        op_stats, run_algorithm, Algorithm, AnyMsg, AnyNode, AnyTimer, OpStats,
-    };
+    pub use crate::cluster::{op_stats, run_algorithm, Algorithm, OpStats};
     pub use crate::mr_register::{MrMsg, MrNode, MrTs};
     pub use crate::naive::NaiveLocalNode;
     pub use crate::quorum_sm::{QsmMsg, QsmNode, QsmTimer};

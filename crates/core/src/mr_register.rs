@@ -28,7 +28,7 @@ use lintime_adt::spec::{Invocation, ObjectSpec, SpecKind};
 use lintime_adt::types::register::ops;
 use lintime_adt::value::Value;
 use lintime_obs::{EventCategory, Obs};
-use lintime_sim::node::{Effects, Node};
+use lintime_sim::node::{Effects, NoTimer, Node};
 use lintime_sim::time::Pid;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -107,10 +107,6 @@ impl MrMsg {
         }
     }
 }
-
-/// Timer type (the quorum register needs no timers).
-#[derive(Clone, Debug, PartialEq)]
-pub enum NoTimer {}
 
 /// Client-side progress of the operation pending at this process. Each
 /// phase records the set of processes heard from (including this one);

@@ -197,7 +197,7 @@ pub fn run_live<N: Node + 'static>(
         input_rxs.push(rx);
     }
     let obs = &cfg.obs;
-    let router = Router::spawn_observed(
+    let router = Router::spawn(
         cfg.params,
         cfg.delay.clone(),
         base_clock,

@@ -7,8 +7,8 @@
 //! are WAN-shaped (`[d − u, d]` in virtual ticks) while the transport is
 //! local std channels.
 //!
-//! With [`Router::spawn_with_faults`] the router becomes a *lossy* channel:
-//! it consults the same deterministic [`FaultPlan`] the simulator uses and
+//! Given a [`FaultPlan`], [`Router::spawn`] makes the router a *lossy*
+//! channel: it consults the same deterministic plan the simulator uses and
 //! drops, duplicates, or delay-overrides messages per link, recording every
 //! injected fault in the [`RouterReport`].
 
@@ -73,39 +73,20 @@ pub struct Router<M> {
 }
 
 impl<M: Clone + Send + 'static> Router<M> {
-    /// Spawn a fault-free router. `inboxes[i]` receives messages destined
-    /// for `p_i`, tagged with the sender (any `I` convertible from
-    /// `(Pid, M)`, so a node's merged input channel works directly). Returns
-    /// once all `tx` clones are dropped and the heap drains; `join` yields
-    /// the [`RouterReport`].
-    pub fn spawn<I: From<(Pid, M)> + Send + 'static>(
-        params: ModelParams,
-        delay: DelaySpec,
-        clock: LiveClock,
-        inboxes: Vec<SyncSender<I>>,
-    ) -> Router<M> {
-        Self::spawn_with_faults(params, delay, clock, inboxes, None)
-    }
-
-    /// Spawn a router that mirrors `faults` onto the live channels: per-link
-    /// drops, duplicates, and delay overrides, decided by the same
+    /// Spawn the router. `inboxes[i]` receives messages destined for `p_i`,
+    /// tagged with the sender (any `I` convertible from `(Pid, M)`, so a
+    /// node's merged input channel works directly). The router stops once
+    /// all `tx` clones are dropped and the heap drains; `join` yields the
+    /// [`RouterReport`].
+    ///
+    /// With `faults`, the router mirrors the plan onto the live channels:
+    /// per-link drops, duplicates, and delay overrides, decided by the same
     /// deterministic plan the simulator uses (identical seeds produce the
-    /// same per-link fault pattern).
-    pub fn spawn_with_faults<I: From<(Pid, M)> + Send + 'static>(
-        params: ModelParams,
-        delay: DelaySpec,
-        clock: LiveClock,
-        inboxes: Vec<SyncSender<I>>,
-        faults: Option<FaultPlan>,
-    ) -> Router<M> {
-        Self::spawn_observed(params, delay, clock, inboxes, faults, Obs::off())
-    }
-
-    /// [`Router::spawn_with_faults`] with an observability bundle: every
-    /// accepted, forwarded, dropped, duplicated, and delay-overridden message
-    /// becomes a trace event, and `router.*` metrics track throughput plus
-    /// the delay heap's depth (current and high-water).
-    pub fn spawn_observed<I: From<(Pid, M)> + Send + 'static>(
+    /// same per-link fault pattern). With an active `obs`, every accepted,
+    /// forwarded, dropped, duplicated, and delay-overridden message becomes
+    /// a trace event, and `router.*` metrics track throughput plus the delay
+    /// heap's depth (current and high-water).
+    pub fn spawn<I: From<(Pid, M)> + Send + 'static>(
         params: ModelParams,
         delay: DelaySpec,
         clock: LiveClock,
@@ -287,7 +268,7 @@ mod tests {
         let (in0_tx, _in0_rx) = sync_channel::<(Pid, u32)>(16);
         let (in1_tx, in1_rx) = sync_channel::<(Pid, u32)>(16);
         let router: Router<u32> =
-            Router::spawn(params, DelaySpec::AllMin, clock, vec![in0_tx, in1_tx]);
+            Router::spawn(params, DelaySpec::AllMin, clock, vec![in0_tx, in1_tx], None, Obs::off());
         let start = Instant::now();
         router.tx.send(Envelope { from: Pid(0), to: Pid(1), msg: 42 }).unwrap();
         let (from, msg) = in1_rx.recv_timeout(Duration::from_secs(2)).unwrap();
@@ -306,8 +287,14 @@ mod tests {
         let clock = LiveClock::new(Instant::now(), Time(0), tick);
         let (in0_tx, _in0) = sync_channel::<(Pid, u32)>(64);
         let (in1_tx, in1_rx) = sync_channel::<(Pid, u32)>(64);
-        let router: Router<u32> =
-            Router::spawn(params, DelaySpec::Constant(Time(60)), clock, vec![in0_tx, in1_tx]);
+        let router: Router<u32> = Router::spawn(
+            params,
+            DelaySpec::Constant(Time(60)),
+            clock,
+            vec![in0_tx, in1_tx],
+            None,
+            Obs::off(),
+        );
         for i in 0..10 {
             router.tx.send(Envelope { from: Pid(0), to: Pid(1), msg: i }).unwrap();
         }
@@ -325,12 +312,13 @@ mod tests {
         let plan = FaultPlan::new(11).drop_exact(Pid(0), Pid(1), 0).drop_exact(Pid(0), Pid(1), 2);
         let (in0_tx, _in0) = sync_channel::<(Pid, u32)>(64);
         let (in1_tx, in1_rx) = sync_channel::<(Pid, u32)>(64);
-        let router: Router<u32> = Router::spawn_with_faults(
+        let router: Router<u32> = Router::spawn(
             params,
             DelaySpec::Constant(Time(60)),
             clock,
             vec![in0_tx, in1_tx],
             Some(plan),
+            Obs::off(),
         );
         for i in 0..5 {
             router.tx.send(Envelope { from: Pid(0), to: Pid(1), msg: i }).unwrap();

@@ -41,6 +41,11 @@ pub trait Node: Send {
     }
 }
 
+/// The [`Node::Timer`] of a node that never sets one: uninhabited, so
+/// `on_timer` is statically unreachable (`match timer {}`).
+#[derive(Clone, Debug, PartialEq)]
+pub enum NoTimer {}
+
 /// Effect sink handed to [`Node`] handlers: collects sends, timer operations,
 /// and the optional response produced by one transition.
 pub struct Effects<M, T> {

@@ -90,9 +90,10 @@ fn live_contended_history_linearizes() {
 
 #[test]
 fn live_baselines_work_too() {
-    // The AnyNode dispatch runs unchanged on threads: the centralized and
+    // The same node code runs unchanged on threads: the centralized and
     // broadcast baselines stay linearizable live (and slower than WTLW).
-    use lintime_core::cluster::{Algorithm, AnyNode};
+    use lintime_core::broadcast::BroadcastNode;
+    use lintime_core::centralized::CentralizedNode;
     let (p, tick) = live_params();
     let cfg = LiveConfig::new(p, tick, DelaySpec::AllMin);
     let spec = erase(FifoQueue::new());
@@ -100,26 +101,35 @@ fn live_baselines_work_too() {
         TimedInvocation { pid: Pid(1), at: Time(10), inv: Invocation::new("enqueue", 4) },
         TimedInvocation { pid: Pid(2), at: Time(1500), inv: Invocation::nullary("peek") },
     ];
-    for algo in [Algorithm::Centralized, Algorithm::Broadcast] {
-        let run = run_live(&cfg, &schedule, |pid| AnyNode::build(algo, pid, Arc::clone(&spec), p));
-        assert!(run.complete(), "{algo:?}: {run}");
-        assert!(run.errors.is_empty(), "{algo:?}: {:?}", run.errors);
+    let runs = [
+        (
+            "centralized",
+            run_live(&cfg, &schedule, |pid| CentralizedNode::new(pid, Arc::clone(&spec))),
+        ),
+        (
+            "broadcast",
+            run_live(&cfg, &schedule, |pid| BroadcastNode::new(pid, p.n, Arc::clone(&spec))),
+        ),
+    ];
+    for (algo, run) in runs {
+        assert!(run.complete(), "{algo}: {run}");
+        assert!(run.errors.is_empty(), "{algo}: {:?}", run.errors);
         assert_eq!(run.ops[1].ret, Some(Value::Int(4)));
         let history = History::from_run(&run).unwrap();
         assert!(check(&spec, &history).is_linearizable());
         // Folklore: both ops at least 2(d − u) even live.
         for op in &run.ops {
-            assert!(op.latency().unwrap() >= (p.d - p.u) * 2 - Time(5), "{algo:?} {op:?}");
+            assert!(op.latency().unwrap() >= (p.d - p.u) * 2 - Time(5), "{algo} {op:?}");
         }
     }
 }
 
 #[test]
 fn live_crash_tolerant_backends_work_too() {
-    // The quorum register and the recovery wrapper route through the same
-    // AnyNode dispatch, so they run unchanged on threads as well.
-    use lintime_core::cluster::{Algorithm, AnyNode};
-    use lintime_core::reliable::RecoveryConfig;
+    // The quorum register and the recovery wrapper are plain `Node`s too, so
+    // they run unchanged on threads as well.
+    use lintime_core::mr_register::MrNode;
+    use lintime_core::reliable::{RecoveryConfig, ReliableWtlwNode};
     let (p, tick) = live_params();
     let mut cfg = LiveConfig::new(p, tick, DelaySpec::AllMin);
     // The recovery wrapper stretches its inner timers by the retransmission
@@ -130,15 +140,20 @@ fn live_crash_tolerant_backends_work_too() {
         TimedInvocation { pid: Pid(1), at: Time(10), inv: Invocation::new("write", 6) },
         TimedInvocation { pid: Pid(2), at: Time(2500), inv: Invocation::nullary("read") },
     ];
-    let algos = [
-        Algorithm::MrRegister,
-        Algorithm::ReliableWtlw { x: Time::ZERO, recovery: RecoveryConfig::standard(p) },
+    let recovery = RecoveryConfig::standard(p);
+    let runs = [
+        ("mr-register", run_live(&cfg, &schedule, |pid| MrNode::new(pid, Arc::clone(&spec), p.n))),
+        (
+            "reliable-wtlw",
+            run_live(&cfg, &schedule, |pid| {
+                ReliableWtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO, recovery)
+            }),
+        ),
     ];
-    for algo in algos {
-        let run = run_live(&cfg, &schedule, |pid| AnyNode::build(algo, pid, Arc::clone(&spec), p));
-        assert!(run.complete(), "{algo:?}: {run}");
-        assert!(run.errors.is_empty(), "{algo:?}: {:?}", run.errors);
-        assert_eq!(run.ops[1].ret, Some(Value::Int(6)), "{algo:?}");
+    for (algo, run) in runs {
+        assert!(run.complete(), "{algo}: {run}");
+        assert!(run.errors.is_empty(), "{algo}: {:?}", run.errors);
+        assert_eq!(run.ops[1].ret, Some(Value::Int(6)), "{algo}");
         let history = History::from_run(&run).unwrap();
         assert!(check(&spec, &history).is_linearizable());
     }
