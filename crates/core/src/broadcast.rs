@@ -177,11 +177,19 @@ impl Node for BroadcastNode {
     }
 
     fn on_deliver(&mut self, from: Pid, msg: BcastMsg, fx: &mut Effects<BcastMsg, NoTimer>) {
-        // FIFO reordering per sender.
-        self.buffered[from.0].insert(msg.seq, msg.payload);
-        let mut needs_ack = false;
-        while let Some(payload) = self.buffered[from.0].remove(&self.next_seq[from.0]) {
-            self.next_seq[from.0] += 1;
+        // FIFO reordering per sender: the expected message is observed
+        // directly; one that overtook an earlier message waits in
+        // `buffered` until the gap fills (nothing changed, so there is
+        // nothing to acknowledge or deliver yet).
+        let f = from.0;
+        if msg.seq != self.next_seq[f] {
+            self.buffered[f].insert(msg.seq, msg.payload);
+            return;
+        }
+        self.next_seq[f] += 1;
+        let mut needs_ack = self.observe(from, msg.payload);
+        while let Some(payload) = self.buffered[f].remove(&self.next_seq[f]) {
+            self.next_seq[f] += 1;
             needs_ack |= self.observe(from, payload);
         }
         if needs_ack {
@@ -203,7 +211,8 @@ mod tests {
     use lintime_adt::types::{FifoQueue, Register};
     use lintime_adt::value::Value;
     use lintime_sim::delay::DelaySpec;
-    use lintime_sim::engine::{simulate, SimConfig};
+    use lintime_sim::engine::{simulate, simulate_full, SimConfig};
+    use lintime_sim::faults::FaultPlan;
     use lintime_sim::schedule::Schedule;
     use lintime_sim::time::{ModelParams, Time};
 
@@ -290,5 +299,36 @@ mod tests {
         assert!(run.complete(), "{run}");
         // Both late reads agree on the final value.
         assert_eq!(run.ops[3].ret, run.ops[4].ret);
+    }
+
+    #[test]
+    fn overtaken_message_waits_and_every_process_agrees_on_the_order() {
+        // Delays in [100, 1000]: every message takes the minimum except
+        // p0 → p1 message 0 (p0's request), held to the maximum. p0's ack of
+        // p1's request (message 1 on that link, sent at 100) arrives at 200
+        // and waits for it at p1; every other message arrives in order.
+        let p = ModelParams::new(3, Time(1000), Time(900), Time(50));
+        let plan = FaultPlan::new(1).override_delay(Pid(0), Pid(1), 0, Time(1000));
+        let cfg =
+            SimConfig::new(p, DelaySpec::AllMin).recording_all().with_faults(plan).with_schedule(
+                Schedule::new()
+                    .at(Pid(0), Time(0), Invocation::new("enqueue", 10))
+                    .at(Pid(1), Time(0), Invocation::new("enqueue", 20))
+                    .at(Pid(2), Time(50), Invocation::new("enqueue", 30)),
+            );
+        let spec = erase(FifoQueue::new());
+        let (run, nodes) =
+            simulate_full(&cfg, |pid| BroadcastNode::new(pid, p.n, Arc::clone(&spec)));
+        assert!(run.complete() && run.errors.is_empty(), "{run}");
+        let link: Vec<_> = run.msgs.iter().filter(|m| (m.from, m.to) == (Pid(0), Pid(1))).collect();
+        assert!(link[1].t_recv < link[0].t_recv, "message 1 must overtake message 0");
+        // Every replica applied the same three enqueues in the same order.
+        let states: Vec<_> = nodes.iter().map(|node| node.object.canonical()).collect();
+        assert!(states.iter().all(|s| *s == states[0]), "{states:?}");
+        assert!(nodes.iter().all(|node| node.buffered.iter().all(BTreeMap::is_empty)));
+        let mut queue = nodes[0].object.clone_box();
+        let mut drained: Vec<_> = (0..3).map(|_| queue.apply("dequeue", &Value::Unit)).collect();
+        drained.sort();
+        assert_eq!(drained, vec![Value::Int(10), Value::Int(20), Value::Int(30)]);
     }
 }

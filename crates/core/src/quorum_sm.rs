@@ -45,14 +45,24 @@
 //! every phase tracks the *set* of processes heard from, commits and syncs
 //! are idempotent (the log is keyed by timestamp), and any `⌊(n−1)/2⌋`
 //! crashes leave a live majority to answer every phase.
+//!
+//! **Replay cache.** A response is computed from a base object that holds
+//! the log replayed through the entries `≤ applied`: only the entries in
+//! `(applied, ts]` are applied, so a run of responses costs each log entry
+//! once rather than a whole-prefix replay per response. An accessor runs on
+//! a copy of the base. A new or different log entry at or below `applied`
+//! (a late commit, e.g. from a stalled client) resets the cache to a fresh
+//! object, so every response equals a fresh replay of its prefix — which
+//! debug builds assert on every response.
 
 use crate::timestamp::Timestamp;
-use lintime_adt::spec::{Invocation, ObjectSpec, OpClass};
+use lintime_adt::spec::{Invocation, ObjState, ObjectSpec, OpClass};
 use lintime_adt::value::Value;
 use lintime_obs::{EventCategory, Obs};
 use lintime_sim::node::{Effects, Node};
 use lintime_sim::time::{ModelParams, Pid, Time};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Messages of the quorum state machine. `rid` is the client's per-operation
@@ -199,6 +209,12 @@ pub struct QsmNode {
     delta: Time,
     /// Replica state: committed operations in timestamp order.
     log: BTreeMap<Timestamp, Invocation>,
+    /// Replay cache: `base` is the log replayed through the entries
+    /// `≤ applied` (a fresh object while `applied` is `None`). Only
+    /// [`QsmNode::log_insert`] changes `log`, and it resets the cache when
+    /// the replayed prefix changes.
+    base: Box<dyn ObjState>,
+    applied: Option<Timestamp>,
     /// Client state.
     rid: u64,
     phase: Phase,
@@ -221,9 +237,11 @@ impl QsmNode {
         QsmNode {
             pid,
             n: params.n,
+            base: spec.new_object(),
             spec,
             delta: Time(3 * params.d.as_ticks() + params.epsilon.as_ticks() + 1),
             log: BTreeMap::new(),
+            applied: None,
             rid: 0,
             phase: Phase::Idle,
             round_trips: 0,
@@ -311,29 +329,83 @@ impl QsmNode {
         fx.set_timer_at(cut.time + self.delta, QsmTimer::Stable { rid: self.rid });
     }
 
-    /// Replay the log prefix `≤ ts` on a fresh object and return the
-    /// response of the entry at `ts` (the caller's own logged op). Sound
-    /// only once the prefix is stable.
-    fn replay_ret(&self, ts: Timestamp) -> Value {
-        let mut obj = self.spec.new_object();
-        let mut ret = Value::Unit;
-        for (t, inv) in self.log.range(..=ts) {
-            ret = obj.apply(inv.op, &inv.arg);
-            debug_assert!(*t <= ts);
+    /// Log an entry (local commit, `Commit` or `Sync`). A new or different
+    /// entry at or below `applied` changes the prefix the cache replayed, so
+    /// the cache restarts from a fresh object; a duplicate changes nothing.
+    fn log_insert(&mut self, ts: Timestamp, inv: Invocation) {
+        if self.applied.is_some_and(|a| ts <= a) && self.log.get(&ts) != Some(&inv) {
+            self.reset_cache();
         }
+        self.log.insert(ts, inv);
+    }
+
+    fn reset_cache(&mut self) {
+        self.base = self.spec.new_object();
+        self.applied = None;
+    }
+
+    /// Advance the cache to the log prefix `≤ upto` — applying only the
+    /// entries in `(applied, upto]`, after a reset if `upto` lies below
+    /// `applied` — and return the response of the last entry applied
+    /// (`Unit` if none was).
+    fn catch_up(&mut self, upto: Timestamp) -> Value {
+        if self.applied.is_some_and(|a| upto < a) {
+            self.reset_cache();
+        }
+        let from = self.applied.map_or(Bound::Unbounded, Bound::Excluded);
+        let mut ret = Value::Unit;
+        for (_, inv) in self.log.range((from, Bound::Included(upto))) {
+            ret = self.base.apply(inv.op, &inv.arg);
+        }
+        self.applied = Some(upto);
         ret
     }
 
-    /// Replay the log prefix `≤ cut`, then apply the (unlogged) accessor on
-    /// top and return its response. Sound only once the prefix is stable.
-    fn accessor_ret(&self, inv: &Invocation, cut: Option<Timestamp>) -> Value {
+    /// The log prefix `≤ upto` replayed on a fresh object, and the response
+    /// of its last entry (`Unit` for an empty prefix): the reference the
+    /// replay cache is checked against in debug builds.
+    fn fresh_replay(&self, upto: Option<Timestamp>) -> (Box<dyn ObjState>, Value) {
         let mut obj = self.spec.new_object();
-        if let Some(cut) = cut {
-            for (_, entry) in self.log.range(..=cut) {
-                obj.apply(entry.op, &entry.arg);
+        let mut ret = Value::Unit;
+        if let Some(upto) = upto {
+            for (_, inv) in self.log.range(..=upto) {
+                ret = obj.apply(inv.op, &inv.arg);
             }
         }
-        obj.apply(inv.op, &inv.arg)
+        (obj, ret)
+    }
+
+    /// The response of the entry at `ts` (the caller's own logged op) after
+    /// the log prefix before it. Sound only once the prefix is stable.
+    fn replay_ret(&mut self, ts: Timestamp) -> Value {
+        // The response comes from applying the entry at `ts` itself, so the
+        // cache must still be below it.
+        if self.applied.is_some_and(|a| a >= ts) {
+            self.reset_cache();
+        }
+        let ret = self.catch_up(ts);
+        debug_assert_eq!(ret, self.fresh_replay(Some(ts)).1, "replay cache diverged at {ts:?}");
+        ret
+    }
+
+    /// Apply the (unlogged) accessor on top of the log prefix `≤ cut` and
+    /// return its response. It runs on a copy of the cached state, since
+    /// objects may record even a read. Sound only once the prefix is stable.
+    fn accessor_ret(&mut self, inv: &Invocation, cut: Option<Timestamp>) -> Value {
+        let mut obj = match cut {
+            Some(c) => {
+                self.catch_up(c);
+                self.base.clone_box()
+            }
+            None => self.spec.new_object(),
+        };
+        let ret = obj.apply(inv.op, &inv.arg);
+        debug_assert_eq!(
+            ret,
+            self.fresh_replay(cut).0.apply(inv.op, &inv.arg),
+            "replay cache diverged at {cut:?}"
+        );
+        ret
     }
 
     /// Finish an accessor whose cut is stable: respond directly when the
@@ -402,7 +474,7 @@ impl QsmNode {
                         None => invoked_at,
                     };
                     let ts = Timestamp::new(time, self.pid);
-                    self.log.insert(ts, inv.clone());
+                    self.log_insert(ts, inv.clone());
                     let mixed =
                         self.spec.op_meta(inv.op).is_none_or(|m| m.class != OpClass::PureMutator);
                     // A pure mutator's response is state-independent: read it
@@ -486,12 +558,12 @@ impl Node for QsmNode {
                 fx.send(from, QsmMsg::MaxReply { rid, ts });
             }
             QsmMsg::Commit { rid, ts, inv } => {
-                self.log.insert(ts, inv);
+                self.log_insert(ts, inv);
                 fx.send(from, QsmMsg::Ack { rid });
             }
             QsmMsg::Sync { rid, entries } => {
                 for (ts, inv) in entries {
-                    self.log.insert(ts, inv);
+                    self.log_insert(ts, inv);
                 }
                 fx.send(from, QsmMsg::Ack { rid });
             }
@@ -772,6 +844,58 @@ mod tests {
         let mut fx = Effects::new(Pid(0), 1, Time(20));
         node.on_invoke(Invocation::nullary("peek"), &mut fx);
         assert_eq!(fx.into_parts().response, Some(Value::Unit));
+    }
+
+    /// Run one handler of a 3-process node at local time `at`; return the
+    /// response it produced.
+    fn step(at: Time, f: impl FnOnce(&mut Effects<QsmMsg, QsmTimer>)) -> Option<Value> {
+        let mut fx = Effects::new(Pid(0), 3, at);
+        f(&mut fx);
+        fx.into_parts().response
+    }
+
+    #[test]
+    fn commit_below_the_replayed_prefix_resets_the_replay_cache() {
+        // p0 of a 3-process cluster, driven by hand. A read replays the log
+        // through (300, p2); delayed commits (a stalled client's) then land
+        // below that prefix. Every later response must see them, exactly as
+        // a fresh replay does (which debug builds also assert).
+        let p = ModelParams::new(3, Time(6000), Time(2400), Time(1800));
+        let mut node = QsmNode::new(Pid(0), erase(Counter::new()), p);
+        let late = Time(1_000_000); // every prefix below is stable by then
+        let ts = |t, pid| Timestamp::new(Time(t), Pid(pid));
+        let commit = |node: &mut QsmNode, t, pid, v| {
+            let msg = QsmMsg::Commit { rid: 1, ts: ts(t, pid), inv: Invocation::new("add", v) };
+            step(late, |fx| node.on_deliver(Pid(pid), msg, fx));
+        };
+        let read = |node: &mut QsmNode| {
+            step(late, |fx| node.on_invoke(Invocation::nullary("read"), fx));
+            let reply = QsmMsg::MaxReply { rid: node.rid, ts: node.log_max() };
+            step(late, |fx| node.on_deliver(Pid(1), reply, fx))
+        };
+
+        commit(&mut node, 100, 1, 1);
+        commit(&mut node, 300, 2, 100);
+        assert_eq!(read(&mut node), Some(Value::Int(101)));
+        assert_eq!(node.applied, Some(ts(300, 2)));
+
+        commit(&mut node, 200, 1, 10);
+        assert_eq!(node.applied, None, "a new entry below the replayed prefix resets the cache");
+        assert_eq!(read(&mut node), Some(Value::Int(111)));
+        commit(&mut node, 200, 1, 10);
+        assert_eq!(node.applied, Some(ts(300, 2)), "a duplicate keeps the cache");
+
+        // A mixed op: phase 1, a commit below the prefix while it waits for
+        // acks and stability, then the response replays its own entry.
+        let t = Time(2_000_000);
+        step(t, |fx| node.on_invoke(Invocation::nullary("fetch_inc"), fx));
+        let reply = QsmMsg::MaxReply { rid: node.rid, ts: node.log_max() };
+        step(t, |fx| node.on_deliver(Pid(1), reply, fx));
+        commit(&mut node, 250, 2, 1000);
+        let rid = node.rid;
+        assert_eq!(step(t, |fx| node.on_deliver(Pid(1), QsmMsg::Ack { rid }, fx)), None);
+        let ret = step(t + node.delta, |fx| node.on_timer(QsmTimer::Stable { rid }, fx));
+        assert_eq!(ret, Some(Value::Int(1111)), "fetch_inc returns the value before its own add");
     }
 
     #[test]

@@ -269,8 +269,9 @@ enum InvokeSource {
     Open,
 }
 
-/// Event payload in the engine heap.
-enum EventKind<M, T> {
+/// Event payload, held in the [`EventQueue`] slab while the heap orders its
+/// ordinal.
+enum EventKind<M> {
     Invoke {
         inv: Invocation,
         source: InvokeSource,
@@ -285,41 +286,97 @@ enum EventKind<M, T> {
         from: Pid,
         msg: M,
     },
+    /// The timer armed under `id`. Its tag is held once, in the run's
+    /// `live_tags`, and is gone from there once the timer is cancelled.
     Timer {
         id: u64,
-        tag: T,
     },
 }
 
-/// Heap key: `(time, class, seq)`. Lower class processes first at equal
-/// times: deliveries (0), then timers (1), then invocations (2).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct EventKey {
-    time: Time,
-    class: u8,
+/// Event classes. At equal times deliveries process first, then timers,
+/// then invocations.
+const DELIVER: u8 = 0;
+const TIMER: u8 = 1;
+const INVOKE: u8 = 2;
+
+/// Sequence numbers fill the low 56 bits of an ordinal; a run that would
+/// need more ends truncated instead of reusing one.
+const SEQ_LIMIT: u64 = 1 << 56;
+
+/// The event key `(time, class, seq)` packed into one integer with the same
+/// order: the time with its sign bit flipped (so negative times, which
+/// [`SimConfig::shifted`] can produce, sort first) in the high 64 bits, then
+/// the class byte, then the sequence number.
+fn ordinal(time: Time, class: u8, seq: u64) -> u128 {
+    debug_assert!(seq < SEQ_LIMIT);
+    (((time.0 as u64) ^ (1 << 63)) as u128) << 64 | (class as u128) << 56 | seq as u128
+}
+
+fn ordinal_time(ord: u128) -> Time {
+    Time((((ord >> 64) as u64) ^ (1 << 63)) as i64)
+}
+
+fn ordinal_class(ord: u128) -> u8 {
+    (ord >> 56) as u8
+}
+
+/// Everything the run itself schedules, in ordinal order. The heap sifts
+/// only `(ordinal, slot)` pairs; each payload is written into a slab slot
+/// once and taken out once, and freed slots are reused.
+struct EventQueue<M> {
+    heap: BinaryHeap<Reverse<(u128, u32)>>,
+    slab: Vec<Option<(Pid, EventKind<M>)>>,
+    free: Vec<u32>,
     seq: u64,
 }
 
-struct Entry<M, T> {
-    key: EventKey,
-    pid: Pid,
-    kind: EventKind<M, T>,
-}
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue { heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new(), seq: 0 }
+    }
 
-impl<M, T> PartialEq for Entry<M, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+    /// The ordinal of the next event created at `(time, class)` — the one
+    /// place sequence numbers advance. `None` once they are exhausted.
+    fn next_ordinal(&mut self, time: Time, class: u8) -> Option<u128> {
+        if self.exhausted() {
+            return None;
+        }
+        let ord = ordinal(time, class, self.seq);
+        self.seq += 1;
+        Some(ord)
     }
-}
-impl<M, T> Eq for Entry<M, T> {}
-impl<M, T> PartialOrd for Entry<M, T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// True once every sequence number is used; the event loop then ends
+    /// the run as truncated (an event pushed after this is dropped, never
+    /// mis-ordered).
+    fn exhausted(&self) -> bool {
+        self.seq >= SEQ_LIMIT
     }
-}
-impl<M, T> Ord for Entry<M, T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+
+    fn push(&mut self, time: Time, class: u8, pid: Pid, kind: EventKind<M>) {
+        let Some(ord) = self.next_ordinal(time, class) else { return };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some((pid, kind));
+                slot
+            }
+            None => {
+                self.slab.push(Some((pid, kind)));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Reverse((ord, slot)));
+    }
+
+    fn peek(&self) -> Option<u128> {
+        self.heap.peek().map(|&Reverse((ord, _))| ord)
+    }
+
+    fn pop(&mut self) -> Option<(u128, Pid, EventKind<M>)> {
+        let Reverse((ord, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        let (pid, kind) = self.slab[slot as usize].take().expect("a queued slot holds its event");
+        Some((ord, pid, kind))
     }
 }
 
@@ -365,26 +422,26 @@ impl Drop for BurstSink<'_> {
 
 /// A `Schedule::timed` / `Schedule::open` arrival, kept out of the heap and
 /// borrowed from the schedule until the instant it fires.
-type Arrival<'a> = (EventKey, Pid, &'a Invocation, InvokeSource);
+type Arrival<'a> = (u128, Pid, &'a Invocation, InvokeSource);
 
-/// The next event in `(time, class, seq)` order from the scheduled arrivals
-/// (sorted latest first, so the next one is `last()`) and the heap of
-/// everything created during the run. Keys are unique, so this is exactly
-/// the order one heap holding both would pop.
-fn next_entry<M, T>(
+/// The next event in ordinal order from the scheduled arrivals (sorted
+/// latest first, so the next one is `last()`) and the queue of everything
+/// created during the run. Ordinals are unique, so this is exactly the order
+/// one heap holding both would pop.
+fn next_entry<M>(
     arrivals: &mut Vec<Arrival<'_>>,
-    heap: &mut BinaryHeap<Reverse<Entry<M, T>>>,
-) -> Option<Entry<M, T>> {
-    let arrival_first = match (arrivals.last(), heap.peek()) {
-        (Some(a), Some(Reverse(h))) => a.0 < h.key,
+    queue: &mut EventQueue<M>,
+) -> Option<(u128, Pid, EventKind<M>)> {
+    let arrival_first = match (arrivals.last(), queue.peek()) {
+        (Some(a), Some(h)) => a.0 < h,
         (Some(_), None) => true,
         (None, _) => false,
     };
     if arrival_first {
-        let (key, pid, inv, source) = arrivals.pop()?;
-        Some(Entry { key, pid, kind: EventKind::Invoke { inv: inv.clone(), source } })
+        let (ord, pid, inv, source) = arrivals.pop()?;
+        Some((ord, pid, EventKind::Invoke { inv: inv.clone(), source }))
     } else {
-        heap.pop().map(|Reverse(entry)| entry)
+        queue.pop()
     }
 }
 
@@ -471,11 +528,11 @@ pub fn simulate_full<N: Node>(
     let n = params.n;
 
     let mut nodes: Vec<N> = (0..n).map(|i| make_node(Pid(i))).collect();
-    let mut heap: BinaryHeap<Reverse<Entry<N::Msg, N::Timer>>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
+    let mut queue: EventQueue<N::Msg> = EventQueue::new();
     let mut next_timer_id: u64 = 0;
-    let mut dead_timers: HashSet<u64> = HashSet::new();
-    // Tags of live timers per process, parallel to ids, for cancellation.
+    // Tags of live timers per process, by id: a firing timer takes its tag
+    // from here, a cancellation removes it, so an id missing at firing time
+    // is a cancelled timer.
     let mut live_tags: Vec<Vec<(u64, N::Timer)>> = (0..n).map(|_| Vec::new()).collect();
     let mut msg_counters: Vec<u64> = vec![0; n * n];
 
@@ -541,36 +598,41 @@ pub fn simulate_full<N: Node>(
 
     // Scheduled arrivals take their sequence numbers here, in schedule
     // order, but stay in a side list (sorted latest first) merged with the
-    // heap at each step (see `next_entry`): the heap then holds only what the run itself
-    // creates — in-flight deliveries, timers, script steps, admission
-    // markers, stall deferrals — instead of sifting those through the whole
-    // remaining input.
+    // queue at each step (see `next_entry`): the queue then holds only what
+    // the run itself creates — in-flight deliveries, timers, script steps,
+    // admission markers, stall deferrals — instead of sifting those through
+    // the whole remaining input.
     let Schedule { timed, open, scripts } = &config.schedule;
     let mut arrivals: Vec<Arrival<'_>> = Vec::with_capacity(timed.len() + open.len());
     for (list, source) in [(timed, InvokeSource::Timed), (open, InvokeSource::Open)] {
         for t in list {
-            arrivals.push((EventKey { time: t.at, class: 2, seq }, t.pid, &t.inv, source));
-            seq += 1;
+            if let Some(ord) = queue.next_ordinal(t.at, INVOKE) {
+                arrivals.push((ord, t.pid, &t.inv, source));
+            }
         }
     }
-    arrivals.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+    arrivals.sort_unstable_by_key(|a| Reverse(a.0));
     // Scripts are closed-loop: only each first step is known up front.
     for s in scripts {
         let p = &mut procs[s.pid.0];
         p.script = s.invocations.iter().cloned().collect();
         p.script_gap = s.gap;
         if let Some(first) = p.script.pop_front() {
-            heap.push(Reverse(Entry {
-                key: EventKey { time: s.start, class: 2, seq },
-                pid: s.pid,
-                kind: EventKind::Invoke { inv: first, source: InvokeSource::Script },
-            }));
-            seq += 1;
+            let kind = EventKind::Invoke { inv: first, source: InvokeSource::Script };
+            queue.push(s.start, INVOKE, s.pid, kind);
         }
     }
 
-    while let Some(entry) = next_entry(&mut arrivals, &mut heap) {
-        let now = entry.key.time;
+    // One effect sink for the whole run, re-armed per event.
+    let mut fx: Effects<N::Msg, N::Timer> = Effects::new(Pid(0), n, Time::ZERO);
+    loop {
+        if queue.exhausted() {
+            errors.push(format!("event sequence numbers exhausted ({SEQ_LIMIT} events created)"));
+            truncated = true;
+            break;
+        }
+        let Some((ord, pid, kind)) = next_entry(&mut arrivals, &mut queue) else { break };
+        let now = ordinal_time(ord);
         if let Some(cap) = config.max_real_time {
             if now > cap {
                 break;
@@ -581,7 +643,6 @@ pub fn simulate_full<N: Node>(
             truncated = true;
             break;
         }
-        let pid = entry.pid;
 
         // Fault injection: crashed processes take no further steps; stalled
         // processes defer their events to the end of the stall window.
@@ -600,7 +661,7 @@ pub fn simulate_full<N: Node>(
                     // An invocation at a crashed process is recorded (the
                     // user observes no response — the run is incomplete),
                     // other events are silently lost with the process.
-                    if let EventKind::Invoke { inv, .. } = entry.kind {
+                    if let EventKind::Invoke { inv, .. } = kind {
                         ops.push(OpRecord {
                             pid,
                             invocation: inv,
@@ -622,12 +683,7 @@ pub fn simulate_full<N: Node>(
                 if let Some(m) = &metrics {
                     m.stall_deferrals.inc();
                 }
-                heap.push(Reverse(Entry {
-                    key: EventKey { time: until, class: entry.key.class, seq },
-                    pid,
-                    kind: entry.kind,
-                }));
-                seq += 1;
+                queue.push(until, ordinal_class(ord), pid, kind);
                 continue;
             }
         }
@@ -637,7 +693,7 @@ pub fn simulate_full<N: Node>(
         // process first (or an epoch barrier started), the queue is left
         // untouched and the next response — or the barrier reopening —
         // schedules a fresh marker.
-        let (kind, admitted) = match entry.kind {
+        let (kind, admitted) = match kind {
             EventKind::AdmitIngress => {
                 if procs[pid.0].pending_op.is_some() || draining {
                     continue;
@@ -661,7 +717,7 @@ pub fn simulate_full<N: Node>(
         }
         last_time = last_time.max(now);
         let local = now + config.offsets[pid.0];
-        let mut fx: Effects<N::Msg, N::Timer> = Effects::new(pid, n, local);
+        fx.reset(pid, local);
 
         let trigger = match kind {
             EventKind::Invoke { inv, source } => {
@@ -730,14 +786,14 @@ pub fn simulate_full<N: Node>(
             }
             // Resolved to an `Invoke` (or skipped) above.
             EventKind::AdmitIngress => unreachable!("admission markers resolve before dispatch"),
-            EventKind::Timer { id, tag } => {
-                if dead_timers.remove(&id) {
-                    continue;
-                }
+            EventKind::Timer { id } => {
+                // Not live: cancelled. Its pop still counts as an event.
+                let live = &mut live_tags[pid.0];
+                let Some(i) = live.iter().position(|(tid, _)| *tid == id) else { continue };
+                let (_, tag) = live.swap_remove(i);
                 if let Some(m) = &metrics {
                     m.timer_fires.inc();
                 }
-                live_tags[pid.0].retain(|(tid, _)| *tid != id);
                 let trig = config.record_views.then(|| StepTrigger::Timer(format!("{tag:?}")));
                 nodes[pid.0].on_timer(tag, &mut fx);
                 trig
@@ -747,14 +803,7 @@ pub fn simulate_full<N: Node>(
         // Apply effects deterministically: cancels, then sends, then timers,
         // then the response.
         for tag in fx.timers_cancelled.drain(..) {
-            live_tags[pid.0].retain(|(id, t)| {
-                if *t == tag {
-                    dead_timers.insert(*id);
-                    false
-                } else {
-                    true
-                }
-            });
+            live_tags[pid.0].retain(|(_, t)| *t != tag);
         }
         let sends = fx.sends.len();
         for (to, msg) in fx.sends.drain(..) {
@@ -842,32 +891,22 @@ pub fn simulate_full<N: Node>(
                             t_recv: dup_deliverable.then_some(t_extra),
                         });
                     }
-                    heap.push(Reverse(Entry {
-                        key: EventKey { time: t_extra, class: 0, seq },
-                        pid: to,
-                        kind: EventKind::Deliver { from: pid, msg: msg.clone() },
-                    }));
-                    seq += 1;
+                    queue.push(
+                        t_extra,
+                        DELIVER,
+                        to,
+                        EventKind::Deliver { from: pid, msg: msg.clone() },
+                    );
                 }
             }
-            heap.push(Reverse(Entry {
-                key: EventKey { time: t_recv, class: 0, seq },
-                pid: to,
-                kind: EventKind::Deliver { from: pid, msg },
-            }));
-            seq += 1;
+            queue.push(t_recv, DELIVER, to, EventKind::Deliver { from: pid, msg });
         }
         for (local_fire, tag) in fx.timers_set.drain(..) {
             let real_fire = local_fire - config.offsets[pid.0];
             let id = next_timer_id;
             next_timer_id += 1;
-            live_tags[pid.0].push((id, tag.clone()));
-            heap.push(Reverse(Entry {
-                key: EventKey { time: real_fire, class: 1, seq },
-                pid,
-                kind: EventKind::Timer { id, tag },
-            }));
-            seq += 1;
+            live_tags[pid.0].push((id, tag));
+            queue.push(real_fire, TIMER, pid, EventKind::Timer { id });
         }
         let response = fx.response.take();
         if config.record_views {
@@ -904,15 +943,9 @@ pub fn simulate_full<N: Node>(
                     if source == InvokeSource::Script {
                         if let Some(next_inv) = procs[pid.0].script.pop_front() {
                             let at = now + procs[pid.0].script_gap;
-                            heap.push(Reverse(Entry {
-                                key: EventKey { time: at, class: 2, seq },
-                                pid,
-                                kind: EventKind::Invoke {
-                                    inv: next_inv,
-                                    source: InvokeSource::Script,
-                                },
-                            }));
-                            seq += 1;
+                            let kind =
+                                EventKind::Invoke { inv: next_inv, source: InvokeSource::Script };
+                            queue.push(at, INVOKE, pid, kind);
                         }
                     }
                     pending_count = pending_count.saturating_sub(1);
@@ -922,12 +955,7 @@ pub fn simulate_full<N: Node>(
                         // event class — the marker pops it at processing
                         // time, after any same-instant arrivals queue up).
                         if !procs[pid.0].ingress.is_empty() {
-                            heap.push(Reverse(Entry {
-                                key: EventKey { time: now, class: 2, seq },
-                                pid,
-                                kind: EventKind::AdmitIngress,
-                            }));
-                            seq += 1;
+                            queue.push(now, INVOKE, pid, EventKind::AdmitIngress);
                         }
                     } else if pending_count == 0 {
                         // Epoch barrier: every pending operation has
@@ -944,12 +972,7 @@ pub fn simulate_full<N: Node>(
                         }
                         for (i, proc) in procs.iter().enumerate().take(n) {
                             if !proc.ingress.is_empty() {
-                                heap.push(Reverse(Entry {
-                                    key: EventKey { time: reopen, class: 2, seq },
-                                    pid: Pid(i),
-                                    kind: EventKind::AdmitIngress,
-                                }));
-                                seq += 1;
+                                queue.push(reopen, INVOKE, Pid(i), EventKind::AdmitIngress);
                             }
                         }
                     }
@@ -1473,6 +1496,110 @@ mod tests {
         assert_eq!(run.ops[0].ret, Some(Value::Int(99)));
         assert_eq!(run.ops[0].latency(), Some(Time(40)));
         assert!(run.errors.is_empty());
+    }
+
+    /// p0 arms `armed` (delay, tag) at its invocation and pings p1; on the
+    /// echo it cancels tag 1 and then arms `rearmed`. Every firing responds
+    /// with its tag, so a second firing shows up as a "no pending op" error.
+    struct TimerPlay {
+        armed: Vec<(i64, u8)>,
+        rearmed: Vec<(i64, u8)>,
+    }
+
+    impl Node for TimerPlay {
+        type Msg = ();
+        type Timer = u8;
+        fn on_invoke(&mut self, _inv: Invocation, fx: &mut Effects<(), u8>) {
+            for &(delay, tag) in &self.armed {
+                fx.set_timer(Time(delay), tag);
+            }
+            fx.send(Pid(1), ());
+        }
+        fn on_deliver(&mut self, _from: Pid, _msg: (), fx: &mut Effects<(), u8>) {
+            if fx.pid() == Pid(1) {
+                fx.send(Pid(0), ());
+                return;
+            }
+            fx.cancel_timer(1);
+            for &(delay, tag) in &self.rearmed {
+                fx.set_timer(Time(delay), tag);
+            }
+        }
+        fn on_timer(&mut self, tag: u8, fx: &mut Effects<(), u8>) {
+            fx.respond(Value::Int(tag.into()));
+        }
+    }
+
+    /// Run one `TimerPlay` invocation at p0 over a 40-tick round trip.
+    fn timer_play(armed: Vec<(i64, u8)>, rearmed: Vec<(i64, u8)>) -> Run {
+        let params = ModelParams::new(2, Time(30), Time(10), Time(5));
+        let cfg = SimConfig::new(params, DelaySpec::AllMin).with_schedule(Schedule::new().at(
+            Pid(0),
+            Time(0),
+            Invocation::nullary("x"),
+        ));
+        simulate(&cfg, |_| TimerPlay { armed: armed.clone(), rearmed: rearmed.clone() })
+    }
+
+    #[test]
+    fn cancel_then_rearm_of_one_tag_fires_once() {
+        // Armed for 100, cancelled at 40 and re-armed for 50 in the same
+        // transition: only the re-armed timer fires.
+        let run = timer_play(vec![(100, 1)], vec![(10, 1)]);
+        assert!(run.errors.is_empty(), "{:?}", run.errors);
+        assert_eq!(run.ops[0].ret, Some(Value::Int(1)));
+        assert_eq!(run.ops[0].latency(), Some(Time(50)));
+        // Invocation, two deliveries, the firing, and the cancelled timer's
+        // pop at 100: a cancelled pop still counts as an event.
+        assert_eq!(run.events, 5);
+    }
+
+    #[test]
+    fn cancelling_a_tag_kills_every_live_timer_with_it() {
+        // Two live timers share tag 1; one cancellation kills both, so the
+        // tag-2 timer at 300 is the only one to fire.
+        let run = timer_play(vec![(100, 1), (200, 1), (300, 2)], vec![]);
+        assert!(run.errors.is_empty(), "{:?}", run.errors);
+        assert_eq!(run.ops[0].ret, Some(Value::Int(2)));
+        assert_eq!(run.ops[0].latency(), Some(Time(300)));
+        // The invocation, two deliveries, and all three timer pops.
+        assert_eq!(run.events, 6);
+    }
+
+    #[test]
+    fn ordinal_sorts_exactly_like_the_key_tuple() {
+        let times = [i64::MIN, -6000, -1, 0, 1, 6000, i64::MAX];
+        let seqs = [0, 1, 2, 41, 42, SEQ_LIMIT - 2, SEQ_LIMIT - 1];
+        let mut keys = Vec::new();
+        for t in times {
+            for class in [DELIVER, TIMER, INVOKE] {
+                for seq in seqs {
+                    keys.push((Time(t), class, seq));
+                }
+            }
+        }
+        keys.sort();
+        for w in keys.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert!(ordinal(a.0, a.1, a.2) < ordinal(b.0, b.1, b.2), "{a:?} vs {b:?}");
+        }
+        for (time, class, seq) in keys {
+            let ord = ordinal(time, class, seq);
+            assert_eq!((ordinal_time(ord), ordinal_class(ord)), (time, class));
+        }
+    }
+
+    #[test]
+    fn exhausted_sequence_numbers_refuse_new_events() {
+        let mut queue: EventQueue<()> = EventQueue::new();
+        queue.seq = SEQ_LIMIT - 1;
+        queue.push(Time(5), DELIVER, Pid(0), EventKind::AdmitIngress);
+        assert!(queue.exhausted());
+        // Refused rather than given a wrapped or repeated sequence number.
+        queue.push(Time(1), DELIVER, Pid(0), EventKind::AdmitIngress);
+        let (ord, _, _) = queue.pop().expect("the last numbered event is queued");
+        assert_eq!(ord, ordinal(Time(5), DELIVER, SEQ_LIMIT - 1));
+        assert!(queue.pop().is_none());
     }
 
     #[test]

@@ -76,6 +76,18 @@ impl<M, T: PartialEq> Effects<M, T> {
         }
     }
 
+    /// Re-arm the sink for the next transition, at `pid` and local time
+    /// `now_local`. The buffers keep their capacity, so the engine can use
+    /// one sink for a whole run.
+    pub(crate) fn reset(&mut self, pid: Pid, now_local: Time) {
+        self.pid = pid;
+        self.now_local = now_local;
+        self.sends.clear();
+        self.timers_set.clear();
+        self.timers_cancelled.clear();
+        self.response = None;
+    }
+
     /// This process's id.
     pub fn pid(&self) -> Pid {
         self.pid
