@@ -9,18 +9,64 @@
 //!    invoking process had executed locally when the accessor returned;
 //! 3. runs of adjacent pure accessors sorted by timestamp.
 //!
-//! [`construct`] builds exactly that permutation from the execution logs the
-//! [`WtlwNode`]s keep, and [`verify`] checks the two linearization conditions
-//! (legality; real-time order of non-overlapping operations) plus the
-//! supporting lemmas (all replicas executed the same mutator sequence, in
-//! increasing timestamp order — Lemma 5).
+//! A production [`WtlwNode`] keeps no per-execution record, so Construction
+//! 1 runs on nodes built with the [`ExecLog`] recorder
+//! ([`WtlwNode::with_recorder`]), which tests instantiate. [`construct`]
+//! builds exactly that permutation from those logs, and [`verify`] checks the
+//! two linearization conditions (legality; real-time order of non-overlapping
+//! operations) plus the supporting lemmas (all replicas executed the same
+//! mutator sequence, in increasing timestamp order — Lemma 5).
 
 use crate::timestamp::Timestamp;
-use crate::wtlw::WtlwNode;
-use lintime_adt::spec::{ObjectSpec, OpInstance};
+use crate::wtlw::{ExecRecorder, WtlwNode};
+use lintime_adt::spec::{Invocation, ObjectSpec, OpInstance};
+use lintime_adt::value::Value;
 use lintime_sim::run::Run;
 use lintime_sim::time::Time;
 use std::sync::Arc;
+
+/// A mutator as executed on a process's local copy (Construction 1 input).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ExecutedMutator {
+    /// The mutator's timestamp.
+    pub ts: Timestamp,
+    /// The executed instance (invocation + locally computed return).
+    pub instance: OpInstance,
+}
+
+/// A locally-invoked pure accessor as executed (Construction 1 input).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ExecutedAccessor {
+    /// The accessor's (backdated) timestamp.
+    pub ts: Timestamp,
+    /// The executed instance.
+    pub instance: OpInstance,
+    /// How many mutators this process had executed when the accessor ran —
+    /// i.e. the accessor reads the state after `mutators[..after]`.
+    pub after: usize,
+}
+
+/// The [`ExecRecorder`] Construction 1 reads: every execution on one
+/// replica, in execution order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ExecLog {
+    /// Mutators executed on the local copy.
+    pub mutators: Vec<ExecutedMutator>,
+    /// Locally-invoked pure accessors.
+    pub accessors: Vec<ExecutedAccessor>,
+}
+
+impl ExecRecorder for ExecLog {
+    fn mutator(&mut self, ts: Timestamp, inv: &Invocation, ret: &Value) {
+        let instance = OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() };
+        self.mutators.push(ExecutedMutator { ts, instance });
+    }
+
+    fn accessor(&mut self, ts: Timestamp, inv: &Invocation, ret: &Value) {
+        let instance = OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() };
+        self.accessors.push(ExecutedAccessor { ts, instance, after: self.mutators.len() });
+    }
+}
 
 /// One element of the constructed permutation.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,22 +79,23 @@ pub struct Placed {
     pub is_accessor: bool,
 }
 
-/// Build the Construction-1 permutation from node execution logs.
+/// Build the Construction-1 permutation from the nodes' [`ExecLog`]s.
 ///
 /// Fails if the replicas executed different mutator sequences (which would
 /// falsify Lemma 5 / History Oblivion).
-pub fn construct(nodes: &[WtlwNode]) -> Result<Vec<Placed>, String> {
-    let reference = &nodes[0].mutator_log;
+pub fn construct(nodes: &[WtlwNode<ExecLog>]) -> Result<Vec<Placed>, String> {
+    let reference = &nodes[0].recorder().mutators;
     for (i, node) in nodes.iter().enumerate().skip(1) {
-        if node.mutator_log.len() != reference.len() {
+        let mutators = &node.recorder().mutators;
+        if mutators.len() != reference.len() {
             return Err(format!(
                 "replica p{} executed {} mutators, p0 executed {}",
                 i,
-                node.mutator_log.len(),
+                mutators.len(),
                 reference.len()
             ));
         }
-        for (k, (a, b)) in reference.iter().zip(&node.mutator_log).enumerate() {
+        for (k, (a, b)) in reference.iter().zip(mutators).enumerate() {
             if a != b {
                 return Err(format!(
                     "replica p{i} diverges from p0 at mutator #{k}: {:?} vs {:?}",
@@ -71,7 +118,7 @@ pub fn construct(nodes: &[WtlwNode]) -> Result<Vec<Placed>, String> {
     // sequence after which they go), then sort each bucket by timestamp.
     let mut buckets: Vec<Vec<Placed>> = vec![Vec::new(); reference.len() + 1];
     for node in nodes {
-        for acc in &node.accessor_log {
+        for acc in &node.recorder().accessors {
             buckets[acc.after].push(Placed {
                 instance: acc.instance.clone(),
                 ts: acc.ts,
@@ -99,7 +146,7 @@ pub fn construct(nodes: &[WtlwNode]) -> Result<Vec<Placed>, String> {
 /// * it respects the real-time order of non-overlapping operations.
 pub fn verify(
     run: &Run,
-    nodes: &[WtlwNode],
+    nodes: &[WtlwNode<ExecLog>],
     spec: &Arc<dyn ObjectSpec>,
 ) -> Result<Vec<Placed>, String> {
     let pi = construct(nodes)?;
@@ -175,13 +222,33 @@ fn match_intervals(run: &Run, pi: &[Placed]) -> Result<Vec<(Time, Time)>, String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wtlw::WtlwNode;
-    use lintime_adt::spec::{erase, Invocation};
+    use crate::wtlw::Waits;
+    use lintime_adt::spec::erase;
     use lintime_adt::types::{FifoQueue, Register, RmwRegister};
     use lintime_sim::delay::DelaySpec;
     use lintime_sim::engine::{simulate_full, SimConfig};
     use lintime_sim::schedule::Schedule;
     use lintime_sim::time::{ModelParams, Pid, Time};
+
+    fn recorded_run(
+        spec: &Arc<dyn ObjectSpec>,
+        x: Time,
+        delay: DelaySpec,
+        schedule: Schedule,
+    ) -> (Run, Vec<WtlwNode<ExecLog>>) {
+        let p = ModelParams::default_experiment();
+        let cfg = SimConfig::new(p, delay).with_schedule(schedule);
+        let (run, nodes) = simulate_full(&cfg, |pid| {
+            WtlwNode::with_recorder(
+                pid,
+                Arc::clone(spec),
+                Waits::standard(p, x),
+                ExecLog::default(),
+            )
+        });
+        assert!(run.complete(), "{run}");
+        (run, nodes)
+    }
 
     fn run_and_verify(
         spec: Arc<dyn ObjectSpec>,
@@ -189,10 +256,7 @@ mod tests {
         delay: DelaySpec,
         schedule: Schedule,
     ) -> Result<Vec<Placed>, String> {
-        let p = ModelParams::default_experiment();
-        let cfg = SimConfig::new(p, delay).with_schedule(schedule);
-        let (run, nodes) = simulate_full(&cfg, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, x));
-        assert!(run.complete(), "{run}");
+        let (run, nodes) = recorded_run(&spec, x, delay, schedule);
         verify(&run, &nodes, &spec)
     }
 
@@ -253,21 +317,42 @@ mod tests {
 
     #[test]
     fn diverging_replicas_are_reported() {
-        // Hand-build nodes with diverging logs.
+        // Take p0 from two runs that differ only in the value p0 writes: the
+        // replicas executed diverging sequences of equal length.
         let spec = erase(Register::new(0));
-        let p = ModelParams::default_experiment();
-        let mut a = WtlwNode::new(Pid(0), Arc::clone(&spec), p, Time::ZERO);
-        let mut b = WtlwNode::new(Pid(1), Arc::clone(&spec), p, Time::ZERO);
-        use crate::wtlw::ExecutedMutator;
-        a.mutator_log.push(ExecutedMutator {
-            ts: Timestamp::new(Time(1), Pid(0)),
-            instance: OpInstance::new("write", 1, ()),
-        });
-        b.mutator_log.push(ExecutedMutator {
-            ts: Timestamp::new(Time(1), Pid(0)),
-            instance: OpInstance::new("write", 2, ()),
-        });
+        let p0_after = |value: i64| {
+            let schedule = Schedule::new().at(Pid(0), Time(1), Invocation::new("write", value));
+            recorded_run(&spec, Time::ZERO, DelaySpec::AllMax, schedule).1.swap_remove(0)
+        };
+        let (a, b) = (p0_after(1), p0_after(2));
+        assert_eq!(a.executed(), b.executed());
+        assert_ne!(a.exec_digest(), b.exec_digest(), "the digest must see the divergence");
         let err = construct(&[a, b]).unwrap_err();
         assert!(err.contains("diverges"), "{err}");
+    }
+
+    #[test]
+    fn recorder_does_not_change_the_run_or_the_digest() {
+        // The recorder only observes: a recording cluster produces the same
+        // run and the same per-replica execution state as a production one.
+        let p = ModelParams::default_experiment();
+        let spec = erase(FifoQueue::new());
+        let schedule = Schedule::new()
+            .at(Pid(0), Time(0), Invocation::new("enqueue", 1))
+            .at(Pid(1), Time(3), Invocation::new("enqueue", 2))
+            .at(Pid(2), Time(6), Invocation::nullary("dequeue"))
+            .at(Pid(3), Time(9), Invocation::nullary("peek"));
+        let delay = DelaySpec::UniformRandom { seed: 8 };
+        let (recorded, logged) = recorded_run(&spec, Time(600), delay.clone(), schedule.clone());
+        let cfg = SimConfig::new(p, delay).with_schedule(schedule);
+        let (plain, nodes) =
+            simulate_full(&cfg, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, Time(600)));
+        assert_eq!(format!("{recorded:?}"), format!("{plain:?}"));
+        for (a, b) in logged.iter().zip(&nodes) {
+            assert_eq!(a.executed(), b.executed());
+            assert_eq!(a.exec_digest(), b.exec_digest());
+            assert_eq!(a.frontier(), b.frontier());
+            assert_eq!(a.recorder().mutators.len() as u64, a.executed());
+        }
     }
 }

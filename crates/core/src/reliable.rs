@@ -224,16 +224,6 @@ impl ReliableWtlwNode {
         &self.inner
     }
 
-    /// The local execution frontier: the largest timestamp that has already
-    /// taken effect at this process (executed mutator or locally-invoked
-    /// accessor read). A mutator arriving below it is too late to be ordered
-    /// correctly.
-    fn frontier(&self) -> Option<Timestamp> {
-        let m = self.inner.mutator_log.last().map(|e| e.ts);
-        let a = self.inner.accessor_log.last().map(|e| e.ts);
-        m.max(a)
-    }
-
     /// Run an inner-node handler, track any broadcasts it produces for
     /// retransmission, and translate its effects into the wrapper's types.
     fn dispatch(
@@ -292,7 +282,9 @@ impl Node for ReliableWtlwNode {
                     }
                     return;
                 }
-                if let Some(frontier) = self.frontier() {
+                // A mutator arriving below the inner node's execution
+                // frontier is too late to be ordered correctly.
+                if let Some(frontier) = self.inner.frontier() {
                     if m.ts < frontier {
                         self.violations.push(format!(
                             "process {}: mutator {:?} arrived with timestamp {:?}, older than \

@@ -23,9 +23,19 @@
 //! paper's algorithm with tradeoff parameter `X ∈ [0, d − ε]`, and the
 //! lower-bound experiments build deliberately-too-fast variants
 //! ([`Waits::scaled`]) to act as victims for the Theorem 2–5 adversaries.
+//!
+//! A replica keeps O(1) state about what it has executed: a count, its
+//! execution frontier (the largest timestamp that has taken effect), and a
+//! rolling digest of the executed mutator sequence. Lemma 5 — every replica
+//! executes the same mutator sequence — reads "equal
+//! `(executed(), exec_digest())` at quiescence". The full per-execution
+//! record that Construction 1 needs is kept only by an [`ExecRecorder`]
+//! other than `()`, which tests instantiate
+//! ([`crate::construction::ExecLog`]).
 
 use crate::timestamp::Timestamp;
-use lintime_adt::spec::{Invocation, ObjState, ObjectSpec, OpClass, OpInstance};
+use lintime_adt::fxhash;
+use lintime_adt::spec::{Invocation, ObjState, ObjectSpec, OpClass};
 use lintime_adt::value::Value;
 use lintime_sim::node::{Effects, Node};
 use lintime_sim::time::{ModelParams, Pid, Time};
@@ -141,29 +151,24 @@ pub enum WtlwTimer {
     },
 }
 
-/// A mutator as executed on a process's local copy (Construction 1 input).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExecutedMutator {
-    /// The mutator's timestamp.
-    pub ts: Timestamp,
-    /// The executed instance (invocation + locally computed return).
-    pub instance: OpInstance,
+/// Observer of every execution on a [`WtlwNode`]'s local copy.
+///
+/// Production nodes use `()`, which records nothing and compiles away.
+/// [`crate::construction::ExecLog`] keeps the full logs that Construction 1
+/// is built from.
+pub trait ExecRecorder: Send {
+    /// A mutator with timestamp `ts` executed and returned `ret`.
+    fn mutator(&mut self, _ts: Timestamp, _inv: &Invocation, _ret: &Value) {}
+    /// A locally-invoked pure accessor with timestamp `ts` executed and
+    /// returned `ret`.
+    fn accessor(&mut self, _ts: Timestamp, _inv: &Invocation, _ret: &Value) {}
 }
 
-/// A locally-invoked pure accessor as executed (Construction 1 input).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExecutedAccessor {
-    /// The accessor's (backdated) timestamp.
-    pub ts: Timestamp,
-    /// The executed instance.
-    pub instance: OpInstance,
-    /// How many mutators this process had executed when the accessor ran —
-    /// i.e. the accessor reads the state after `mutator_log[..after]`.
-    pub after: usize,
-}
+impl ExecRecorder for () {}
 
-/// One process of Algorithm 1.
-pub struct WtlwNode {
+/// One process of Algorithm 1. `R` observes its executions; the default
+/// `()` keeps nothing beyond the node's O(1) execution state.
+pub struct WtlwNode<R = ()> {
     pid: Pid,
     spec: Arc<dyn ObjectSpec>,
     object: Box<dyn ObjState>,
@@ -171,12 +176,14 @@ pub struct WtlwNode {
     to_execute: BinaryHeap<Reverse<(Timestamp, Invocation)>>,
     /// Timestamp of the locally-invoked *mixed* operation awaiting execution.
     pending_mixed: Option<Timestamp>,
-    /// Number of mutators executed on the local copy (diagnostics).
+    /// Number of mutators executed on the local copy.
     executed: u64,
-    /// Mutators executed on the local copy, in execution order.
-    pub mutator_log: Vec<ExecutedMutator>,
-    /// Locally-invoked pure accessors, in execution order.
-    pub accessor_log: Vec<ExecutedAccessor>,
+    /// The largest timestamp that has taken effect here, from an executed
+    /// mutator or a locally-invoked accessor read.
+    frontier: Option<Timestamp>,
+    /// Rolling hash of the executed mutator sequence's `(ts, op, arg, ret)`.
+    digest: u64,
+    recorder: R,
 }
 
 impl WtlwNode {
@@ -188,6 +195,13 @@ impl WtlwNode {
     /// A node with explicit timer durations (used to build lower-bound
     /// victims; correctness is only guaranteed for [`Waits::standard`]).
     pub fn with_waits(pid: Pid, spec: Arc<dyn ObjectSpec>, waits: Waits) -> Self {
+        Self::with_recorder(pid, spec, waits, ())
+    }
+}
+
+impl<R: ExecRecorder> WtlwNode<R> {
+    /// A node whose executions are reported to `recorder`.
+    pub fn with_recorder(pid: Pid, spec: Arc<dyn ObjectSpec>, waits: Waits, recorder: R) -> Self {
         let object = spec.new_object();
         WtlwNode {
             pid,
@@ -197,14 +211,34 @@ impl WtlwNode {
             to_execute: BinaryHeap::new(),
             pending_mixed: None,
             executed: 0,
-            mutator_log: Vec::new(),
-            accessor_log: Vec::new(),
+            frontier: None,
+            digest: 0,
+            recorder,
         }
+    }
+
+    /// The recorder this node reports its executions to.
+    pub fn recorder(&self) -> &R {
+        &self.recorder
     }
 
     /// Number of mutators executed on the local copy so far.
     pub fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// The execution frontier: the largest timestamp that has taken effect
+    /// at this process (an executed mutator or a locally-invoked accessor
+    /// read), if any.
+    pub fn frontier(&self) -> Option<Timestamp> {
+        self.frontier
+    }
+
+    /// Order-sensitive 64-bit digest of the executed mutator sequence's
+    /// `(ts, op, arg, ret)`. Two replicas that executed the same sequence
+    /// have equal digests; `0` before the first execution.
+    pub fn exec_digest(&self) -> u64 {
+        self.digest
     }
 
     /// Canonical encoding of the local copy's current state.
@@ -239,10 +273,10 @@ impl WtlwNode {
             let Reverse((ts, inv)) = self.to_execute.pop().expect("peeked entry");
             let ret = self.object.apply(inv.op, &inv.arg);
             self.executed += 1;
-            self.mutator_log.push(ExecutedMutator {
-                ts,
-                instance: OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() },
-            });
+            self.frontier = self.frontier.max(Some(ts));
+            self.digest =
+                fxhash::combine(self.digest, fxhash::hash64(&(ts, inv.op, &inv.arg, &ret)));
+            self.recorder.mutator(ts, &inv, &ret);
             if Some(ts) != firing {
                 fx.cancel_timer(WtlwTimer::Execute { ts });
             }
@@ -254,7 +288,7 @@ impl WtlwNode {
     }
 }
 
-impl Node for WtlwNode {
+impl<R: ExecRecorder> Node for WtlwNode<R> {
     type Msg = WtlwMsg;
     type Timer = WtlwTimer;
 
@@ -304,11 +338,8 @@ impl Node for WtlwNode {
                 // the accessor locally and respond.
                 self.drain_up_to(ts, None, fx);
                 let ret = self.object.apply(inv.op, &inv.arg);
-                self.accessor_log.push(ExecutedAccessor {
-                    ts,
-                    instance: OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() },
-                    after: self.mutator_log.len(),
-                });
+                self.frontier = self.frontier.max(Some(ts));
+                self.recorder.accessor(ts, &inv, &ret);
                 fx.respond(ret);
             }
             WtlwTimer::RespondMop => {
@@ -544,6 +575,120 @@ mod tests {
         }
         // The executed sequence is the same, so all delay patterns agree.
         assert!(rets_per_delay.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn replicas_agree_on_execution_digest_at_quiescence() {
+        // Lemma 5: every replica executes the same mutator sequence, so at
+        // quiescence all agree on the count, the digest and the state.
+        let p = params();
+        for spec in [erase(Register::new(0)), erase(FifoQueue::new()), erase(RmwRegister::new(0))] {
+            let ops = spec.ops();
+            let mut schedule = Schedule::new();
+            for i in 0..p.n {
+                let invocations = (0..6)
+                    .map(|k| {
+                        let op = ops[(i + k) % ops.len()].name;
+                        let args = spec.suggested_args(op);
+                        Invocation::new(op, args[(i + k) % args.len()].clone())
+                    })
+                    .collect();
+                schedule = schedule.script(lintime_sim::schedule::Script {
+                    pid: Pid(i),
+                    start: Time(i as i64 * 7),
+                    gap: Time::ZERO,
+                    invocations,
+                });
+            }
+            for x in [Time::ZERO, p.d / 3, p.d - p.epsilon] {
+                for delay in
+                    [DelaySpec::AllMin, DelaySpec::AllMax, DelaySpec::UniformRandom { seed: 13 }]
+                {
+                    let label = format!("{} X={x} {delay:?}", spec.name());
+                    let cfg = SimConfig::new(p, delay).with_schedule(schedule.clone());
+                    let (run, nodes) = lintime_sim::engine::simulate_full(&cfg, |pid| {
+                        WtlwNode::new(pid, Arc::clone(&spec), p, x)
+                    });
+                    assert!(run.complete(), "{label}");
+                    let state = |n: &WtlwNode| (n.executed(), n.exec_digest(), n.local_state());
+                    assert!(nodes[0].executed() > 0);
+                    for (i, node) in nodes.iter().enumerate() {
+                        assert_eq!(state(node), state(&nodes[0]), "{label}: replica {i} diverges");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(executed, digest)` of p0 after a run of `schedule` on `spec`.
+    fn p0_execution(spec: Arc<dyn ObjectSpec>, schedule: Schedule) -> (u64, u64) {
+        let p = params();
+        let cfg = SimConfig::new(p, DelaySpec::AllMax).with_schedule(schedule);
+        let (run, nodes) = lintime_sim::engine::simulate_full(&cfg, |pid| {
+            WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO)
+        });
+        assert!(run.complete());
+        (nodes[0].executed(), nodes[0].exec_digest())
+    }
+
+    #[test]
+    fn digest_covers_timestamp_argument_and_return() {
+        // Each pair executes one mutator and differs in exactly one of
+        // (ts, arg, ret); equal digests would hide a Lemma-5 divergence.
+        let one = |pid: usize, t: i64, inv: Invocation| Schedule::new().at(Pid(pid), Time(t), inv);
+        let write = |v: i64| Invocation::new("write", v);
+        let pairs = [
+            (
+                "ts",
+                erase(Register::new(0)),
+                one(1, 0, write(1)),
+                erase(Register::new(0)),
+                one(1, 1, write(1)),
+            ),
+            (
+                "arg",
+                erase(Register::new(0)),
+                one(1, 0, write(1)),
+                erase(Register::new(0)),
+                one(1, 0, write(2)),
+            ),
+            (
+                "ret",
+                erase(RmwRegister::new(0)),
+                one(1, 0, Invocation::new("rmw", 5)),
+                erase(RmwRegister::new(1)),
+                one(1, 0, Invocation::new("rmw", 5)),
+            ),
+        ];
+        for (what, spec_a, sched_a, spec_b, sched_b) in pairs {
+            let (a, b) = (p0_execution(spec_a, sched_a), p0_execution(spec_b, sched_b));
+            assert_eq!(a.0, 1);
+            assert_eq!(a.0, b.0);
+            assert_ne!(a.1, b.1, "digest ignores {what}");
+        }
+    }
+
+    #[test]
+    fn frontier_tracks_the_largest_executed_timestamp() {
+        let p = params();
+        let x = Time(1200);
+        let spec = erase(Register::new(0));
+        let cfg = SimConfig::new(p, DelaySpec::AllMax).with_schedule(
+            Schedule::new().at(Pid(1), Time(0), Invocation::new("write", 1)).at(
+                Pid(0),
+                Time(20_000),
+                Invocation::nullary("read"),
+            ),
+        );
+        let (run, nodes) = lintime_sim::engine::simulate_full(&cfg, |pid| {
+            WtlwNode::new(pid, Arc::clone(&spec), p, x)
+        });
+        assert!(run.complete());
+        // p0's read (backdated by X) is the largest timestamp it executed;
+        // everyone else only executed the write.
+        assert_eq!(nodes[0].frontier(), Some(Timestamp::new(Time(20_000) - x, Pid(0))));
+        assert_eq!(nodes[2].frontier(), Some(Timestamp::new(Time(0), Pid(1))));
+        assert_eq!(nodes[0].exec_digest(), nodes[2].exec_digest());
     }
 
     #[test]

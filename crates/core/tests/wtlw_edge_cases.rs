@@ -4,6 +4,7 @@
 
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
+use lintime_core::construction::ExecLog;
 use lintime_core::prelude::*;
 use lintime_core::wtlw::WtlwNode;
 use lintime_sim::prelude::*;
@@ -61,7 +62,10 @@ fn accessor_drain_cancels_execute_timers() {
                     // for the enqueue (at d + u + ε).
                     .at(Pid(0), Time(5), Invocation::nullary("peek")),
             ),
-            move |pid| WtlwNode::new(pid, Arc::clone(&spec2), p, x),
+            move |pid| {
+                let waits = Waits::standard(p, x);
+                WtlwNode::with_recorder(pid, Arc::clone(&spec2), waits, ExecLog::default())
+            },
         )
     };
     assert!(run.complete());
@@ -70,10 +74,11 @@ fn accessor_drain_cancels_execute_timers() {
     assert_eq!(run.ops[1].ret, Some(Value::Int(9)));
     // p0 executed exactly one mutator, exactly once.
     assert_eq!(nodes[0].executed(), 1);
-    assert_eq!(nodes[0].mutator_log.len(), 1);
+    let log = nodes[0].recorder();
+    assert_eq!(log.mutators.len(), 1);
     // Its accessor log recorded the drain position.
-    assert_eq!(nodes[0].accessor_log.len(), 1);
-    assert_eq!(nodes[0].accessor_log[0].after, 1);
+    assert_eq!(log.accessors.len(), 1);
+    assert_eq!(log.accessors[0].after, 1);
 }
 
 #[test]

@@ -102,7 +102,10 @@ fn construction_1_verifies_on_contended_runs() {
             .at(Pid(1), Time(20_000), Invocation::nullary("dequeue"));
         let cfg = SimConfig::new(p, DelaySpec::UniformRandom { seed }).with_schedule(schedule);
         let x = Time(600);
-        let (run, nodes) = simulate_full(&cfg, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, x));
+        let (run, nodes) = simulate_full(&cfg, |pid| {
+            let log = construction::ExecLog::default();
+            WtlwNode::with_recorder(pid, Arc::clone(&spec), Waits::standard(p, x), log)
+        });
         assert!(run.complete());
         construction::verify(&run, &nodes, &spec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
