@@ -14,7 +14,8 @@
 //!     --seed <s>           workload + delay seed (default 42)
 //!     --delay <d>          random | max | min (default random)
 //!     --n/--d/--u <v>      model parameters (default 4 / 6000 / 2400)
-//!     --check-threads <t>  checker worker threads, 0 = auto (default 0)
+//!     --check-threads <t>  checker worker threads, 0 = auto (default 0); used
+//!                          only when a sequential probe fails to decide
 //!     --stream-check       also check online: a live checker thread consumes
 //!                          the engine's operation-event stream as it runs
 //!     --timeline           draw the run as ASCII timelines
@@ -383,7 +384,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     );
 
     // 0 = auto (std::thread::available_parallelism); 1 forces the
-    // sequential search.
+    // sequential search. Workers start only after a sequential probe of a
+    // few nodes per op failed to decide.
     let check_cfg = lintime_check::wing_gong::CheckConfig {
         threads: check_threads,
         ..lintime_check::wing_gong::CheckConfig::default()

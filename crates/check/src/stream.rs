@@ -64,6 +64,7 @@ use crate::arena::HistoryArena;
 use crate::history::{History, PendingHistory, PendingOp, TimedOp};
 use crate::monitor::{self, verify_witness, MonitorOutcome};
 use crate::wing_gong::{self, CheckConfig, Verdict};
+use lintime_adt::fxhash::FxBuildHasher;
 use lintime_adt::spec::{Invocation, ObjState, ObjectSpec, OpInstance, OpMeta, SpecKind};
 use lintime_adt::value::Value;
 use lintime_obs::{Counter, Gauge, Obs, TraceEvent};
@@ -278,6 +279,47 @@ enum Shape {
     Opaque,
 }
 
+/// What one completed op of a [`Shape::Matched`] type does to the balance of
+/// open values.
+enum Effect<'a> {
+    /// Moves the count of this value by the given amount: `+1` for a
+    /// producer's argument, `-1` for a consumer's non-`Unit` return.
+    Count(&'a Value, i64),
+    /// A known op that moves no value (an accessor, an empty consume).
+    Neutral,
+    /// An op the spec does not know: no structural claim can be made.
+    Unknown,
+}
+
+/// Running balance of a [`Shape::Matched`] window: per value, produced minus
+/// consumed, over every op in the window. Zero entries are removed, so the
+/// map holds exactly the non-zero ones. A prefix is only retired when it is
+/// balanced, which leaves the balance unchanged.
+#[derive(Default)]
+struct OpenValues {
+    count: HashMap<Value, i64, FxBuildHasher>,
+    /// Window ops with [`Effect::Unknown`].
+    unknown: usize,
+}
+
+impl OpenValues {
+    fn add(&mut self, effect: Effect<'_>) {
+        match effect {
+            Effect::Count(v, d) => match self.count.get_mut(v) {
+                Some(c) if *c + d == 0 => {
+                    self.count.remove(v);
+                }
+                Some(c) => *c += d,
+                None => {
+                    self.count.insert(v.clone(), d);
+                }
+            },
+            Effect::Neutral => {}
+            Effect::Unknown => self.unknown += 1,
+        }
+    }
+}
+
 impl Shape {
     fn of(kind: SpecKind) -> Shape {
         match kind {
@@ -348,6 +390,8 @@ pub struct StreamChecker {
     /// Completed ops in response order (compacting ring: GC drains the
     /// settled front).
     window: Vec<TimedOp>,
+    /// Balance of `window` (kept for [`Shape::Matched`] only).
+    open: OpenValues,
     /// Window length at which the next flush is attempted (multiplicative
     /// backoff after a failed canonicality check).
     next_flush: usize,
@@ -392,6 +436,7 @@ impl StreamChecker {
             pending: Vec::new(),
             pending_count: 0,
             window: Vec::new(),
+            open: OpenValues::default(),
             dirty: false,
             non_monotone: false,
             max_t: Time(i64::MIN),
@@ -471,12 +516,16 @@ impl StreamChecker {
                 self.dirty = true;
             }
         }
-        self.window.push(TimedOp {
+        let op = TimedOp {
             pid,
             instance: OpInstance { op: slot.op, arg: slot.arg, ret },
             t_invoke: slot.t_invoke,
             t_respond: t,
-        });
+        };
+        if let Shape::Matched { prod, cons } = self.shape {
+            self.open.add(matched_effect(self.seeded.as_ref(), prod, cons, &op));
+        }
+        self.window.push(op);
         self.stats.ops += 1;
         self.note_resident();
         if self.window.len() >= self.next_flush {
@@ -613,6 +662,7 @@ impl StreamChecker {
     fn die(&mut self) {
         self.dead = true;
         self.window = Vec::new();
+        self.open = OpenValues::default();
         self.pending = Vec::new();
         self.pending_count = 0;
     }
@@ -658,11 +708,12 @@ impl StreamChecker {
         self.pending.iter().flatten().map(|s| s.t_invoke).min()
     }
 
-    /// Decide `window[..k]` against the seeded spec; on certification with
-    /// `gc` set, replay the witness into the base state and retire the
-    /// prefix. Sets the sticky verdict on refutation or budget exhaustion.
+    /// Move `window[..k]` out and decide it against the seeded spec; on
+    /// certification with `gc` set, replay the witness into the base state
+    /// and count the prefix as retired. Sets the sticky verdict on refutation
+    /// or budget exhaustion (which drop the rest of the window anyway).
     fn decide_prefix(&mut self, k: usize, gc: bool) {
-        let hist = History { ops: self.window[..k].to_vec() };
+        let hist = History { ops: self.window.drain(..k).collect() };
         let outcome = monitor::dispatch_monitor(&self.seeded, &hist, self.cfg.check);
         let order = match outcome {
             MonitorOutcome::Witness(order) if verify_witness(&self.seeded, &hist, &order) => {
@@ -701,17 +752,10 @@ impl StreamChecker {
             }
         };
         // Certified. Snapshot for audit before the base state advances.
-        if self.cfg.keep_witnesses {
-            let snapshot = self.base.lock().expect("stream base poisoned").clone_box();
-            self.certified.push(CertifiedWindow {
-                spec: Arc::new(SeededSpec {
-                    inner: Arc::clone(&self.seeded),
-                    base: Arc::new(Mutex::new(snapshot)),
-                }),
-                window: hist.clone(),
-                order: order.clone(),
-            });
-        }
+        let snapshot = self
+            .cfg
+            .keep_witnesses
+            .then(|| self.base.lock().expect("stream base poisoned").clone_box());
         if gc {
             // The cut is canonical, so replaying *this* witness yields the
             // unique post-prefix state shared by every linearization.
@@ -721,13 +765,22 @@ impl StreamChecker {
                     base.apply(hist.ops[i].instance.op, &hist.ops[i].instance.arg);
                 }
             }
-            self.window.drain(..k);
             self.stats.flushes += 1;
             self.stats.gc_reclaimed += k as u64;
             if let Some(m) = &self.metrics {
                 m.flushes.inc();
                 m.gc_reclaimed.add(k as u64);
             }
+        }
+        if let Some(snapshot) = snapshot {
+            self.certified.push(CertifiedWindow {
+                spec: Arc::new(SeededSpec {
+                    inner: Arc::clone(&self.seeded),
+                    base: Arc::new(Mutex::new(snapshot)),
+                }),
+                window: hist,
+                order,
+            });
         }
     }
 
@@ -741,21 +794,23 @@ impl StreamChecker {
             Shape::Opaque => false,
             Shape::Matched { prod, cons } => {
                 // Closed prefix: every produced value consumed within it (the
-                // structure is provably empty at the cut) and nothing else
-                // consumed. Accessor ops (peek/min) do not move state.
-                let mut open: HashMap<&Value, i64> = HashMap::new();
-                for op in prefix {
-                    if op.instance.op == prod {
-                        *open.entry(&op.instance.arg).or_insert(0) += 1;
-                    } else if op.instance.op == cons {
-                        if op.instance.ret != Value::Unit {
-                            *open.entry(&op.instance.ret).or_insert(0) -= 1;
-                        }
-                    } else if self.seeded.op_meta(op.instance.op).is_none() {
-                        return false; // unknown op: no structural claim
+                // structure is provably empty at the cut), nothing else
+                // consumed, and no op the spec does not know. The prefix's
+                // balance is the window's minus the unsettled suffix's, so
+                // only the suffix is scanned: the prefix is closed iff the
+                // suffix accounts for every open value exactly.
+                let mut rest: HashMap<&Value, i64, FxBuildHasher> = HashMap::default();
+                let mut unknown = self.open.unknown;
+                for op in &self.window[k..] {
+                    match matched_effect(self.seeded.as_ref(), prod, cons, op) {
+                        Effect::Count(v, d) => *rest.entry(v).or_insert(0) += d,
+                        Effect::Neutral => {}
+                        Effect::Unknown => unknown -= 1,
                     }
                 }
-                open.values().all(|&c| c == 0)
+                unknown == 0
+                    && rest.values().filter(|&&c| c != 0).count() == self.open.count.len()
+                    && rest.iter().all(|(v, &c)| self.open.count.get(*v).copied().unwrap_or(0) == c)
             }
             Shape::Register => strict_last_write(prefix.iter().filter_map(|op| {
                 match op.instance.op {
@@ -784,6 +839,26 @@ impl StreamChecker {
                 groups.into_values().all(|g| strict_last_write(g.into_iter()))
             }
         }
+    }
+}
+
+/// The [`Effect`] of `op` on a matched-pair type with producer `prod` and
+/// consumer `cons`.
+fn matched_effect<'a>(
+    spec: &dyn ObjectSpec,
+    prod: &str,
+    cons: &str,
+    op: &'a TimedOp,
+) -> Effect<'a> {
+    let inst = &op.instance;
+    if inst.op == prod {
+        Effect::Count(&inst.arg, 1)
+    } else if inst.op == cons && inst.ret != Value::Unit {
+        Effect::Count(&inst.ret, -1)
+    } else if inst.op == cons || spec.op_meta(inst.op).is_some() {
+        Effect::Neutral
+    } else {
+        Effect::Unknown
     }
 }
 
@@ -1234,6 +1309,114 @@ mod tests {
         op(&mut c, 0, "contains", 0, true, 14, 15);
         let (verdict, _) = c.finish();
         assert!(verdict.is_ok(), "got {verdict:?}");
+    }
+
+    impl StreamChecker {
+        /// The closed-prefix rule of a matched-pair type as a full rescan of
+        /// `window[..k]`: the oracle for the running balance that
+        /// [`StreamChecker::canonical_prefix`] keeps.
+        fn closed_prefix_rescan(&self, k: usize) -> bool {
+            let Shape::Matched { prod, cons } = self.shape else {
+                panic!("only matched-pair types have a closed-prefix rule");
+            };
+            let mut open: HashMap<&Value, i64> = HashMap::new();
+            for op in &self.window[..k] {
+                if op.instance.op == prod {
+                    *open.entry(&op.instance.arg).or_insert(0) += 1;
+                } else if op.instance.op == cons {
+                    if op.instance.ret != Value::Unit {
+                        *open.entry(&op.instance.ret).or_insert(0) -= 1;
+                    }
+                } else if self.seeded.op_meta(op.instance.op).is_none() {
+                    return false;
+                }
+            }
+            open.values().all(|&c| c == 0)
+        }
+    }
+
+    /// Seeded queue/stack/priority-queue streams with duplicate values,
+    /// consumers that find the structure empty (`Unit`), ops the spec does
+    /// not know and out-of-order responses: after every event, at every cut
+    /// of the window, the incremental closed-prefix test must equal the full
+    /// rescan. Flushes retire prefixes in between, so the running balance is
+    /// checked across retirements too.
+    #[test]
+    fn incremental_closed_prefix_matches_the_full_rescan() {
+        use lintime_sim::rng::SplitMix64;
+        const PROCS: usize = 3;
+        let kinds: [(Arc<dyn ObjectSpec>, &'static str, &'static str, &'static str); 3] = [
+            (erase(FifoQueue::new()), "enqueue", "dequeue", "peek"),
+            (erase(Stack::new()), "push", "pop", "peek"),
+            (erase(PriorityQueue::new()), "insert", "extract_min", "min"),
+        ];
+        let (mut cuts, mut closed, mut flushes) = (0u64, 0u64, 0u64);
+        for (spec, prod, cons, peek) in &kinds {
+            for seed in 0..24u64 {
+                let mut rng = SplitMix64::seed_from_u64(seed);
+                let cfg = StreamConfig::default().with_flush_ops(rng.gen_range(1usize..12));
+                let mut c = StreamChecker::with_config(spec, cfg);
+                // Ops linearize at their response, so returns are legal and
+                // the checker keeps flushing.
+                let mut model = spec.new_object();
+                let mut busy: Vec<Option<(&'static str, Value, i64)>> = vec![None; PROCS];
+                let unknown_ops = seed % 3 == 0;
+                let mut skew_from = (seed % 4 == 0).then(|| rng.gen_range(50usize..250));
+                let mut t = 0i64;
+                for step in 0..300usize {
+                    let pid = rng.gen_range(0..PROCS);
+                    t += rng.gen_range(0i64..3);
+                    match busy[pid].take() {
+                        None => {
+                            let (op, arg) = match rng.gen_range(0u32..8) {
+                                0..=2 => (*prod, Value::Int(rng.gen_range(0i64..3))),
+                                6 => (*peek, Value::Unit),
+                                7 if unknown_ops => ("frobnicate", Value::Unit),
+                                _ => (*cons, Value::Unit),
+                            };
+                            c.feed_invoke(Pid(pid), Time(t), op, arg.clone());
+                            busy[pid] = Some((op, arg, t));
+                        }
+                        Some((op, arg, t_invoke)) => {
+                            let ret = if op == "frobnicate" {
+                                Value::Unit
+                            } else {
+                                model.apply(op, &arg)
+                            };
+                            let at = match skew_from {
+                                Some(s) if step >= s => {
+                                    skew_from = None;
+                                    (t - 5).max(t_invoke)
+                                }
+                                _ => t,
+                            };
+                            c.feed_respond(Pid(pid), Time(at), ret);
+                        }
+                    }
+                    if c.dead {
+                        break;
+                    }
+                    // Every cut of a short window; about 8 spread over a
+                    // long one, always including the last one.
+                    let len = c.window.len();
+                    for k in (0..len).step_by(1 + len / 8).chain([len]) {
+                        let rescan = c.closed_prefix_rescan(k);
+                        assert_eq!(
+                            c.canonical_prefix(k),
+                            rescan,
+                            "{} seed {seed} step {step} cut {k} of {}",
+                            spec.name(),
+                            c.window.len()
+                        );
+                        cuts += 1;
+                        closed += rescan as u64;
+                    }
+                }
+                flushes += c.stats.flushes;
+            }
+        }
+        assert!(flushes > 100, "prefixes must be retired between checks: {flushes}");
+        assert!(closed > 0 && closed < cuts, "{closed} closed of {cuts} cuts");
     }
 
     /// `StreamChecker::observed` mirrors its statistics into `check.stream.*`

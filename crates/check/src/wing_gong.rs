@@ -59,13 +59,23 @@
 //!
 //! ## Parallel search
 //!
-//! With [`CheckConfig::threads`] > 1 (or left at 0 = auto on a multi-core
-//! host) and more than [`PARALLEL_MIN_OPS`] operations, the search is split
-//! across OS threads: a breadth-first seeding pass expands the root into
-//! disjoint frontier branches (deduplicated per layer by `(done set, state)`
-//! key), which become jobs in a shared work queue that idle workers steal
-//! from. Workers share a lock-striped `ShardedMemo` and a global node
-//! budget, and cooperatively cancel as soon as any worker finds a witness.
+//! Every search starts sequentially. With [`CheckConfig::threads`] > 1 (or
+//! left at 0 = auto on a multi-core host) and more than [`PARALLEL_MIN_OPS`]
+//! operations, that first search is a *probe* capped at a few nodes per
+//! operation: most histories are decided by a single descent with little or
+//! no backtracking, and for them spawning workers costs more than the whole
+//! search. Only a probe that runs out of budget escalates, and the parallel
+//! search gets the budget the probe left (so the total stays within
+//! [`CheckConfig::max_nodes`]). Whether a history escalates is a property of
+//! the history alone, so a probe-decided verdict — witness included — does
+//! not depend on the thread count.
+//!
+//! The escalated search is split across OS threads: a breadth-first seeding
+//! pass expands the root into disjoint frontier branches (deduplicated per
+//! layer by `(done set, state)` key), which become jobs in a shared work
+//! queue that idle workers steal from. Workers share a lock-striped
+//! `ShardedMemo` and a global node budget, and cooperatively cancel as soon
+//! as any worker finds a witness.
 //!
 //! Cross-worker memo pruning is sound because the state graph is *graded*:
 //! every edge strictly grows the done set, so two in-flight explorations can
@@ -83,7 +93,7 @@ use lintime_adt::fxhash;
 use lintime_adt::spec::{ObjState, ObjectSpec};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 
 /// The checker's verdict.
@@ -125,8 +135,8 @@ pub struct CheckConfig {
     /// Worker threads for the parallel search. `0` (the default) resolves to
     /// [`std::thread::available_parallelism`]; `1` forces the sequential
     /// search. Parallelism only engages for histories longer than
-    /// [`PARALLEL_MIN_OPS`] — below that the seeding overhead dwarfs the
-    /// search.
+    /// [`PARALLEL_MIN_OPS`], and only after a sequential probe of a few nodes
+    /// per operation failed to decide — most histories never spawn a thread.
     pub threads: usize,
 }
 
@@ -143,19 +153,22 @@ impl Default for CheckConfig {
 
 impl CheckConfig {
     /// The number of worker threads this configuration resolves to (`0`
-    /// means "ask the OS").
+    /// means "ask the OS", once per process).
     pub fn effective_threads(&self) -> usize {
         if self.threads != 0 {
-            self.threads
-        } else {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            return self.threads;
         }
+        // On Linux the answer comes from reading cgroup limits, ~10 µs a
+        // call: more than deciding a short history.
+        static HOST: OnceLock<usize> = OnceLock::new();
+        *HOST.get_or_init(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 }
 
 /// Histories at most this long are always checked sequentially, regardless
 /// of [`CheckConfig::threads`]: job seeding and thread startup cost more
-/// than the whole search.
+/// than the whole search. Longer histories may go parallel, but only after
+/// a bounded sequential probe fails to decide them.
 pub const PARALLEL_MIN_OPS: usize = 8;
 
 /// Check whether `history` is linearizable with respect to `spec`.
@@ -193,7 +206,8 @@ pub struct SearchStats {
     /// Memo-table occupancy when the search finished (entries are never
     /// removed, so this is also the peak).
     pub memo_peak: u64,
-    /// Worker threads the search ran on (1 for the sequential path).
+    /// Worker threads the search ran on (1 when the sequential search or
+    /// probe decided it).
     pub workers: u64,
     /// Jobs a worker pulled from the shared queue beyond its first — the
     /// work-stealing traffic. Always 0 for the sequential path.
@@ -863,8 +877,19 @@ fn parallel<const STATS: bool>(
     (verdict, stats)
 }
 
-/// Dispatch a decision over an already-built arena: sequential for small
-/// histories or `threads <= 1`, parallel otherwise.
+/// Nodes per operation the sequential probe may spend before a parallel
+/// search takes over. A search that never backtracks spends one per op.
+const PROBE_NODES_PER_OP: u64 = 4;
+
+/// Flat allowance on top of [`PROBE_NODES_PER_OP`], so short histories get
+/// room for a few early dead ends.
+const PROBE_SLACK_NODES: u64 = 64;
+
+/// Dispatch a decision over an already-built arena. The sequential search
+/// always runs first; when the parallel route is open (`threads > 1` and
+/// more than [`PARALLEL_MIN_OPS`] ops) it runs as a probe capped at
+/// `PROBE_NODES_PER_OP · n + PROBE_SLACK_NODES` nodes, and only a probe that
+/// runs out of budget escalates to [`parallel`] with the nodes it left over.
 fn decide<const STATS: bool>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
@@ -880,21 +905,33 @@ fn decide<const STATS: bool>(
         assert_eq!(f.len(), n, "free mask must cover the history");
     }
     let threads = cfg.effective_threads();
-    if threads > 1 && n > PARALLEL_MIN_OPS {
-        return parallel::<STATS>(spec, arena, free, cfg, threads);
-    }
-    let mut ctx = LocalCtx { memo: U64Set::new(), used: 0, max: cfg.max_nodes };
+    let may_fork = threads > 1 && n > PARALLEL_MIN_OPS;
+    let budget = if may_fork {
+        (PROBE_NODES_PER_OP * n as u64 + PROBE_SLACK_NODES).min(cfg.max_nodes)
+    } else {
+        cfg.max_nodes
+    };
+    let mut ctx = LocalCtx { memo: U64Set::new(), used: 0, max: budget };
     let outcome = dfs::<STATS, _>(spec, arena, free, &[], &mut ctx, &mut stats);
-    stats.workers = 1;
-    stats.memo_shards = 1;
-    stats.memo_peak = ctx.memo.len() as u64;
     let verdict = match outcome {
         Outcome::Found(order) => {
             Verdict::Linearizable(order.into_iter().map(|i| i as usize).collect())
         }
         Outcome::Exhausted => Verdict::NotLinearizable,
+        Outcome::Stopped if may_fork && ctx.used < cfg.max_nodes => {
+            // The probe's memo is not reusable: entries on its abandoned path
+            // were never exhaustively explored. The parallel search starts
+            // over from the root with whatever budget the probe left.
+            let rest = CheckConfig { max_nodes: cfg.max_nodes - ctx.used, ..cfg };
+            let (verdict, mut par) = parallel::<STATS>(spec, arena, free, rest, threads);
+            par.absorb(&stats);
+            return (verdict, par);
+        }
         Outcome::Stopped => Verdict::Unknown,
     };
+    stats.workers = 1;
+    stats.memo_shards = 1;
+    stats.memo_peak = ctx.memo.len() as u64;
     (verdict, stats)
 }
 
@@ -1107,13 +1144,18 @@ mod tests {
         let h = History::from_tuples(ops);
         let v = check_with(&spec, &h, CheckConfig { max_nodes: 3, ..CheckConfig::default() });
         assert_eq!(v, Verdict::Unknown);
-        // The parallel path must degrade the same way when seeding runs out.
-        let v4 = check_with(
+        // The parallel path must degrade the same way: here the probe spends
+        // its share, seeding a little more, and the workers the rest.
+        let hard = escalating_queue_history(6, false);
+        let max_nodes = probe_budget(&hard) + 300;
+        let (v4, stats) = check_with_stats(
             &spec,
-            &h,
-            CheckConfig { max_nodes: 3, threads: 4, ..CheckConfig::default() },
+            &hard,
+            CheckConfig { max_nodes, threads: 4, ..CheckConfig::default() },
         );
         assert_eq!(v4, Verdict::Unknown);
+        assert_eq!(stats.workers, 4, "the search must escalate past the probe");
+        assert!(stats.nodes <= max_nodes, "{} nodes > budget {max_nodes}", stats.nodes);
     }
 
     #[test]
@@ -1252,60 +1294,185 @@ mod tests {
         assert_eq!(s.len(), 300);
     }
 
+    /// The node budget of the sequential probe for `h`.
+    fn probe_budget(h: &History) -> u64 {
+        PROBE_NODES_PER_OP * h.len() as u64 + PROBE_SLACK_NODES
+    }
+
+    /// A queue history the probe cannot decide: `k` concurrent enqueues of
+    /// `0..k`, then sequential dequeues returning them in reverse order, so
+    /// the search walks nearly every enqueue permutation (about `e·k!`
+    /// nodes) before it meets the one that works. With `refuted` the first
+    /// dequeue returns a value nobody enqueued, and every permutation fails.
+    fn escalating_queue_history(k: i64, refuted: bool) -> History {
+        let mut tuples: Vec<(usize, OpInstance, i64, i64)> =
+            (0..k).map(|i| (i as usize, inst("enqueue", i, ()), 0, 1000)).collect();
+        for slot in 0..k {
+            let ret = if refuted && slot == 0 { k } else { k - 1 - slot };
+            let t = 2000 + 10 * slot;
+            tuples.push((0, inst("dequeue", (), ret), t, t + 5));
+        }
+        History::from_tuples(tuples)
+    }
+
+    /// Asserts `order` is a permutation of `h`'s ops that replays legally.
+    fn assert_witness_replays(spec: &Arc<dyn ObjectSpec>, h: &History, order: &[usize]) {
+        let mut seen = vec![false; h.len()];
+        for &i in order {
+            assert!(!seen[i], "witness must be a permutation");
+            seen[i] = true;
+        }
+        assert_eq!(order.len(), h.len());
+        let seq: Vec<_> = order.iter().map(|&i| h.ops[i].instance.clone()).collect();
+        assert!(spec.is_legal(&seq), "witness must replay legally");
+    }
+
     #[test]
     fn parallel_agrees_with_sequential_on_linearizable_history() {
         let spec = erase(FifoQueue::new());
-        let mut tuples: Vec<(usize, OpInstance, i64, i64)> =
-            (0..8i64).map(|i| (0usize, inst("enqueue", i, ()), 0, 1000)).collect();
-        for (k, i) in (0..8i64).enumerate() {
-            tuples.push((1, inst("dequeue", (), i), 2000 + 10 * k as i64, 2005 + 10 * k as i64));
-        }
-        let h = History::from_tuples(tuples);
+        let h = escalating_queue_history(6, false);
         assert!(h.len() > PARALLEL_MIN_OPS, "history must be large enough to engage parallelism");
         for threads in [2, 4] {
             let cfg = CheckConfig { threads, ..CheckConfig::default() };
-            let Verdict::Linearizable(order) = check_with(&spec, &h, cfg) else {
+            let (verdict, stats) = check_with_stats(&spec, &h, cfg);
+            assert_eq!(stats.workers, threads as u64, "the probe must escalate");
+            let Verdict::Linearizable(order) = verdict else {
                 panic!("parallel search must find the witness at {threads} threads");
             };
             // The witness may differ from the sequential one (workers race),
             // but it must be a legal permutation.
-            let mut seen = vec![false; h.len()];
-            for &i in &order {
-                assert!(!seen[i], "witness must be a permutation");
-                seen[i] = true;
-            }
-            let seq: Vec<_> = order.iter().map(|&i| h.ops[i].instance.clone()).collect();
-            assert!(spec.is_legal(&seq), "witness must replay legally");
+            assert_witness_replays(&spec, &h, &order);
         }
     }
 
     #[test]
     fn parallel_agrees_with_sequential_on_refuted_history() {
         let spec = erase(FifoQueue::new());
-        // Sequential enqueues 0..6, dequeues in a FIFO-violating order.
+        // Probe-decided: sequential enqueues 0..6, then a FIFO violation.
         let mut tuples: Vec<(usize, OpInstance, i64, i64)> =
             (0..6i64).map(|i| (0usize, inst("enqueue", i, ()), 10 * i, 10 * i + 5)).collect();
         for (k, i) in [5i64, 0, 1, 2, 3, 4].into_iter().enumerate() {
             tuples.push((1, inst("dequeue", (), i), 2000 + 10 * k as i64, 2005 + 10 * k as i64));
         }
-        let h = History::from_tuples(tuples);
-        assert!(h.len() > PARALLEL_MIN_OPS);
-        for threads in [1, 2, 4] {
-            let cfg = CheckConfig { threads, ..CheckConfig::default() };
-            assert_eq!(check_with(&spec, &h, cfg), Verdict::NotLinearizable, "{threads} threads");
+        let easy = History::from_tuples(tuples);
+        let hard = escalating_queue_history(6, true);
+        for (h, escalates) in [(easy, false), (hard, true)] {
+            assert!(h.len() > PARALLEL_MIN_OPS);
+            for threads in [1, 2, 4] {
+                let cfg = CheckConfig { threads, ..CheckConfig::default() };
+                let (verdict, stats) = check_with_stats(&spec, &h, cfg);
+                assert_eq!(verdict, Verdict::NotLinearizable, "{threads} threads");
+                let workers = if escalates { threads } else { 1 };
+                assert_eq!(stats.workers, workers as u64, "{threads} threads");
+            }
         }
     }
 
     #[test]
     fn parallel_stats_report_workers_and_shards() {
         let spec = erase(FifoQueue::new());
-        let h = backtracking_queue_history(8);
+        let h = escalating_queue_history(6, false);
         let cfg = CheckConfig { threads: 2, ..CheckConfig::default() };
         let (verdict, stats) = check_with_stats(&spec, &h, cfg);
         assert!(verdict.is_linearizable());
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.memo_shards, MEMO_SHARDS as u64);
-        assert!(stats.nodes > 0);
+        assert!(stats.nodes > probe_budget(&h), "the probe's nodes are counted too");
+    }
+
+    #[test]
+    fn probe_decides_easy_histories_without_forking() {
+        let spec = erase(FifoQueue::new());
+        // One early dead end (enqueue 0 first cannot dequeue 1 first), then
+        // a straight descent through sequential enqueue/dequeue pairs.
+        let mut tuples = vec![
+            (0usize, inst("enqueue", 0, ()), 0, 1000),
+            (1, inst("enqueue", 1, ()), 0, 1000),
+            (0, inst("dequeue", (), 1), 2000, 2005),
+            (0, inst("dequeue", (), 0), 2010, 2015),
+        ];
+        for i in 2..8i64 {
+            let t = 3000 + 20 * i;
+            tuples.push((0, inst("enqueue", i, ()), t, t + 5));
+            tuples.push((1, inst("dequeue", (), i), t + 10, t + 15));
+        }
+        let h = History::from_tuples(tuples);
+        let sequential =
+            check_with(&spec, &h, CheckConfig { threads: 1, ..CheckConfig::default() });
+        for threads in [2, 4] {
+            let cfg = CheckConfig { threads, ..CheckConfig::default() };
+            let (verdict, stats) = check_with_stats(&spec, &h, cfg);
+            assert_eq!(stats.workers, 1, "{threads} threads");
+            assert_eq!(stats.memo_shards, 1);
+            assert!(stats.nodes <= probe_budget(&h));
+            // Decided by the same sequential descent: the same witness.
+            assert_eq!(verdict, sequential, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn probe_overflow_gives_the_same_class_at_one_and_two_threads() {
+        let spec = erase(FifoQueue::new());
+        for refuted in [false, true] {
+            let h = escalating_queue_history(6, refuted);
+            let one = CheckConfig { threads: 1, ..CheckConfig::default() };
+            let (v1, s1) = check_with_stats(&spec, &h, one);
+            assert!(s1.nodes > probe_budget(&h), "the history must need more than the probe");
+            assert_eq!(s1.workers, 1);
+            let two = CheckConfig { threads: 2, ..CheckConfig::default() };
+            let (v2, s2) = check_with_stats(&spec, &h, two);
+            assert_eq!(s2.workers, 2);
+            assert_eq!(v1.is_linearizable(), !refuted);
+            assert_eq!(std::mem::discriminant(&v1), std::mem::discriminant(&v2));
+            if let Verdict::Linearizable(order) = &v2 {
+                assert_witness_replays(&spec, &h, order);
+            }
+        }
+    }
+
+    #[test]
+    fn budget_within_the_probe_gives_unknown_never_a_refutation() {
+        let spec = erase(FifoQueue::new());
+        let h = escalating_queue_history(6, false);
+        let probe = probe_budget(&h);
+        for max_nodes in [1, probe / 2, probe - 1, probe] {
+            for threads in [2, 4] {
+                let cfg = CheckConfig { max_nodes, threads, ..CheckConfig::default() };
+                let (verdict, stats) = check_with_stats(&spec, &h, cfg);
+                assert_eq!(verdict, Verdict::Unknown, "max_nodes {max_nodes}, {threads} threads");
+                assert_eq!(stats.workers, 1, "nothing is left to escalate with");
+                assert!(stats.nodes <= max_nodes);
+            }
+        }
+    }
+
+    #[test]
+    fn node_budget_holds_across_the_probe_boundary() {
+        let spec = erase(FifoQueue::new());
+        for refuted in [false, true] {
+            let h = escalating_queue_history(6, refuted);
+            let probe = probe_budget(&h);
+            for max_nodes in [probe - 1, probe, probe + 1, probe + 40, probe + 400, 5_000] {
+                for threads in [2, 4] {
+                    let cfg = CheckConfig { max_nodes, threads, ..CheckConfig::default() };
+                    let (verdict, stats) = check_with_stats(&spec, &h, cfg);
+                    assert!(
+                        stats.nodes <= max_nodes,
+                        "{} nodes > max_nodes {max_nodes} at {threads} threads",
+                        stats.nodes
+                    );
+                    let expected = if refuted { "refuted" } else { "linearizable" };
+                    match verdict {
+                        Verdict::Unknown => {}
+                        Verdict::Linearizable(order) if !refuted => {
+                            assert_witness_replays(&spec, &h, &order)
+                        }
+                        Verdict::NotLinearizable if refuted => {}
+                        other => panic!("{other:?} for a {expected} history at {max_nodes}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

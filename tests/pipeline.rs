@@ -270,6 +270,67 @@ fn closed_loop_back_to_back_operations() {
     assert!(check(&spec, &history).is_linearizable());
 }
 
+/// A `BatchedWtlw` queue cluster under open-loop backlog (about 6 arrivals
+/// per `d`), recorded through the op sink. Every enqueue is followed by a
+/// dequeue on the same process, so the queue keeps emptying and closed cuts
+/// exist; peeks and a small value range make the container monitor defer,
+/// so every window goes to Wing–Gong.
+fn recorded_queue_stream(ops: usize, seed: u64) -> (Arc<dyn ObjectSpec>, Vec<OpEvent>) {
+    let p = params();
+    let spec = erase(FifoQueue::new());
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut schedule = Schedule::new();
+    let mut t = 0i64;
+    while schedule.len() < ops {
+        t += rng.gen_range(0..p.d.0 / 3);
+        let pid = Pid(rng.gen_range(0..p.n));
+        if rng.gen_range(0u32..4) == 0 {
+            schedule = schedule.arrival(pid, Time(t), Invocation::new("peek", ()));
+        } else {
+            let v = rng.gen_range(0i64..8);
+            schedule = schedule.arrival(pid, Time(t), Invocation::new("enqueue", v)).arrival(
+                pid,
+                Time(t + 1),
+                Invocation::new("dequeue", ()),
+            );
+        }
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    let cfg = SimConfig::new(p, DelaySpec::UniformRandom { seed })
+        .with_schedule(schedule)
+        .with_op_sink(tx)
+        .with_admission_epoch(64);
+    let run = run_algorithm(Algorithm::BatchedWtlw { x: Time::ZERO, tick: p.epsilon }, &spec, &cfg);
+    drop(cfg);
+    assert!(run.complete(), "{run}");
+    (spec, rx.into_iter().collect())
+}
+
+/// The Wing–Gong fallback's sequential probe decides engine-shaped windows
+/// before any worker thread is spawned, so a streamed verdict — down to every
+/// certified witness order and every counter — is the same at every thread
+/// count.
+#[test]
+fn stream_witnesses_do_not_depend_on_the_thread_count() {
+    let (spec, events) = recorded_queue_stream(6_000, 7);
+    let runs = [0, 1, 2].map(|threads| {
+        let check = CheckConfig { threads, ..CheckConfig::default() };
+        let cfg = StreamConfig::default().with_flush_ops(64).with_check(check).keeping_witnesses();
+        let mut checker = StreamChecker::with_config(&spec, cfg);
+        for ev in &events {
+            checker.feed(ev);
+        }
+        let orders: Vec<Vec<usize>> = checker.certified().iter().map(|w| w.order.clone()).collect();
+        let (verdict, stats) = checker.finish();
+        assert!(verdict.is_ok(), "threads {threads}: {verdict:?}");
+        assert!(stats.fallbacks >= 10, "windows must reach Wing–Gong: {stats:?}");
+        (orders, format!("{stats:?}"))
+    });
+    assert!(runs[0].0.len() >= 10, "only {} certified windows", runs[0].0.len());
+    assert_eq!(runs[0], runs[1], "threads 0 vs 1");
+    assert_eq!(runs[1], runs[2], "threads 1 vs 2");
+}
+
 #[test]
 #[ignore = "soak: 100-seed randomized sweep; run with --include-ignored"]
 fn linearizability_soak() {
