@@ -173,7 +173,7 @@ fn bench_checker(report: &mut JsonReport) -> Registry {
     let obs = Obs::new(TraceHandle::null(), Registry::new());
     for case in &cases {
         let cfg = lintime_check::wing_gong::CheckConfig::default();
-        let v = lintime_check::monitor::check_fast_observed(&case.spec, &case.history, cfg, &obs);
+        let v = lintime_check::monitor::check_fast_with(&case.spec, &case.history, cfg, &obs);
         assert!(v.is_linearizable());
     }
     obs.metrics

@@ -392,7 +392,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     };
     let history = lintime_check::history::History::from_run(&run)
         .map_err(|e| format!("cannot check: {e}"))?;
-    match lintime_check::monitor::check_fast_with(&spec, &history, check_cfg) {
+    match lintime_check::monitor::check_fast_with(
+        &spec,
+        &history,
+        check_cfg,
+        &lintime_obs::Obs::off(),
+    ) {
         lintime_check::wing_gong::Verdict::Linearizable(_) => {
             println!("\nlinearizable ✓ ({} ops, {} events)", run.ops.len(), run.events);
             Ok(())

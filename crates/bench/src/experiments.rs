@@ -631,7 +631,7 @@ pub fn fault_sweep_report_observed(seeds: u64, obs: &lintime_obs::Obs) -> String
         let (lin, unknown) = match lintime_check::history::History::from_run(&run) {
             Ok(h) => {
                 let cfg = lintime_check::wing_gong::CheckConfig::default();
-                match lintime_check::monitor::check_fast_observed(&spec, &h, cfg, obs) {
+                match lintime_check::monitor::check_fast_with(&spec, &h, cfg, obs) {
                     lintime_check::wing_gong::Verdict::Linearizable(_) => (true, false),
                     lintime_check::wing_gong::Verdict::NotLinearizable => (false, false),
                     lintime_check::wing_gong::Verdict::Unknown => (false, true),

@@ -26,7 +26,7 @@ use crate::sweep::parallel_map;
 use lintime_adt::spec::{erase, Invocation, ObjectSpec, OpClass};
 use lintime_adt::types::{Counter, FifoQueue, KvStore, Register};
 use lintime_check::history::History;
-use lintime_check::monitor::check_fast_pending_observed;
+use lintime_check::monitor::check_fast_pending_with;
 use lintime_check::wing_gong::{CheckConfig, Verdict};
 use lintime_core::backend::{run_backend, FaultTolerance};
 use lintime_core::cluster::Algorithm;
@@ -494,7 +494,7 @@ pub(crate) fn matrix_cell_for(
     let run = &out.run;
 
     let verdict = History::from_run_with_pending(run)
-        .map(|ph| check_fast_pending_observed(&spec, &ph, CheckConfig::default(), obs));
+        .map(|ph| check_fast_pending_with(&spec, &ph, CheckConfig::default(), obs));
     let by_class = run.crashed_pending_by_class(spec.as_ref());
     cell.ops_total = run.ops.len() as u64;
     cell.ops_completed = run.completed().count() as u64;

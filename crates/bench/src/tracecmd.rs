@@ -81,7 +81,7 @@ pub fn trace_report(scenario: &str, opts: &TraceOptions) -> Result<(String, Obs)
     let verdict = match lintime_check::history::History::from_run(&run) {
         Ok(h) => {
             let cfg = lintime_check::wing_gong::CheckConfig::default();
-            match lintime_check::monitor::check_fast_observed(&spec, &h, cfg, &obs) {
+            match lintime_check::monitor::check_fast_with(&spec, &h, cfg, &obs) {
                 lintime_check::wing_gong::Verdict::Linearizable(_) => "linearizable ✓".to_string(),
                 lintime_check::wing_gong::Verdict::NotLinearizable => {
                     "NOT linearizable ✗".to_string()

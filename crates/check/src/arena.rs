@@ -6,17 +6,17 @@
 //! argument, response, process, and the two timestamps live in separate
 //! dense vectors indexed by `u32`, with the two sort orders the Wing–Gong
 //! search needs (`by_invoke`, `by_respond`) precomputed once. It is built a
-//! single time per decision — by [`crate::monitor::check_fast_with`] before
-//! dispatch, or by the [`crate::wing_gong`] entry points themselves — and
-//! then shared read-only by every search the decision spawns, including all
-//! parallel workers (the arena is `Sync`; workers never touch anything but
-//! `&HistoryArena`).
+//! single time per decision — by the monitor-first decision ladder behind
+//! [`crate::monitor::check_fast`] when the monitor defers, or by the
+//! [`crate::wing_gong`] entry points themselves — and then shared read-only
+//! by every search the decision spawns, including all parallel workers (the
+//! arena is `Sync`; workers never touch anything but `&HistoryArena`).
 //!
 //! Timestamp scans (frontier thresholds, predecessor prefixes) thus walk
 //! contiguous `i64` arrays the prefetcher can stream, and the done-set
-//! machinery operates on [`BitSet`] words instead of per-op edge lists.
+//! machinery operates on [`crate::bitset::BitSet`] words instead of per-op
+//! edge lists.
 
-use crate::bitset::BitSet;
 use crate::history::History;
 use lintime_adt::value::Value;
 
@@ -89,34 +89,6 @@ impl HistoryArena {
     pub fn is_empty(&self) -> bool {
         self.op.is_empty()
     }
-
-    /// The real-time predecessor sets: bit `j` of entry `i` is set iff op `j`
-    /// responded strictly before op `i` was invoked (so `j` must precede `i`
-    /// in every linearization).
-    ///
-    /// Computed with a two-pointer sweep over the precomputed sort orders:
-    /// ops are visited in invocation order while a running "responded so far"
-    /// [`BitSet`] absorbs everything whose response is behind the sweep, and
-    /// each op's predecessor set is a word-level copy of that accumulator.
-    /// No per-edge work: `O(n²/64)` words moved in the worst case, and the
-    /// accumulator updates are single bit sets.
-    pub fn predecessor_sets(&self) -> Vec<BitSet> {
-        let n = self.len();
-        let mut sets: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        let mut responded = BitSet::new(n);
-        let mut rp = 0usize;
-        for &i in &self.by_invoke {
-            let t = self.t_invoke[i as usize];
-            while rp < n && self.t_respond[self.by_respond[rp] as usize] < t {
-                responded.set(self.by_respond[rp] as usize);
-                rp += 1;
-            }
-            // An op never responds strictly before its own invocation, so the
-            // accumulator cannot contain `i` itself.
-            sets[i as usize].union_with(&responded);
-        }
-        sets
-    }
 }
 
 #[cfg(test)]
@@ -146,6 +118,8 @@ mod tests {
 
     #[test]
     fn predecessor_sets_match_definition() {
+        // The search reads op i's real-time predecessors as the prefix of
+        // `by_respond` that responds strictly before i invokes.
         let h = History::from_tuples(vec![
             (0, inst("a"), 0, 10),
             (1, inst("b"), 5, 40),
@@ -154,11 +128,14 @@ mod tests {
             (4, inst("e"), 25, 35),
             (5, inst("f"), 50, 60),
         ]);
-        let sets = HistoryArena::from_history(&h).predecessor_sets();
-        for (i, set) in sets.iter().enumerate() {
+        let a = HistoryArena::from_history(&h);
+        for i in 0..h.len() {
+            let cut = a.by_respond.partition_point(|&j| a.t_respond[j as usize] < a.t_invoke[i]);
+            let mut prefix: Vec<usize> = a.by_respond[..cut].iter().map(|&j| j as usize).collect();
+            prefix.sort_unstable();
             let naive: Vec<usize> =
                 (0..h.len()).filter(|&j| j != i && h.ops[j].precedes(&h.ops[i])).collect();
-            assert_eq!(set.ones().collect::<Vec<_>>(), naive, "op {i}");
+            assert_eq!(prefix, naive, "op {i}");
         }
     }
 
@@ -166,6 +143,6 @@ mod tests {
     fn empty_arena() {
         let a = HistoryArena::from_history(&History::default());
         assert!(a.is_empty());
-        assert!(a.predecessor_sets().is_empty());
+        assert!(a.by_invoke.is_empty() && a.by_respond.is_empty());
     }
 }

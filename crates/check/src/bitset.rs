@@ -15,11 +15,6 @@ impl BitSet {
         BitSet { words: vec![0; len.div_ceil(64)].into_boxed_slice(), len }
     }
 
-    /// Capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.len
-    }
-
     /// Set bit `i`.
     pub fn set(&mut self, i: usize) {
         debug_assert!(i < self.len);
@@ -37,57 +32,6 @@ impl BitSet {
         debug_assert!(i < self.len);
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True iff every bit is set.
-    pub fn full(&self) -> bool {
-        self.count() == self.len
-    }
-
-    /// The backing words (64 bits each, little-endian bit order; trailing
-    /// bits beyond `capacity()` are zero). Exposed so callers can run
-    /// word-at-a-time scans and merges instead of per-bit loops.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Number of set bits among the first `n` (word-at-a-time popcount over
-    /// the prefix, one masked partial word at the boundary).
-    pub fn count_prefix(&self, n: usize) -> usize {
-        debug_assert!(n <= self.len);
-        let full_words = n / 64;
-        let mut c: usize = self.words[..full_words].iter().map(|w| w.count_ones() as usize).sum();
-        let rem = n % 64;
-        if rem != 0 {
-            c += (self.words[full_words] & ((1u64 << rem) - 1)).count_ones() as usize;
-        }
-        c
-    }
-
-    /// In-place union: `self |= other`. Capacities must match.
-    pub fn union_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
-    /// Iterate the indices of set bits in ascending order, consuming one
-    /// word at a time (each word costs one trailing-zero count per set bit,
-    /// not 64 probes).
-    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors((w != 0).then_some(w), |rest| {
-                let rest = rest & (rest - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |rest| wi * 64 + rest.trailing_zeros() as usize)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -103,48 +47,10 @@ mod tests {
         b.set(64);
         b.set(129);
         assert!(b.get(0) && b.get(64) && b.get(129));
-        assert_eq!(b.count(), 3);
+        assert_eq!((0..130).filter(|&i| b.get(i)).count(), 3);
         b.clear(64);
         assert!(!b.get(64));
-        assert_eq!(b.count(), 2);
-    }
-
-    #[test]
-    fn full_detection() {
-        let mut b = BitSet::new(3);
-        b.set(0);
-        b.set(1);
-        assert!(!b.full());
-        b.set(2);
-        assert!(b.full());
-        assert!(BitSet::new(0).full());
-    }
-
-    #[test]
-    fn prefix_counts_and_ones_iteration() {
-        let mut b = BitSet::new(200);
-        let set = [0usize, 3, 63, 64, 127, 128, 199];
-        for &i in &set {
-            b.set(i);
-        }
-        assert_eq!(b.ones().collect::<Vec<_>>(), set);
-        assert_eq!(b.count_prefix(0), 0);
-        assert_eq!(b.count_prefix(64), 3);
-        assert_eq!(b.count_prefix(65), 4);
-        assert_eq!(b.count_prefix(200), 7);
-        assert_eq!(b.count_prefix(200), b.count());
-    }
-
-    #[test]
-    fn union_merges_words() {
-        let mut a = BitSet::new(100);
-        a.set(1);
-        a.set(70);
-        let mut b = BitSet::new(100);
-        b.set(70);
-        b.set(99);
-        a.union_with(&b);
-        assert_eq!(a.ones().collect::<Vec<_>>(), vec![1, 70, 99]);
+        assert!(b.get(0) && b.get(129), "clearing one word leaves the others");
     }
 
     #[test]

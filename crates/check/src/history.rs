@@ -41,65 +41,12 @@ impl History {
     /// invalid configuration) — a verdict on a partial run would be
     /// meaningless and must never be certified.
     pub fn from_run(run: &Run) -> Result<History, String> {
-        if run.truncated {
-            return Err(format!(
-                "run is truncated and cannot be checked: {}",
-                if run.errors.is_empty() {
-                    "no diagnostic recorded".to_string()
-                } else {
-                    run.errors.join("; ")
-                }
-            ));
-        }
+        refuse_truncated(run)?;
         if !run.complete() {
             let pending = run.ops.iter().filter(|o| o.ret.is_none()).count();
             return Err(format!("run is not complete: {pending} pending operations"));
         }
-        Ok(Self::from_run_lossy(run))
-    }
-
-    /// Extract a history from a run, dropping operations that are not fully
-    /// recorded. Sound for *refuting* linearizability only if the dropped
-    /// operations could not have helped; prefer [`History::from_run`], or
-    /// [`History::from_run_lossy_counted`] when the caller needs to know
-    /// what was lost.
-    pub fn from_run_lossy(run: &Run) -> History {
-        Self::from_run_lossy_counted(run).0
-    }
-
-    /// [`History::from_run_lossy`] plus an accounting of everything dropped.
-    ///
-    /// Two distinct kinds of records are excluded, and conflating them hides
-    /// recorder bugs behind crash semantics:
-    ///
-    /// * **pending** — invoked, never responded (`ret` and `t_respond` both
-    ///   absent). Legitimate under crashes; the pending-aware pipeline
-    ///   re-admits these via [`History::from_run_with_pending`].
-    /// * **malformed** — exactly one of `ret` / `t_respond` is present. Such
-    ///   a record is neither a completed operation nor a well-formed pending
-    ///   one; it can only come from a corrupted or buggy recorder, so it is
-    ///   surfaced separately (and the pending-aware checker refuses to
-    ///   certify a refutation over it).
-    pub fn from_run_lossy_counted(run: &Run) -> (History, LossyDrops) {
-        let mut drops = LossyDrops::default();
-        let ops = run
-            .ops
-            .iter()
-            .filter_map(|op| match (op.instance(), op.t_respond) {
-                (Some(instance), Some(t_respond)) => {
-                    Some(TimedOp { pid: op.pid, instance, t_invoke: op.t_invoke, t_respond })
-                }
-                (None, None) => {
-                    drops.pending += 1;
-                    None
-                }
-                _ => {
-                    drops.malformed += 1;
-                    None
-                }
-            })
-            .collect();
-        (History { ops }, drops)
+        Ok(completed_ops(run).0)
     }
 
     /// Build a history from explicit tuples (for tests):
@@ -135,16 +82,7 @@ impl History {
     /// [`crate::monitor::check_fast_pending`] for the matching decision
     /// procedure.
     pub fn from_run_with_pending(run: &Run) -> Result<PendingHistory, String> {
-        if run.truncated {
-            return Err(format!(
-                "run is truncated and cannot be checked: {}",
-                if run.errors.is_empty() {
-                    "no diagnostic recorded".to_string()
-                } else {
-                    run.errors.join("; ")
-                }
-            ));
-        }
+        refuse_truncated(run)?;
         let crash_at = |pid: Pid| {
             run.faults.iter().find_map(|f| match f {
                 InjectedFault::Crashed { pid: p, at } if *p == pid => Some(*at),
@@ -165,43 +103,50 @@ impl History {
                 may_have_effect: crash_at(op.pid).is_none_or(|at| op.t_invoke < at),
             })
             .collect();
-        let (complete, drops) = Self::from_run_lossy_counted(run);
-        Ok(PendingHistory { complete, pending, horizon: run.last_time, malformed: drops.malformed })
-    }
-
-    /// The precedence matrix: `prec[i]` lists (in ascending index order) the
-    /// indices that must come before op `i` in any linearization.
-    ///
-    /// Built on the struct-of-arrays arena: one transposition, then a
-    /// word-at-a-time bitset sweep ([`crate::arena::HistoryArena::
-    /// predecessor_sets`]) whose per-op cost is a word-level copy rather
-    /// than per-edge pushes. The bit order makes the ascending-index edge
-    /// lists fall out of the set iteration for free.
-    pub fn predecessors(&self) -> Vec<Vec<usize>> {
-        crate::arena::HistoryArena::from_history(self)
-            .predecessor_sets()
-            .iter()
-            .map(|set| set.ones().collect())
-            .collect()
+        let (complete, malformed) = completed_ops(run);
+        Ok(PendingHistory { complete, pending, horizon: run.last_time, malformed })
     }
 }
 
-/// A count of the operation records [`History::from_run_lossy_counted`]
-/// excluded from the completed history, by reason.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LossyDrops {
-    /// Well-formed pending operations (no response value, no response time).
-    pub pending: usize,
-    /// Ill-formed records with exactly one of response value / response time
-    /// recorded — evidence of recorder corruption, never of a crash.
-    pub malformed: usize,
+/// A verdict on a partial run would be meaningless and must never be
+/// certified: refuse truncated runs (event cap, crash, or invalid
+/// configuration) with their diagnostics.
+fn refuse_truncated(run: &Run) -> Result<(), String> {
+    if !run.truncated {
+        return Ok(());
+    }
+    let why = if run.errors.is_empty() {
+        "no diagnostic recorded".to_string()
+    } else {
+        run.errors.join("; ")
+    };
+    Err(format!("run is truncated and cannot be checked: {why}"))
 }
 
-impl LossyDrops {
-    /// Total records dropped.
-    pub fn total(&self) -> usize {
-        self.pending + self.malformed
-    }
+/// Split a run's records: the completed operations, plus the number of
+/// **malformed** records — exactly one of `ret` / `t_respond` present. Such a
+/// record is neither a completed operation nor a well-formed pending one
+/// (both absent, legitimate under crashes); it can only come from a
+/// corrupted or buggy recorder, so it is counted rather than silently
+/// dropped, and the pending-aware checker refuses to certify a refutation
+/// over it.
+fn completed_ops(run: &Run) -> (History, usize) {
+    let mut malformed = 0;
+    let ops = run
+        .ops
+        .iter()
+        .filter_map(|op| match (op.instance(), op.t_respond) {
+            (Some(instance), Some(t_respond)) => {
+                Some(TimedOp { pid: op.pid, instance, t_invoke: op.t_invoke, t_respond })
+            }
+            (None, None) => None,
+            _ => {
+                malformed += 1;
+                None
+            }
+        })
+        .collect();
+    (History { ops }, malformed)
 }
 
 /// A pending (open-interval) operation: invoked, never responded.
@@ -238,8 +183,9 @@ pub struct PendingHistory {
     /// the fewest real-time precedence constraints — the most permissive
     /// sound choice of completion time.
     pub horizon: Time,
-    /// Ill-formed operation records dropped during extraction (see
-    /// [`LossyDrops::malformed`]). When non-zero the record of the run is
+    /// Ill-formed operation records dropped during extraction: exactly one of
+    /// response value / response time recorded — evidence of recorder
+    /// corruption, never of a crash. When non-zero the record of the run is
     /// incomplete in a way crashes cannot explain, so the pending-aware
     /// checker degrades refutations to `Unknown` instead of certifying them.
     pub malformed: usize,
@@ -263,16 +209,13 @@ mod tests {
         ]);
         assert!(!h.ops[0].precedes(&h.ops[1]));
         assert!(h.ops[0].precedes(&h.ops[2]));
-        let prec = h.predecessors();
-        assert_eq!(prec[2], vec![0]);
-        assert!(prec[1].is_empty());
     }
 
     #[test]
     fn predecessor_edge_counts_on_known_history() {
         // A fixed 6-op history with a mix of nesting, overlap, and strict
-        // sequencing; edge counts pin the sweep against the all-pairs
-        // definition (j in prec[i] iff respond_j < invoke_i).
+        // sequencing; the edge lists pin `precedes` (j before i iff
+        // respond_j < invoke_i), which both brute-force oracles rely on.
         let h = History::from_tuples(vec![
             (0, inst("a", 0, 0), 0, 10),  // precedes c, d, e, f
             (1, inst("b", 0, 0), 5, 40),  // overlaps everything up to e
@@ -281,7 +224,9 @@ mod tests {
             (4, inst("e", 0, 0), 25, 35), // precedes f
             (5, inst("f", 0, 0), 50, 60),
         ]);
-        let prec = h.predecessors();
+        let prec: Vec<Vec<usize>> = (0..h.len())
+            .map(|i| (0..h.len()).filter(|&j| h.ops[j].precedes(&h.ops[i])).collect())
+            .collect();
         assert_eq!(prec[0], Vec::<usize>::new());
         assert_eq!(prec[1], Vec::<usize>::new());
         assert_eq!(prec[2], vec![0]);
@@ -290,12 +235,6 @@ mod tests {
         assert_eq!(prec[5], vec![0, 1, 2, 3, 4]);
         let edge_count: usize = prec.iter().map(Vec::len).sum();
         assert_eq!(edge_count, 10);
-        // Cross-check against the definitional all-pairs loop.
-        for (i, slot) in prec.iter().enumerate() {
-            let naive: Vec<usize> =
-                (0..h.len()).filter(|&j| j != i && h.ops[j].precedes(&h.ops[i])).collect();
-            assert_eq!(*slot, naive);
-        }
     }
 
     #[test]
@@ -336,16 +275,14 @@ mod tests {
             faults: vec![],
             suspect: vec![],
         };
-        let (h, drops) = History::from_run_lossy_counted(&run);
-        assert_eq!(h.len(), 1);
-        assert_eq!(drops, LossyDrops { pending: 2, malformed: 2 });
-        assert_eq!(drops.total(), 4);
         // The pending-aware pipeline surfaces the malformed count and keeps
         // ill-formed records out of the pending (completable) list.
         let ph = History::from_run_with_pending(&run).unwrap();
         assert_eq!(ph.complete.len(), 1);
         assert_eq!(ph.pending.len(), 2);
         assert_eq!(ph.malformed, 2);
+        // The complete-run extraction refuses it outright.
+        assert!(History::from_run(&run).is_err());
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! * [`wing_gong`] — the decision procedure (Wing–Gong search with Lowe's
 //!   state memoization);
 //! * [`monitor`] — type-specialized fast-path monitors (register, queue,
-//!   stack, set/kv, counter) with Wing–Gong fallback via
-//!   [`monitor::check_fast`];
+//!   stack, set/kv, counter) and the one decision ladder every history goes
+//!   through: monitor, witness replay, then Wing–Gong fallback. Entry points
+//!   are [`monitor::check_fast`] and [`monitor::check_fast_with`] (explicit
+//!   configuration and observability), plus [`monitor::check_fast_pending`]
+//!   and [`monitor::check_fast_pending_with`] for histories with pending
+//!   operations;
 //! * [`bitset`] — the done-set representation used by the search;
 //! * [`compositional`] — per-object checking for multi-object (product)
 //!   histories, exploiting the locality of linearizability;
@@ -41,13 +45,13 @@ pub mod wing_gong;
 pub mod prelude {
     pub use crate::arena::HistoryArena;
     pub use crate::compositional::{check_components, ComponentVerdicts, ShardVerdicts};
-    pub use crate::history::{History, LossyDrops, PendingHistory, PendingOp, TimedOp};
+    pub use crate::history::{History, PendingHistory, PendingOp, TimedOp};
     pub use crate::monitor::{
-        check_fast, check_fast_pending, check_fast_pending_observed, check_fast_pending_with,
-        check_fast_with, verify_witness, MonitorOutcome,
+        check_fast, check_fast_pending, check_fast_pending_with, check_fast_with, verify_witness,
+        MonitorOutcome,
     };
     pub use crate::stream::{
         replay_run, StreamChecker, StreamConfig, StreamStats, StreamVerdict, UnknownReason,
     };
-    pub use crate::wing_gong::{check, check_free_with, check_with, CheckConfig, Verdict};
+    pub use crate::wing_gong::{check, check_with, CheckConfig, Verdict};
 }

@@ -37,13 +37,14 @@ pub mod register;
 
 use crate::arena::HistoryArena;
 use crate::history::{History, PendingHistory, PendingOp, TimedOp};
-use crate::wing_gong::{self, CheckConfig, Verdict, FRONTIER_BUCKETS};
+use crate::wing_gong::{self, CheckConfig, SearchStats, Verdict, FRONTIER_BUCKETS};
 use lintime_adt::spec::{ObjectSpec, OpClass, OpInstance, SpecKind};
 use lintime_obs::{EventCategory, Obs};
 use lintime_sim::time::Time;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Instant;
 
 /// What a specialized monitor concluded about a history.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,11 +66,141 @@ pub enum MonitorOutcome {
 /// interchangeable, and [`Verdict::Unknown`] can only arise from the
 /// fallback path's node budget.
 pub fn check_fast(spec: &Arc<dyn ObjectSpec>, history: &History) -> Verdict {
-    check_fast_with(spec, history, CheckConfig::default())
+    ladder(spec, history, CheckConfig::default(), &Obs::off()).0
+}
+
+/// [`check_fast`] with an explicit configuration and checker observability.
+///
+/// An active `obs` collects monitor fast-path hits vs Wing–Gong fallbacks,
+/// memo hit rate, frontier-size histogram, and witness replay time in
+/// `obs.metrics` under `check.*`, and each decision phase emits an
+/// [`EventCategory::CheckPhase`] trace event. With [`Obs::off`] nothing is
+/// recorded and the search compiles its statistics out; the verdict, witness
+/// included, is the same either way.
+pub fn check_fast_with(
+    spec: &Arc<dyn ObjectSpec>,
+    history: &History,
+    cfg: CheckConfig,
+    obs: &Obs,
+) -> Verdict {
+    ladder(spec, history, cfg, obs).0
+}
+
+/// The decision ladder behind every monitor-first entry point, the streaming
+/// checker's windows included: the specialized monitor, then a replay of its
+/// witness, then — when the monitor defers or its witness fails replay — the
+/// Wing–Gong search over one [`HistoryArena`]. Returns the verdict and
+/// whether the search ran.
+pub(crate) fn ladder(
+    spec: &Arc<dyn ObjectSpec>,
+    history: &History,
+    cfg: CheckConfig,
+    obs: &Obs,
+) -> (Verdict, bool) {
+    let active = obs.is_active();
+    // Check phases happen after the run; anchor them at the history's end so
+    // an interleaved trace reads chronologically.
+    let t_end =
+        if active { history.ops.iter().map(|o| o.t_respond.0).max().unwrap_or(0) } else { 0 };
+    obs.emit(t_end, None, EventCategory::CheckPhase, || {
+        format!("dispatch: {:?} history of {} ops", spec.kind(), history.len())
+    });
+    if history.is_empty() {
+        return (Verdict::Linearizable(Vec::new()), false);
+    }
+    match dispatch_monitor(spec, history, cfg) {
+        MonitorOutcome::Witness(order) => {
+            let t0 = active.then(Instant::now);
+            let ok = verify_witness(spec, history, &order);
+            let replay_us = t0.map_or(0, |t0| t0.elapsed().as_micros() as u64);
+            if active {
+                obs.metrics
+                    .histogram("check.witness_replay_micros", &[10, 100, 1_000, 10_000])
+                    .observe(replay_us);
+            }
+            if ok {
+                count(obs, "check.monitor.witnesses");
+                obs.emit(t_end, None, EventCategory::CheckPhase, || {
+                    format!("monitor witness verified by replay in {replay_us}us")
+                });
+                return (Verdict::Linearizable(order), false);
+            }
+            // A monitor bug, not a verdict: never certify an unchecked
+            // witness. Decide with the general search instead.
+            debug_assert!(false, "monitor produced an invalid witness");
+            count(obs, "check.monitor.invalid_witnesses");
+            obs.emit(t_end, None, EventCategory::CheckPhase, || {
+                "monitor witness FAILED replay; deciding with the general search".to_string()
+            });
+        }
+        MonitorOutcome::Violation => {
+            count(obs, "check.monitor.violations");
+            obs.emit(t_end, None, EventCategory::CheckPhase, || {
+                "monitor violation certificate: not linearizable".to_string()
+            });
+            return (Verdict::NotLinearizable, false);
+        }
+        MonitorOutcome::Deferred => {
+            count(obs, "check.monitor.deferred");
+            obs.emit(t_end, None, EventCategory::CheckPhase, || {
+                format!("monitor deferred {:?}; falling back to Wing-Gong", spec.kind())
+            });
+        }
+    }
+    // Transpose once and hand the arena straight to the search: the decision
+    // — including every parallel worker it spawns — shares this single
+    // read-only extraction.
+    let arena = HistoryArena::from_history(history);
+    if !active {
+        return (wing_gong::decide::<false>(spec, &arena, None, cfg).0, true);
+    }
+    let (verdict, stats) = wing_gong::decide::<true>(spec, &arena, None, cfg);
+    record_fallback(obs, t_end, &verdict, &stats);
+    (verdict, true)
+}
+
+/// Bump the counter `name` if `obs` is active.
+fn count(obs: &Obs, name: &str) {
+    if obs.is_active() {
+        obs.metrics.counter(name).inc();
+    }
+}
+
+/// Fold the fallback search's [`SearchStats`] into the registry and trace it.
+fn record_fallback(obs: &Obs, t_end: i64, verdict: &Verdict, stats: &SearchStats) {
+    let r = &obs.metrics;
+    r.counter("check.fallback.runs").inc();
+    r.counter("check.fallback.nodes").add(stats.nodes);
+    r.counter("check.fallback.memo_hits").add(stats.memo_hits);
+    r.counter("check.fallback.memo_inserts").add(stats.memo_inserts);
+    r.counter("check.par.workers").add(stats.workers);
+    r.counter("check.par.steals").add(stats.steals);
+    r.counter("check.par.memo_shards").add(stats.memo_shards);
+    r.counter("check.par.cancelled").add(stats.cancelled);
+    let frontier = r.histogram("check.frontier_size", &FRONTIER_BUCKETS);
+    for (i, &n) in stats.frontier_sizes.iter().enumerate() {
+        // Fold pre-bucketed counts in at each bucket's upper bound (overflow
+        // at one past the last bound).
+        let v = FRONTIER_BUCKETS.get(i).copied().unwrap_or_else(|| FRONTIER_BUCKETS[i - 1] + 1);
+        frontier.observe_n(v, n);
+    }
+    obs.emit(t_end, None, EventCategory::CheckPhase, || {
+        format!(
+            "Wing-Gong fallback: {} after {} nodes (memo hit rate {}, max frontier {})",
+            match verdict {
+                Verdict::Linearizable(_) => "linearizable",
+                Verdict::NotLinearizable => "NOT linearizable",
+                Verdict::Unknown => "unknown (budget exhausted)",
+            },
+            stats.nodes,
+            stats.memo_hit_rate().map_or_else(|| "n/a".to_string(), |x| format!("{:.2}", x)),
+            stats.max_frontier,
+        )
+    });
 }
 
 /// Route a history to the specialized monitor for its [`SpecKind`], if any.
-pub(crate) fn dispatch_monitor(
+fn dispatch_monitor(
     spec: &Arc<dyn ObjectSpec>,
     history: &History,
     cfg: CheckConfig,
@@ -90,34 +221,6 @@ pub(crate) fn dispatch_monitor(
     }
 }
 
-/// [`check_fast`] with an explicit fallback node budget.
-pub fn check_fast_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: CheckConfig) -> Verdict {
-    if history.is_empty() {
-        return Verdict::Linearizable(Vec::new());
-    }
-    match dispatch_monitor(spec, history, cfg) {
-        MonitorOutcome::Witness(order) => {
-            if verify_witness(spec, history, &order) {
-                Verdict::Linearizable(order)
-            } else {
-                // A monitor bug, not a verdict: never certify an unchecked
-                // witness. Decide with the general search instead.
-                debug_assert!(false, "monitor produced an invalid witness");
-                let arena = HistoryArena::from_history(history);
-                wing_gong::check_arena_with(spec, &arena, cfg)
-            }
-        }
-        MonitorOutcome::Violation => Verdict::NotLinearizable,
-        MonitorOutcome::Deferred => {
-            // Transpose once and hand the arena straight to the search: the
-            // decision — including every parallel worker it spawns — shares
-            // this single read-only extraction.
-            let arena = HistoryArena::from_history(history);
-            wing_gong::check_arena_with(spec, &arena, cfg)
-        }
-    }
-}
-
 /// Decide linearizability of a history *with pending operations*
 /// (Herlihy–Wing completions): a pending-aware [`check_fast`].
 ///
@@ -134,13 +237,10 @@ pub fn check_fast_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: Check
 ///   response carries no state information) and responds at the history
 ///   horizon, the most permissive choice;
 /// * pending **mixed** (or unknown) operations are tried both removed and
-///   included with a **free** response: the general search
-///   ([`wing_gong::check_free_with`]) accepts whatever response the
-///   specification produces at each tried position, which exhaustively covers
-///   every concrete response value a completion could assign. With
-///   [`CheckConfig::mixed_completion`] off, these ops fall back to the old
-///   pure-mutator-only rule and force [`Verdict::Unknown`] when dropping
-///   them fails.
+///   included with a **free** response: the general search accepts whatever
+///   response the specification produces at each tried position, which
+///   exhaustively covers every concrete response value a completion could
+///   assign.
 ///
 /// The enumeration is bounded by [`CheckConfig::max_pending_candidates`]
 /// (`2^k` sub-checks); beyond it only the all-removed completion is tried, so
@@ -150,42 +250,27 @@ pub fn check_fast_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: Check
 /// `Linearizable` carries a witness into the chosen completion's operation
 /// array (completed ops first, then included pending ops in candidate
 /// order); a free-completed op's fabricated `ret` is a placeholder — its
-/// actual response is whatever replaying the witness order yields.
-/// `NotLinearizable` is only returned when *every* completion was enumerated
-/// and refuted.
+/// actual response is whatever replaying the witness order yields. The
+/// witness is that of the lowest linearizing inclusion mask, whatever the
+/// thread count. `NotLinearizable` is only returned when *every* completion
+/// was enumerated and refuted.
 pub fn check_fast_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> Verdict {
-    check_fast_pending_with(spec, ph, CheckConfig::default())
+    check_fast_pending_with(spec, ph, CheckConfig::default(), &Obs::off())
 }
 
-/// [`check_fast_pending`] with an explicit fallback node budget.
+/// [`check_fast_pending`] with an explicit configuration and checker
+/// observability. An active `obs` records everything [`check_fast_with`]
+/// records for each enumerated completion, plus the counters
+/// `check.pending.budget_exhausted` (bumped whenever
+/// [`CheckConfig::max_pending_candidates`] forces an [`Verdict::Unknown`]
+/// that full enumeration might have decided) and
+/// `check.pending.malformed_degraded`. Observed sweeps run sequentially so
+/// the per-completion metrics stay deterministic.
 pub fn check_fast_pending_with(
     spec: &Arc<dyn ObjectSpec>,
     ph: &PendingHistory,
     cfg: CheckConfig,
-) -> Verdict {
-    check_fast_pending_impl(spec, ph, cfg, None)
-}
-
-/// [`check_fast_pending_with`] with checker observability: in addition to
-/// everything [`check_fast_observed`] records for each enumerated
-/// completion, the counter `check.pending.budget_exhausted` is bumped
-/// whenever [`CheckConfig::max_pending_candidates`] forces an
-/// [`Verdict::Unknown`] that full enumeration might have decided — making
-/// silent budget degradation visible in metrics snapshots.
-pub fn check_fast_pending_observed(
-    spec: &Arc<dyn ObjectSpec>,
-    ph: &PendingHistory,
-    cfg: CheckConfig,
     obs: &Obs,
-) -> Verdict {
-    check_fast_pending_impl(spec, ph, cfg, obs.is_active().then_some(obs))
-}
-
-fn check_fast_pending_impl(
-    spec: &Arc<dyn ObjectSpec>,
-    ph: &PendingHistory,
-    cfg: CheckConfig,
-    obs: Option<&Obs>,
 ) -> Verdict {
     // Ill-formed records (see `PendingHistory::malformed`) were dropped from
     // the complete part but are neither completed nor completable pending
@@ -193,9 +278,7 @@ fn check_fast_pending_impl(
     // so it degrades to Unknown at the end.
     let taint = |verdict: Verdict| match verdict {
         Verdict::NotLinearizable if ph.malformed > 0 => {
-            if let Some(o) = obs {
-                o.metrics.counter("check.pending.malformed_degraded").inc();
-            }
+            count(obs, "check.pending.malformed_degraded");
             Verdict::Unknown
         }
         v => v,
@@ -213,16 +296,10 @@ fn check_fast_pending_impl(
     if candidates.len() > cfg.max_pending_candidates {
         // Too many completions to enumerate: only the all-removed one is
         // tried, so a positive verdict survives but refutation cannot.
-        let check_complete = match obs {
-            Some(o) => check_fast_observed(spec, &ph.complete, cfg, o),
-            None => check_fast_with(spec, &ph.complete, cfg),
-        };
-        return match check_complete {
+        return match ladder(spec, &ph.complete, cfg, obs).0 {
             Verdict::Linearizable(w) => Verdict::Linearizable(w),
             _ => {
-                if let Some(o) = obs {
-                    o.metrics.counter("check.pending.budget_exhausted").inc();
-                }
+                count(obs, "check.pending.budget_exhausted");
                 Verdict::Unknown
             }
         };
@@ -232,45 +309,45 @@ fn check_fast_pending_impl(
     let threads = cfg.effective_threads().min(masks as usize);
     // Each completion is an independent sub-check, so the mask sweep is an
     // embarrassingly parallel unit of work: distribute masks across workers
-    // (each running the inner search single-threaded) and combine verdicts
-    // order-independently — any Linearizable wins, else any Unknown taints,
-    // else every completion was refuted. Observed checks stay sequential so
+    // (each running the inner search single-threaded). The lowest linearizing
+    // mask wins, exactly as in the sequential sweep: masks are handed out in
+    // ascending order and workers stop only at masks above the best found,
+    // so every lower mask is decided. Otherwise any Unknown taints, else
+    // every completion was refuted. Observed checks stay sequential so
     // per-completion metrics remain deterministic.
-    if obs.is_none() && threads > 1 && masks > 1 {
+    if !obs.is_active() && threads > 1 && masks > 1 {
         let inner = CheckConfig { threads: 1, ..cfg };
         let next_mask = AtomicU64::new(0);
-        let cancel = AtomicBool::new(false);
         let any_unknown = AtomicBool::new(false);
-        let witness: Mutex<Option<Vec<usize>>> = Mutex::new(None);
+        // The lowest linearizing mask so far, with its witness.
+        let best: Mutex<Option<(u64, Vec<usize>)>> = Mutex::new(None);
+        const POISONED: &str = "a pending-sweep worker panicked";
         thread::scope(|s| {
             for _ in 0..threads {
-                let (next_mask, cancel, any_unknown, witness, candidates) =
-                    (&next_mask, &cancel, &any_unknown, &witness, &candidates);
-                s.spawn(move || {
-                    while !cancel.load(Ordering::Relaxed) {
-                        let mask = next_mask.fetch_add(1, Ordering::Relaxed);
-                        if mask >= masks {
-                            break;
-                        }
-                        match eval_completion(spec, ph, inner, None, candidates, mask) {
-                            Verdict::Linearizable(w) => {
-                                let mut slot = witness.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(w);
-                                }
-                                drop(slot);
-                                cancel.store(true, Ordering::Relaxed);
-                                break;
+                let (next_mask, any_unknown, best, candidates) =
+                    (&next_mask, &any_unknown, &best, &candidates);
+                s.spawn(move || loop {
+                    let mask = next_mask.fetch_add(1, Ordering::Relaxed);
+                    let beaten =
+                        best.lock().expect(POISONED).as_ref().is_some_and(|(b, _)| *b < mask);
+                    if mask >= masks || beaten {
+                        break;
+                    }
+                    match eval_completion(spec, ph, inner, obs, candidates, mask) {
+                        Verdict::Linearizable(w) => {
+                            let mut slot = best.lock().expect(POISONED);
+                            if slot.as_ref().is_none_or(|(b, _)| mask < *b) {
+                                *slot = Some((mask, w));
                             }
-                            Verdict::Unknown => any_unknown.store(true, Ordering::Relaxed),
-                            Verdict::NotLinearizable => {}
                         }
+                        Verdict::Unknown => any_unknown.store(true, Ordering::Relaxed),
+                        Verdict::NotLinearizable => {}
                     }
                 });
             }
         });
-        return match witness.into_inner().unwrap() {
-            Some(w) => Verdict::Linearizable(w),
+        return match best.into_inner().expect(POISONED) {
+            Some((_, w)) => Verdict::Linearizable(w),
             None if any_unknown.load(Ordering::Relaxed) => Verdict::Unknown,
             None => taint(Verdict::NotLinearizable),
         };
@@ -293,14 +370,12 @@ fn check_fast_pending_impl(
 
 /// Decide one completion of the pending history: include exactly the
 /// candidates selected by `mask`, fabricate their responses, and check the
-/// extended history. Returns [`Verdict::Unknown`] for completions the
-/// configuration refuses to fabricate (mixed ops with
-/// [`CheckConfig::mixed_completion`] off).
+/// extended history.
 fn eval_completion(
     spec: &Arc<dyn ObjectSpec>,
     ph: &PendingHistory,
     cfg: CheckConfig,
-    obs: Option<&Obs>,
+    obs: &Obs,
     candidates: &[&PendingOp],
     mask: u64,
 ) -> Verdict {
@@ -314,10 +389,6 @@ fn eval_completion(
         }
         let is_pure_mutator =
             spec.op_meta(p.invocation.op).is_some_and(|m| m.class == OpClass::PureMutator);
-        if !is_pure_mutator && !cfg.mixed_completion {
-            // Legacy rule: no sound return value can be fabricated.
-            return Verdict::Unknown;
-        }
         // A pure mutator's return is state-independent: read it off a
         // fresh object. For a mixed/unknown op the same value is a mere
         // placeholder — the op is marked free and the search accepts
@@ -334,123 +405,15 @@ fn eval_completion(
     if appended_free.contains(&true) {
         // Free ops bypass the monitors (their placeholder responses would
         // mislead witness construction): decide with the general search.
+        // Since the specification is deterministic and every admissible
+        // position is tried, a refutation here refutes every response
+        // assignment for the free ops.
         let mut free = vec![false; ph.complete.len()];
         free.extend_from_slice(&appended_free);
-        wing_gong::check_free_with(spec, &h, &free, cfg)
+        wing_gong::decide::<false>(spec, &HistoryArena::from_history(&h), Some(&free), cfg).0
     } else {
-        match obs {
-            Some(o) => check_fast_observed(spec, &h, cfg, o),
-            None => check_fast_with(spec, &h, cfg),
-        }
+        ladder(spec, &h, cfg, obs).0
     }
-}
-
-/// [`check_fast_with`] with checker observability: monitor fast-path hits
-/// vs Wing–Gong fallbacks, memo hit rate, frontier-size histogram, and
-/// witness replay time land in `obs.metrics` under `check.*`, and each
-/// decision phase emits an [`EventCategory::CheckPhase`] trace event.
-///
-/// With an inactive bundle this is exactly [`check_fast_with`] — same
-/// verdicts, same cost — so callers can thread one `Obs` unconditionally.
-pub fn check_fast_observed(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    cfg: CheckConfig,
-    obs: &Obs,
-) -> Verdict {
-    if !obs.is_active() {
-        return check_fast_with(spec, history, cfg);
-    }
-    // Check phases happen after the run; anchor them at the history's end so
-    // an interleaved trace reads chronologically.
-    let t_end = history.ops.iter().map(|o| o.t_respond.0).max().unwrap_or(0);
-    obs.emit(t_end, None, EventCategory::CheckPhase, || {
-        format!("dispatch: {:?} history of {} ops", spec.kind(), history.len())
-    });
-    if history.is_empty() {
-        return Verdict::Linearizable(Vec::new());
-    }
-    let r = &obs.metrics;
-    match dispatch_monitor(spec, history, cfg) {
-        MonitorOutcome::Witness(order) => {
-            let t0 = std::time::Instant::now();
-            let ok = verify_witness(spec, history, &order);
-            let replay_us = t0.elapsed().as_micros() as u64;
-            r.histogram("check.witness_replay_micros", &[10, 100, 1_000, 10_000])
-                .observe(replay_us);
-            if ok {
-                r.counter("check.monitor.witnesses").inc();
-                obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                    format!("monitor witness verified by replay in {replay_us}us")
-                });
-                Verdict::Linearizable(order)
-            } else {
-                debug_assert!(false, "monitor produced an invalid witness");
-                r.counter("check.monitor.invalid_witnesses").inc();
-                obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                    "monitor witness FAILED replay; deciding with the general search".to_string()
-                });
-                observed_fallback(spec, history, cfg, obs, t_end)
-            }
-        }
-        MonitorOutcome::Violation => {
-            r.counter("check.monitor.violations").inc();
-            obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                "monitor violation certificate: not linearizable".to_string()
-            });
-            Verdict::NotLinearizable
-        }
-        MonitorOutcome::Deferred => {
-            r.counter("check.monitor.deferred").inc();
-            obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                format!("monitor deferred {:?}; falling back to Wing-Gong", spec.kind())
-            });
-            observed_fallback(spec, history, cfg, obs, t_end)
-        }
-    }
-}
-
-/// Run the instrumented Wing–Gong search and fold its [`SearchStats`] into
-/// the registry.
-fn observed_fallback(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    cfg: CheckConfig,
-    obs: &Obs,
-    t_end: i64,
-) -> Verdict {
-    let arena = HistoryArena::from_history(history);
-    let (verdict, stats) = wing_gong::check_arena_with_stats(spec, &arena, cfg);
-    let r = &obs.metrics;
-    r.counter("check.fallback.runs").inc();
-    r.counter("check.fallback.nodes").add(stats.nodes);
-    r.counter("check.fallback.memo_hits").add(stats.memo_hits);
-    r.counter("check.fallback.memo_inserts").add(stats.memo_inserts);
-    r.counter("check.par.workers").add(stats.workers);
-    r.counter("check.par.steals").add(stats.steals);
-    r.counter("check.par.memo_shards").add(stats.memo_shards);
-    r.counter("check.par.cancelled").add(stats.cancelled);
-    let frontier = r.histogram("check.frontier_size", &FRONTIER_BUCKETS);
-    for (i, &n) in stats.frontier_sizes.iter().enumerate() {
-        // Fold pre-bucketed counts in at each bucket's upper bound (overflow
-        // at one past the last bound).
-        let v = FRONTIER_BUCKETS.get(i).copied().unwrap_or_else(|| FRONTIER_BUCKETS[i - 1] + 1);
-        frontier.observe_n(v, n);
-    }
-    obs.emit(t_end, None, EventCategory::CheckPhase, || {
-        format!(
-            "Wing-Gong fallback: {} after {} nodes (memo hit rate {}, max frontier {})",
-            match &verdict {
-                Verdict::Linearizable(_) => "linearizable",
-                Verdict::NotLinearizable => "NOT linearizable",
-                Verdict::Unknown => "unknown (budget exhausted)",
-            },
-            stats.nodes,
-            stats.memo_hit_rate().map_or_else(|| "n/a".to_string(), |x| format!("{:.2}", x)),
-            stats.max_frontier,
-        )
-    });
-    verdict
 }
 
 /// True iff `order` is a permutation of the history that respects real-time
@@ -742,7 +705,7 @@ mod tests {
             (0, OpInstance::new("write", 1, ()), 0, 10),
             (1, OpInstance::new("read", (), 1), 20, 30),
         ]);
-        assert!(check_fast_observed(&reg, &fast, cfg, &obs).is_linearizable());
+        assert!(check_fast_with(&reg, &fast, cfg, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.monitor.witnesses").get(), 1);
         assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 0);
 
@@ -751,7 +714,7 @@ mod tests {
             (0, OpInstance::new("write", 1, ()), 0, 1),
             (1, OpInstance::new("write", 1, ()), 2, 3),
         ]);
-        assert!(check_fast_observed(&reg, &dup, cfg, &obs).is_linearizable());
+        assert!(check_fast_with(&reg, &dup, cfg, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.monitor.deferred").get(), 1);
         assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 1);
         assert!(obs.metrics.counter("check.fallback.nodes").get() > 0);
@@ -762,10 +725,16 @@ mod tests {
         // Every decision leaves a check-phase trail in the trace.
         assert!(ring.events().iter().any(|e| e.category == EventCategory::CheckPhase));
 
-        // Inactive bundle: pure pass-through, nothing recorded.
+        // Inactive bundle: same verdicts, nothing recorded.
         let off = Obs::off();
-        assert!(check_fast_observed(&reg, &fast, cfg, &off).is_linearizable());
+        for hist in [&fast, &dup] {
+            assert_eq!(
+                check_fast_with(&reg, hist, cfg, &off),
+                check_fast_with(&reg, hist, cfg, &obs)
+            );
+        }
         assert_eq!(off.metrics.counter("check.monitor.witnesses").get(), 0);
+        assert_eq!(off.metrics.counter("check.fallback.runs").get(), 0);
     }
 
     #[test]
@@ -811,10 +780,6 @@ mod tests {
             malformed: 0,
         };
         assert!(check_fast_pending(&rmw_spec, &mixed).is_linearizable());
-        // With mixed completion off (the legacy pure-mutator-only rule), the
-        // same history degrades to Unknown instead of deciding.
-        let legacy = CheckConfig { mixed_completion: false, ..CheckConfig::default() };
-        assert_eq!(check_fast_pending_with(&rmw_spec, &mixed, legacy), Verdict::Unknown);
         // An unexplainable read stays a sound refutation even when the free
         // search gets to try the mixed op at every position: rmw(2) on any
         // reachable state never leaves the register at 5.
@@ -889,7 +854,7 @@ mod tests {
         // The cap is configuration, not a constant: raising it lets the
         // checker decide the history the default budget gave up on.
         let raised = CheckConfig { max_pending_candidates: 9, ..CheckConfig::default() };
-        assert!(check_fast_pending_with(&spec, &needs, raised).is_linearizable());
+        assert!(check_fast_pending_with(&spec, &needs, raised, &Obs::off()).is_linearizable());
     }
 
     #[test]
@@ -915,12 +880,12 @@ mod tests {
         let cfg = CheckConfig::default();
         // 9 candidates > budget 8, and the all-removed completion is refuted:
         // the forced Unknown bumps the budget counter.
-        assert_eq!(check_fast_pending_observed(&spec, &ph, cfg, &obs), Verdict::Unknown);
+        assert_eq!(check_fast_pending_with(&spec, &ph, cfg, &obs), Verdict::Unknown);
         assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
         // Within budget, nothing is counted even when the verdict is Unknown
         // for other reasons elsewhere; here the decided verdict counts 0.
         let raised = CheckConfig { max_pending_candidates: 9, ..cfg };
-        assert!(check_fast_pending_observed(&spec, &ph, raised, &obs).is_linearizable());
+        assert!(check_fast_pending_with(&spec, &ph, raised, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
     }
 
@@ -943,7 +908,7 @@ mod tests {
         assert_eq!(check_fast_pending(&spec, &ph), Verdict::Unknown);
         let (obs, _ring) = Obs::ring(16);
         assert_eq!(
-            check_fast_pending_observed(&spec, &ph, CheckConfig::default(), &obs),
+            check_fast_pending_with(&spec, &ph, CheckConfig::default(), &obs),
             Verdict::Unknown
         );
         assert_eq!(obs.metrics.counter("check.pending.malformed_degraded").get(), 1);
@@ -990,14 +955,49 @@ mod tests {
         for threads in [1, 2, 4] {
             let cfg = CheckConfig { threads, ..CheckConfig::default() };
             assert!(
-                check_fast_pending_with(&spec, &ok, cfg).is_linearizable(),
+                check_fast_pending_with(&spec, &ok, cfg, &Obs::off()).is_linearizable(),
                 "{threads} threads"
             );
             assert_eq!(
-                check_fast_pending_with(&spec, &bad, cfg),
+                check_fast_pending_with(&spec, &bad, cfg, &Obs::off()),
                 Verdict::NotLinearizable,
                 "{threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn pending_witness_does_not_depend_on_thread_scheduling() {
+        use crate::history::{PendingHistory, PendingOp};
+        use lintime_sim::time::Pid;
+
+        let spec = erase(Register::new(0));
+        // Every completion that includes write(103) — 16 of the 32 masks —
+        // linearizes, each with a different witness; the lowest such mask
+        // (write(103) alone) is the one the sequential sweep returns.
+        let ph = PendingHistory {
+            complete: h(vec![(1, OpInstance::new("read", (), 103), 50, 60)]),
+            pending: (0..5)
+                .map(|i| PendingOp {
+                    pid: Pid(0),
+                    invocation: Invocation::new("write", i + 100),
+                    t_invoke: Time(i),
+                    may_have_effect: true,
+                })
+                .collect(),
+            horizon: Time(60),
+            malformed: 0,
+        };
+        let check = |threads| {
+            let cfg = CheckConfig { threads, ..CheckConfig::default() };
+            check_fast_pending_with(&spec, &ph, cfg, &Obs::off())
+        };
+        let sequential = check(1);
+        assert_eq!(sequential, Verdict::Linearizable(vec![1, 0]));
+        for _ in 0..20 {
+            for threads in [1, 2, 4] {
+                assert_eq!(check(threads), sequential, "{threads} threads");
+            }
         }
     }
 

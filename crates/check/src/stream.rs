@@ -34,10 +34,10 @@
 //!    (per-key) last write to be strict in real time; counters are always
 //!    canonical (the sum is order-independent). A cut that is not canonical
 //!    simply delays GC — correctness never depends on flushing.
-//! 3. **Decide and retire.** The settled prefix is checked with the
-//!    type-specialized monitors (same sound violation sweeps as
-//!    [`crate::monitor`], run against a *seeded* spec that replays the
-//!    carried state), falling back to a bounded offline Wing–Gong re-check
+//! 3. **Decide and retire.** The settled prefix goes through the same
+//!    decision ladder as [`crate::monitor::check_fast`], run against a
+//!    *seeded* spec that replays the carried state: the type-specialized
+//!    monitor first, falling back to a bounded offline Wing–Gong re-check
 //!    of the window when the monitor defers (counted in
 //!    `check.stream.fallbacks`; a budget-exhausted fallback degrades to
 //!    [`StreamVerdict::Unknown`], never a false refutation). A certified
@@ -60,10 +60,9 @@
 //! budget exhaustion — degrades to [`StreamVerdict::Unknown`] and stays
 //! there.
 
-use crate::arena::HistoryArena;
 use crate::history::{History, PendingHistory, PendingOp, TimedOp};
-use crate::monitor::{self, verify_witness, MonitorOutcome};
-use crate::wing_gong::{self, CheckConfig, Verdict};
+use crate::monitor;
+use crate::prelude::{CheckConfig, Verdict};
 use lintime_adt::fxhash::FxBuildHasher;
 use lintime_adt::spec::{Invocation, ObjState, ObjectSpec, OpInstance, OpMeta, SpecKind};
 use lintime_adt::value::Value;
@@ -599,7 +598,7 @@ impl StreamChecker {
             if let Some(m) = &self.metrics {
                 m.fallbacks.inc();
             }
-            match monitor::check_fast_pending_with(&self.seeded, &ph, self.cfg.check) {
+            match monitor::check_fast_pending_with(&self.seeded, &ph, self.cfg.check, &Obs::off()) {
                 Verdict::Linearizable(_) => {}
                 Verdict::NotLinearizable => {
                     self.verdict =
@@ -714,41 +713,25 @@ impl StreamChecker {
     /// or budget exhaustion (which drop the rest of the window anyway).
     fn decide_prefix(&mut self, k: usize, gc: bool) {
         let hist = History { ops: self.window.drain(..k).collect() };
-        let outcome = monitor::dispatch_monitor(&self.seeded, &hist, self.cfg.check);
-        let order = match outcome {
-            MonitorOutcome::Witness(order) if verify_witness(&self.seeded, &hist, &order) => {
-                Some(order)
+        let (verdict, fell_back) =
+            monitor::ladder(&self.seeded, &hist, self.cfg.check, &Obs::off());
+        if fell_back {
+            // Ambiguous window: it took the bounded offline Wing–Gong re-check.
+            self.stats.fallbacks += 1;
+            if let Some(m) = &self.metrics {
+                m.fallbacks.inc();
             }
-            MonitorOutcome::Violation => {
+        }
+        let order = match verdict {
+            Verdict::Linearizable(order) => order,
+            Verdict::NotLinearizable => {
                 self.verdict = StreamVerdict::Violation(ViolationEvidence { window: hist });
                 self.die();
                 return;
             }
-            // An unverifiable witness is a monitor bug, not a verdict; treat
-            // it like a deferral.
-            MonitorOutcome::Witness(_) | MonitorOutcome::Deferred => None,
-        };
-        let order = match order {
-            Some(order) => order,
-            None => {
-                // Ambiguous window: bounded offline Wing–Gong re-check.
-                self.stats.fallbacks += 1;
-                if let Some(m) = &self.metrics {
-                    m.fallbacks.inc();
-                }
-                let arena = HistoryArena::from_history(&hist);
-                match wing_gong::check_arena_with(&self.seeded, &arena, self.cfg.check) {
-                    Verdict::Linearizable(order) => order,
-                    Verdict::NotLinearizable => {
-                        self.verdict = StreamVerdict::Violation(ViolationEvidence { window: hist });
-                        self.die();
-                        return;
-                    }
-                    Verdict::Unknown => {
-                        self.degrade(UnknownReason::FallbackBudget);
-                        return;
-                    }
-                }
+            Verdict::Unknown => {
+                self.degrade(UnknownReason::FallbackBudget);
+                return;
             }
         };
         // Certified. Snapshot for audit before the base state advances.
@@ -1016,6 +999,7 @@ pub fn replay_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::verify_witness;
     use lintime_adt::prelude::*;
 
     /// Feed a complete op as invoke+respond.

@@ -126,12 +126,6 @@ pub struct CheckConfig {
     /// checker degrades to [`Verdict::Unknown`] rather than silently
     /// guessing. See [`crate::monitor::check_fast_pending`].
     pub max_pending_candidates: usize,
-    /// Complete pending *mixed* operations (CAS, dequeue, pop) through the
-    /// free-response search ([`check_free_with`]) instead of bailing to
-    /// [`Verdict::Unknown`]. On by default; turning it off restores the
-    /// pure-mutator-only completion rule (useful for measuring how much of
-    /// the `Unknown` bucket the search empties).
-    pub mixed_completion: bool,
     /// Worker threads for the parallel search. `0` (the default) resolves to
     /// [`std::thread::available_parallelism`]; `1` forces the sequential
     /// search. Parallelism only engages for histories longer than
@@ -142,12 +136,7 @@ pub struct CheckConfig {
 
 impl Default for CheckConfig {
     fn default() -> Self {
-        CheckConfig {
-            max_nodes: 5_000_000,
-            max_pending_candidates: 8,
-            mixed_completion: true,
-            threads: 0,
-        }
+        CheckConfig { max_nodes: 5_000_000, max_pending_candidates: 8, threads: 0 }
     }
 }
 
@@ -885,12 +874,22 @@ const PROBE_NODES_PER_OP: u64 = 4;
 /// room for a few early dead ends.
 const PROBE_SLACK_NODES: u64 = 64;
 
-/// Dispatch a decision over an already-built arena. The sequential search
-/// always runs first; when the parallel route is open (`threads > 1` and
-/// more than [`PARALLEL_MIN_OPS`] ops) it runs as a probe capped at
-/// `PROBE_NODES_PER_OP · n + PROBE_SLACK_NODES` nodes, and only a probe that
-/// runs out of budget escalates to [`parallel`] with the nodes it left over.
-fn decide<const STATS: bool>(
+/// Decide an already-built arena: the one way into the search. The
+/// sequential search always runs first; when the parallel route is open
+/// (`threads > 1` and more than [`PARALLEL_MIN_OPS`] ops) it runs as a probe
+/// capped at `PROBE_NODES_PER_OP · n + PROBE_SLACK_NODES` nodes, and only a
+/// probe that runs out of budget escalates to [`parallel`] with the nodes it
+/// left over. `STATS = false` compiles every statistics update out of the
+/// hot loop.
+///
+/// `free[i] == true` marks op `i`'s recorded response as a placeholder: the
+/// search accepts whatever the specification returns for it. This decides
+/// Herlihy–Wing completions of pending operations whose response depends on
+/// unknowable state (CAS, dequeue, pop): a deterministic specification
+/// produces exactly one response per (state, op) pair and the search tries
+/// every admissible position, so `NotLinearizable` refutes **every**
+/// response assignment for the marked ops.
+pub(crate) fn decide<const STATS: bool>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
     free: Option<&[bool]>,
@@ -937,41 +936,7 @@ fn decide<const STATS: bool>(
 
 /// [`check`] with an explicit configuration.
 pub fn check_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: CheckConfig) -> Verdict {
-    // STATS = false compiles every stats update out of the hot loop.
     decide::<false>(spec, &HistoryArena::from_history(history), None, cfg).0
-}
-
-/// [`check_with`] over a pre-built [`HistoryArena`], so callers that already
-/// transposed the history (e.g. the monitor dispatcher) do not pay a second
-/// extraction.
-pub fn check_arena_with(
-    spec: &Arc<dyn ObjectSpec>,
-    arena: &HistoryArena,
-    cfg: CheckConfig,
-) -> Verdict {
-    decide::<false>(spec, arena, None, cfg).0
-}
-
-/// [`check_with`] over a history whose marked operations have **free**
-/// responses: `free[i] == true` means op `i`'s recorded return value is a
-/// placeholder and any response the specification produces is accepted.
-///
-/// This decides Herlihy–Wing completions of pending operations whose
-/// response value depends on unknowable state (mixed ops like CAS, dequeue,
-/// pop): a completion with *some* concrete response linearizes iff this
-/// search finds an order, because a deterministic specification produces
-/// exactly one response per (state, op) pair and the search tries every
-/// admissible position. `NotLinearizable` therefore refutes **every**
-/// response assignment for the marked ops, and a returned witness's free-op
-/// responses are whatever replaying the witness order yields.
-pub fn check_free_with(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    free: &[bool],
-    cfg: CheckConfig,
-) -> Verdict {
-    assert_eq!(free.len(), history.len(), "free mask must cover the history");
-    decide::<false>(spec, &HistoryArena::from_history(history), Some(free), cfg).0
 }
 
 /// [`check_with`] plus [`SearchStats`] describing the search that produced
@@ -984,15 +949,6 @@ pub fn check_with_stats(
     cfg: CheckConfig,
 ) -> (Verdict, SearchStats) {
     decide::<true>(spec, &HistoryArena::from_history(history), None, cfg)
-}
-
-/// [`check_with_stats`] over a pre-built [`HistoryArena`].
-pub fn check_arena_with_stats(
-    spec: &Arc<dyn ObjectSpec>,
-    arena: &HistoryArena,
-    cfg: CheckConfig,
-) -> (Verdict, SearchStats) {
-    decide::<true>(spec, arena, None, cfg)
 }
 
 #[cfg(test)]
@@ -1158,6 +1114,11 @@ mod tests {
         assert!(stats.nodes <= max_nodes, "{} nodes > budget {max_nodes}", stats.nodes);
     }
 
+    /// The free-response search: ops marked in `free` accept any response.
+    fn check_free(spec: &Arc<dyn ObjectSpec>, h: &History, free: &[bool]) -> Verdict {
+        decide::<false>(spec, &HistoryArena::from_history(h), Some(free), CheckConfig::default()).0
+    }
+
     #[test]
     fn free_response_search_accepts_any_return() {
         let spec = erase(FifoQueue::new());
@@ -1169,7 +1130,7 @@ mod tests {
         ]);
         assert_eq!(check(&spec, &h), Verdict::NotLinearizable);
         let free = [false, true];
-        assert!(check_free_with(&spec, &h, &free, CheckConfig::default()).is_linearizable());
+        assert!(check_free(&spec, &h, &free).is_linearizable());
         // A free op still cannot repair an unrelated contradiction.
         let bad = History::from_tuples(vec![
             (0, inst("enqueue", 1, ()), 0, 10),
@@ -1177,10 +1138,7 @@ mod tests {
             (2, inst("peek", (), 7), 40, 50), // queue is empty after dequeue
         ]);
         let free = [false, true, false];
-        assert_eq!(
-            check_free_with(&spec, &bad, &free, CheckConfig::default()),
-            Verdict::NotLinearizable
-        );
+        assert_eq!(check_free(&spec, &bad, &free), Verdict::NotLinearizable);
     }
 
     #[test]
@@ -1193,17 +1151,14 @@ mod tests {
             (1, inst("read", (), 5), 10, 20),
         ]);
         let free = [true, false];
-        assert!(check_free_with(&spec, &h, &free, CheckConfig::default()).is_linearizable());
+        assert!(check_free(&spec, &h, &free).is_linearizable());
         // Bound, with the wrong recorded ret, it is refuted.
         let bound = [false, false];
         let h2 = History::from_tuples(vec![
             (0, inst("rmw", 5, 1), 0, 100), // rmw on 0 returns 0, not 1
             (1, inst("read", (), 5), 10, 20),
         ]);
-        assert_eq!(
-            check_free_with(&spec, &h2, &bound, CheckConfig::default()),
-            Verdict::NotLinearizable
-        );
+        assert_eq!(check_free(&spec, &h2, &bound), Verdict::NotLinearizable);
     }
 
     /// A queue history whose dequeues force at least one backtrack (so the
@@ -1485,12 +1440,15 @@ mod tests {
                 (1, inst("dequeue", (), 2), 20, 30),
             ]),
         ] {
+            // One arena serves both statistics modes, with the same verdict
+            // (witness included) as the history entry points.
             let arena = HistoryArena::from_history(&h);
             let cfg = CheckConfig { threads: 1, ..CheckConfig::default() };
-            assert_eq!(check_arena_with(&spec, &arena, cfg), check_with(&spec, &h, cfg));
-            let (v1, _) = check_arena_with_stats(&spec, &arena, cfg);
-            let (v2, _) = check_with_stats(&spec, &h, cfg);
+            assert_eq!(decide::<false>(&spec, &arena, None, cfg).0, check_with(&spec, &h, cfg));
+            let (v1, s1) = decide::<true>(&spec, &arena, None, cfg);
+            let (v2, s2) = check_with_stats(&spec, &h, cfg);
             assert_eq!(v1, v2);
+            assert_eq!(s1, s2);
         }
     }
 }

@@ -11,14 +11,11 @@
 //! checks each completed history. The two must agree whenever the fast
 //! checker is decisive — in particular, `NotLinearizable` may only be
 //! claimed when every completion is refuted.
-//!
-//! The suite also pins the reason `CheckConfig::mixed_completion` exists:
-//! on the same corpus, the free-response completion rule leaves a strictly
-//! smaller `Unknown` bucket than the legacy pure-mutator-only rule.
 
 use lintime_adt::prelude::*;
 use lintime_adt::spec::OpInstance;
 use lintime_check::prelude::*;
+use lintime_obs::{Obs, Registry, TraceHandle};
 use lintime_sim::rng::SplitMix64;
 use lintime_sim::time::{Pid, Time};
 use std::sync::Arc;
@@ -205,48 +202,34 @@ fn pending_checker_agrees_with_completion_enumeration() {
 }
 
 #[test]
-fn mixed_completion_strictly_shrinks_the_unknown_bucket() {
+fn observed_pending_checker_matches_unobserved() {
+    // The unobserved sweep may run its completions on worker threads; the
+    // observed one runs them in order. Both must return the same verdict,
+    // witness included.
     let spec = erase(FifoQueue::new());
-    let legacy_cfg = CheckConfig { mixed_completion: false, ..CheckConfig::default() };
-    let (mut unknown_free, mut unknown_legacy) = (0u32, 0u32);
+    let obs = Obs::new(TraceHandle::null(), Registry::new());
     for seed in 0u64..300 {
         let ph = arb_pending_history(seed);
-        let free = check_fast_pending(&spec, &ph);
-        let legacy = check_fast_pending_with(&spec, &ph, legacy_cfg);
-        unknown_free += matches!(free, Verdict::Unknown) as u32;
-        unknown_legacy += matches!(legacy, Verdict::Unknown) as u32;
-        // The free rule only ever *decides* histories the legacy rule
-        // abstained on — where both are decisive they agree.
-        match (&free, &legacy) {
-            (Verdict::Linearizable(_), Verdict::NotLinearizable)
-            | (Verdict::NotLinearizable, Verdict::Linearizable(_)) => {
-                panic!("seed {seed}: completion rules contradict each other: {ph:?}")
-            }
-            _ => {}
-        }
-        // And abstention is one-directional: a verdict the legacy rule
-        // reached is never forgotten by the free rule.
-        if matches!(free, Verdict::Unknown) {
-            assert!(
-                matches!(legacy, Verdict::Unknown),
-                "seed {seed}: free rule lost a legacy verdict: {ph:?}"
-            );
-        }
+        let off = check_fast_pending_with(&spec, &ph, CheckConfig::default(), &Obs::off());
+        let on = check_fast_pending_with(&spec, &ph, CheckConfig::default(), &obs);
+        assert_eq!(on, off, "seed {seed}: observing the check changed its verdict: {ph:?}");
     }
-    assert!(
-        unknown_free < unknown_legacy,
-        "free completions did not shrink the Unknown bucket: {unknown_free} vs {unknown_legacy}"
-    );
-    assert!(unknown_legacy > 0, "corpus never produced a legacy Unknown; fuzz has no teeth");
+    // Completions with a free (mixed) op go straight to the search; the rest
+    // take one monitor step each, and every deferral one fallback search.
+    let get = |name: &str| obs.metrics.counter(name).get();
+    let deferred = get("check.monitor.deferred");
+    let steps = get("check.monitor.witnesses") + get("check.monitor.violations") + deferred;
+    assert!(steps > 0, "the corpus never reached the monitors");
+    assert_eq!(get("check.fallback.runs"), deferred);
+    assert_eq!(get("check.monitor.invalid_witnesses"), 0);
 }
 
 #[test]
 fn crash_cut_forces_the_pending_dequeue_to_take_effect() {
     // enqueue(7), enqueue(8) complete; a later completed dequeue returns 8,
     // skipping 7 — legal only if the crashed process's pending dequeue took
-    // effect and consumed 7 first. The legacy rule cannot fabricate a
-    // response for a mixed op, so it abstains; the free search finds the
-    // unique completion.
+    // effect and consumed 7 first. No response can be fabricated for a
+    // mixed op up front; the free search finds the unique completion.
     let spec = erase(FifoQueue::new());
     let complete = History::from_tuples(vec![
         (0, OpInstance::new("enqueue", 7, ()), 0, 10),
@@ -265,16 +248,14 @@ fn crash_cut_forces_the_pending_dequeue_to_take_effect() {
         malformed: 0,
     };
     assert!(check_fast_pending(&spec, &ph).is_linearizable());
-    let legacy = CheckConfig { mixed_completion: false, ..CheckConfig::default() };
-    assert_eq!(check_fast_pending_with(&spec, &ph, legacy), Verdict::Unknown);
     assert!(brute_force_pending(&spec, &ph));
 }
 
 #[test]
 fn refutation_requires_every_completion_refuted() {
     // A completed dequeue returns a value that was never enqueued: no
-    // completion of the pending dequeue can save it. The free rule proves
-    // the negative; the legacy rule can only abstain.
+    // completion of the pending dequeue can save it, and the free search
+    // proves the negative.
     let spec = erase(FifoQueue::new());
     let complete = History::from_tuples(vec![
         (0, OpInstance::new("enqueue", 7, ()), 0, 10),
@@ -292,7 +273,5 @@ fn refutation_requires_every_completion_refuted() {
         malformed: 0,
     };
     assert_eq!(check_fast_pending(&spec, &ph), Verdict::NotLinearizable);
-    let legacy = CheckConfig { mixed_completion: false, ..CheckConfig::default() };
-    assert_eq!(check_fast_pending_with(&spec, &ph, legacy), Verdict::Unknown);
     assert!(!brute_force_pending(&spec, &ph));
 }

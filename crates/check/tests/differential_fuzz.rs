@@ -11,10 +11,14 @@
 //!   random returns; the checkers must still agree (usually, but not always,
 //!   on `NotLinearizable`).
 //!
-//! Every `Linearizable` verdict's witness is additionally replay-verified.
+//! Every `Linearizable` verdict's witness is additionally replay-verified,
+//! and every history is checked a second time with an active observability
+//! bundle, which must not change the verdict (witness included) and must
+//! account for each history exactly once.
 
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
+use lintime_obs::{Obs, Registry, TraceHandle};
 use lintime_sim::rng::SplitMix64;
 use std::sync::Arc;
 
@@ -110,9 +114,12 @@ fn corrupt(h: &History, rng: &mut SplitMix64) -> History {
 }
 
 /// The two checkers must produce the same verdict *class* (witness orders may
-/// differ), and every `Linearizable` witness must replay.
-fn assert_agreement(spec: &Arc<dyn ObjectSpec>, h: &History, label: &str) {
+/// differ), and every `Linearizable` witness must replay. The observed
+/// monitor path must return exactly the unobserved verdict.
+fn assert_agreement(spec: &Arc<dyn ObjectSpec>, h: &History, label: &str, obs: &Obs) {
     let fast = check_fast(spec, h);
+    let observed = check_fast_with(spec, h, CheckConfig::default(), obs);
+    assert_eq!(observed, fast, "{label}: observing the check changed its verdict\n{h:?}");
     let slow = check(spec, h);
     let class = |v: &Verdict| match v {
         Verdict::Linearizable(_) => "linearizable",
@@ -131,6 +138,7 @@ fn assert_agreement(spec: &Arc<dyn ObjectSpec>, h: &History, label: &str) {
 }
 
 fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
+    let obs = Obs::new(TraceHandle::null(), Registry::new());
     for seed in 0..seeds {
         // Distinct streams per (kind, seed): mix the kind name into the seed.
         let mut rng = SplitMix64::seed_from_u64(
@@ -141,10 +149,17 @@ fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
             check_fast(&spec, &legal).is_linearizable(),
             "{kind} seed {seed}: legal-by-construction history rejected\n{legal:?}"
         );
-        assert_agreement(&spec, &legal, &format!("{kind} seed {seed} (legal)"));
+        assert_agreement(&spec, &legal, &format!("{kind} seed {seed} (legal)"), &obs);
         let bad = corrupt(&legal, &mut rng);
-        assert_agreement(&spec, &bad, &format!("{kind} seed {seed} (corrupted)"));
+        assert_agreement(&spec, &bad, &format!("{kind} seed {seed} (corrupted)"), &obs);
     }
+    // Two non-empty histories per seed, each decided by exactly one monitor
+    // step, and every deferral taken by exactly one fallback search.
+    let get = |name: &str| obs.metrics.counter(name).get();
+    let deferred = get("check.monitor.deferred");
+    let steps = get("check.monitor.witnesses") + get("check.monitor.violations") + deferred;
+    assert_eq!(steps, 2 * seeds, "{kind}: monitor outcomes do not account for every history");
+    assert_eq!(get("check.fallback.runs"), deferred, "{kind}: fallbacks != deferrals");
 }
 
 const SEEDS_PER_KIND: u64 = 200;

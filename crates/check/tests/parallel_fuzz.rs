@@ -24,6 +24,7 @@
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
 use lintime_check::wing_gong::{check_with_stats, PARALLEL_MIN_OPS};
+use lintime_obs::Obs;
 use lintime_sim::rng::SplitMix64;
 use lintime_sim::time::{Pid, Time};
 use std::sync::Arc;
@@ -229,7 +230,8 @@ fn assert_pending_agreement(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory, lab
     let verdicts: Vec<Verdict> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            check_fast_pending_with(spec, ph, CheckConfig { threads, ..CheckConfig::default() })
+            let cfg = CheckConfig { threads, ..CheckConfig::default() };
+            check_fast_pending_with(spec, ph, cfg, &Obs::off())
         })
         .collect();
     for (threads, v) in THREAD_COUNTS.iter().zip(&verdicts) {

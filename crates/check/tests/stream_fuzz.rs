@@ -199,7 +199,7 @@ fn offline_class(spec: &Arc<dyn ObjectSpec>, h: &History, pending: &[PendingOp])
             horizon,
             malformed: 0,
         };
-        check_fast_pending_with(spec, &ph, CheckConfig::default())
+        check_fast_pending(spec, &ph)
     };
     match verdict {
         Verdict::Linearizable(order) => {

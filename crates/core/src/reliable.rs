@@ -448,7 +448,7 @@ pub fn run_reliable_checked(
 ) -> CheckedRun {
     let run = run_reliable(spec, cfg, x, recovery);
     let verdict = match History::from_run(&run) {
-        Ok(history) => match check_fast_with(spec, &history, check_cfg) {
+        Ok(history) => match check_fast_with(spec, &history, check_cfg, &Obs::off()) {
             Verdict::Linearizable(_) => RunVerdict::Linearizable,
             Verdict::NotLinearizable => RunVerdict::NotLinearizable,
             Verdict::Unknown => RunVerdict::Unknown,
