@@ -17,7 +17,7 @@
 //! machinery operates on [`crate::bitset::BitSet`] words instead of per-op
 //! edge lists.
 
-use crate::history::History;
+use crate::history::{History, TimedOp};
 use lintime_adt::value::Value;
 
 /// The struct-of-arrays form of a concurrent history. All columns have the
@@ -53,7 +53,13 @@ impl HistoryArena {
     /// Transpose a history into arena form (one `O(n log n)` pass; the only
     /// allocation the checker performs per decision besides its own stack).
     pub fn from_history(history: &History) -> HistoryArena {
-        let n = history.ops.len();
+        Self::from_ops(&history.ops, &[])
+    }
+
+    /// The arena of `head` followed by `tail`, without concatenating them
+    /// first.
+    pub(crate) fn from_ops(head: &[TimedOp], tail: &[TimedOp]) -> HistoryArena {
+        let n = head.len() + tail.len();
         assert!(u32::try_from(n).is_ok(), "history too large for u32 arena indices");
         let mut arena = HistoryArena {
             op: Vec::with_capacity(n),
@@ -62,11 +68,11 @@ impl HistoryArena {
             pid: Vec::with_capacity(n),
             t_invoke: Vec::with_capacity(n),
             t_respond: Vec::with_capacity(n),
-            by_invoke: (0..n as u32).collect(),
+            by_invoke: Vec::new(),
             invokes_sorted: Vec::with_capacity(n),
-            by_respond: (0..n as u32).collect(),
+            by_respond: Vec::new(),
         };
-        for op in &history.ops {
+        for op in head.iter().chain(tail) {
             arena.op.push(op.instance.op);
             arena.arg.push(op.instance.arg.clone());
             arena.ret.push(op.instance.ret.clone());
@@ -74,9 +80,9 @@ impl HistoryArena {
             arena.t_invoke.push(op.t_invoke.0);
             arena.t_respond.push(op.t_respond.0);
         }
-        arena.by_invoke.sort_unstable_by_key(|&i| (arena.t_invoke[i as usize], i));
+        arena.by_invoke = sorted_order(&arena.t_invoke);
         arena.invokes_sorted.extend(arena.by_invoke.iter().map(|&i| arena.t_invoke[i as usize]));
-        arena.by_respond.sort_unstable_by_key(|&i| (arena.t_respond[i as usize], i));
+        arena.by_respond = sorted_order(&arena.t_respond);
         arena
     }
 
@@ -89,6 +95,24 @@ impl HistoryArena {
     pub fn is_empty(&self) -> bool {
         self.op.is_empty()
     }
+}
+
+/// The indices of `times` sorted by `(time, index)`. A column already in
+/// order is the identity — stream windows arrive in response order and
+/// recorded runs in invocation order — and is returned without sorting;
+/// otherwise packed `(time, index)` keys are sorted as plain integers.
+fn sorted_order(times: &[i64]) -> Vec<u32> {
+    if times.is_sorted() {
+        return (0..times.len() as u32).collect();
+    }
+    // Flipping the sign bit maps i64 order onto u64 order.
+    let mut keys: Vec<u128> = times
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| ((t ^ i64::MIN) as u64 as u128) << 32 | i as u128)
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as u32).collect()
 }
 
 #[cfg(test)]
@@ -136,6 +160,39 @@ mod tests {
             let naive: Vec<usize> =
                 (0..h.len()).filter(|&j| j != i && h.ops[j].precedes(&h.ops[i])).collect();
             assert_eq!(prefix, naive, "op {i}");
+        }
+    }
+
+    #[test]
+    fn sort_orders_match_a_reference_sort_in_and_out_of_order() {
+        use lintime_sim::rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(0xA7E4A);
+        // Narrow time ranges force equal-time ties; they straddle zero.
+        let mut ops: Vec<(usize, OpInstance, i64, i64)> = (0..200)
+            .map(|i| {
+                let t = rng.gen_range(-8i64..8);
+                (i % 5, OpInstance::new("op", i as i64, 0), t, t + rng.gen_range(0i64..6))
+            })
+            .collect();
+        let reference = |times: &[i64]| {
+            let mut order: Vec<u32> = (0..times.len() as u32).collect();
+            order.sort_by_key(|&i| (times[i as usize], i));
+            order
+        };
+        // Shuffled, then in invocation order (a recorded run), then in
+        // response order (a stream window): each sorted column skips its sort.
+        for round in 0..3 {
+            match round {
+                1 => ops.sort_by_key(|o| o.2),
+                2 => ops.sort_by_key(|o| o.3),
+                _ => {}
+            }
+            let a = HistoryArena::from_history(&History::from_tuples(ops.clone()));
+            assert_eq!(a.t_invoke, ops.iter().map(|o| o.2).collect::<Vec<_>>(), "round {round}");
+            assert_eq!(a.by_invoke, reference(&a.t_invoke), "round {round}");
+            assert_eq!(a.by_respond, reference(&a.t_respond), "round {round}");
+            let invokes: Vec<i64> = a.by_invoke.iter().map(|&i| a.t_invoke[i as usize]).collect();
+            assert_eq!(a.invokes_sorted, invokes, "round {round}");
         }
     }
 

@@ -36,14 +36,12 @@ pub mod queue_like;
 pub mod register;
 
 use crate::arena::HistoryArena;
-use crate::history::{History, PendingHistory, PendingOp, TimedOp};
+use crate::history::{History, PendingHistory, TimedOp};
 use crate::wing_gong::{self, CheckConfig, SearchStats, Verdict, FRONTIER_BUCKETS};
 use lintime_adt::spec::{ObjectSpec, OpClass, OpInstance, SpecKind};
 use lintime_obs::{EventCategory, Obs};
 use lintime_sim::time::Time;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What a specialized monitor concluded about a history.
@@ -66,7 +64,7 @@ pub enum MonitorOutcome {
 /// interchangeable, and [`Verdict::Unknown`] can only arise from the
 /// fallback path's node budget.
 pub fn check_fast(spec: &Arc<dyn ObjectSpec>, history: &History) -> Verdict {
-    ladder(spec, history, CheckConfig::default(), &Obs::off()).0
+    ladder(spec, history, &[], None, CheckConfig::default(), &Obs::off()).0
 }
 
 /// [`check_fast`] with an explicit configuration and checker observability.
@@ -83,17 +81,24 @@ pub fn check_fast_with(
     cfg: CheckConfig,
     obs: &Obs,
 ) -> Verdict {
-    ladder(spec, history, cfg, obs).0
+    ladder(spec, history, &[], None, cfg, obs).0
 }
 
 /// The decision ladder behind every monitor-first entry point, the streaming
-/// checker's windows included: the specialized monitor, then a replay of its
-/// witness, then — when the monitor defers or its witness fails replay — the
-/// Wing–Gong search over one [`HistoryArena`]. Returns the verdict and
-/// whether the search ran.
+/// checker's windows and pending histories included: the specialized
+/// monitor, then a replay of its witness, then — when the monitor defers or
+/// its witness fails replay — the Wing–Gong search over one
+/// [`HistoryArena`]. Returns the verdict and whether the search ran.
+///
+/// `optional` ops (with their `free` marks, covering `history` too) join the
+/// search only, after `history`'s ops: it may leave them out (see
+/// `wing_gong::decide`). The monitor sees `history` alone, so with optional
+/// ops only its witness decides; its violation sends the search on.
 pub(crate) fn ladder(
     spec: &Arc<dyn ObjectSpec>,
     history: &History,
+    optional: &[TimedOp],
+    free: Option<&[bool]>,
     cfg: CheckConfig,
     obs: &Obs,
 ) -> (Verdict, bool) {
@@ -135,10 +140,13 @@ pub(crate) fn ladder(
         }
         MonitorOutcome::Violation => {
             count(obs, "check.monitor.violations");
-            obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                "monitor violation certificate: not linearizable".to_string()
+            obs.emit(t_end, None, EventCategory::CheckPhase, || match optional.len() {
+                0 => "monitor violation certificate: not linearizable".to_string(),
+                k => format!("monitor violation certificate; searching with {k} optional ops"),
             });
-            return (Verdict::NotLinearizable, false);
+            if optional.is_empty() {
+                return (Verdict::NotLinearizable, false);
+            }
         }
         MonitorOutcome::Deferred => {
             count(obs, "check.monitor.deferred");
@@ -150,11 +158,11 @@ pub(crate) fn ladder(
     // Transpose once and hand the arena straight to the search: the decision
     // — including every parallel worker it spawns — shares this single
     // read-only extraction.
-    let arena = HistoryArena::from_history(history);
+    let arena = HistoryArena::from_ops(&history.ops, optional);
     if !active {
-        return (wing_gong::decide::<false>(spec, &arena, None, cfg).0, true);
+        return (wing_gong::decide::<false>(spec, &arena, free, history.len(), cfg).0, true);
     }
-    let (verdict, stats) = wing_gong::decide::<true>(spec, &arena, None, cfg);
+    let (verdict, stats) = wing_gong::decide::<true>(spec, &arena, free, history.len(), cfg);
     record_fallback(obs, t_end, &verdict, &stats);
     (verdict, true)
 }
@@ -226,193 +234,99 @@ fn dispatch_monitor(
 ///
 /// A history with pending operations is linearizable iff **some completion**
 /// is — where a completion removes each pending operation or extends it with
-/// a response. The enumeration is kept sound and small:
+/// a response. Which pending operations are *candidates* for inclusion:
 ///
 /// * pending ops with `may_have_effect == false` are removed outright (their
 ///   absence of effect is proven, e.g. invoked at/after the process crash);
 /// * pending **pure accessors** are removed: they never change state, so
 ///   including them can neither enable nor break any other operation;
-/// * pending **pure mutators** are tried both removed and included. An
-///   included one gets its class-constant return value (a pure mutator's
-///   response carries no state information) and responds at the history
-///   horizon, the most permissive choice;
-/// * pending **mixed** (or unknown) operations are tried both removed and
-///   included with a **free** response: the general search accepts whatever
-///   response the specification produces at each tried position, which
-///   exhaustively covers every concrete response value a completion could
-///   assign.
+/// * pending **pure mutators** are candidates. An included one gets its
+///   class-constant return value (a pure mutator's response carries no state
+///   information);
+/// * pending **mixed** (or unknown) operations are candidates with a
+///   **free** response: the search accepts whatever response the
+///   specification produces at each tried position, which exhaustively
+///   covers every concrete response value a completion could assign.
 ///
-/// The enumeration is bounded by [`CheckConfig::max_pending_candidates`]
-/// (`2^k` sub-checks); beyond it only the all-removed completion is tried, so
-/// a positive verdict survives but refutation degrades to
+/// An included candidate responds at the horizon (or at the latest
+/// invocation, if a malformed horizon is earlier), so it precedes nothing:
+/// the most permissive choice, and the one that lets a single search decide
+/// every completion.
+///
+/// The decision: with no candidates, [`check_fast`] on the complete part.
+/// Otherwise, when the type's monitor certifies the all-removed completion
+/// with a replay-verified witness, that witness; otherwise **one** Wing–Gong
+/// search over the complete ops followed by the candidates, in which every
+/// candidate is optional: the search succeeds once every complete op is
+/// linearized, and the candidates it placed are the ones the completion
+/// includes. The node budget [`CheckConfig::max_nodes`] bounds that search
+/// like any other, so a history of any size is decided or honestly
 /// [`Verdict::Unknown`].
 ///
-/// `Linearizable` carries a witness into the chosen completion's operation
-/// array (completed ops first, then included pending ops in candidate
-/// order); a free-completed op's fabricated `ret` is a placeholder — its
-/// actual response is whatever replaying the witness order yields. The
-/// witness is that of the lowest linearizing inclusion mask, whatever the
-/// thread count. `NotLinearizable` is only returned when *every* completion
-/// was enumerated and refuted.
+/// `Linearizable` carries a witness that indexes into `ph.complete.ops`
+/// followed by `ph.pending`: an index `ph.complete.len() + j` names
+/// `ph.pending[j]` as included. A free-completed op's response is whatever
+/// replaying the witness order yields. `NotLinearizable` means every
+/// completion is refuted; when `ph.malformed > 0` it degrades to `Unknown`.
 pub fn check_fast_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> Verdict {
     check_fast_pending_with(spec, ph, CheckConfig::default(), &Obs::off())
 }
 
 /// [`check_fast_pending`] with an explicit configuration and checker
-/// observability. An active `obs` records everything [`check_fast_with`]
-/// records for each enumerated completion, plus the counters
-/// `check.pending.budget_exhausted` (bumped whenever
-/// [`CheckConfig::max_pending_candidates`] forces an [`Verdict::Unknown`]
-/// that full enumeration might have decided) and
-/// `check.pending.malformed_degraded`. Observed sweeps run sequentially so
-/// the per-completion metrics stay deterministic.
+/// observability. An active `obs` records what [`check_fast_with`] records:
+/// the monitor step under `check.monitor.*` and the pending search under
+/// `check.fallback.*`, like any fallback; plus the counter
+/// `check.pending.malformed_degraded`.
 pub fn check_fast_pending_with(
     spec: &Arc<dyn ObjectSpec>,
     ph: &PendingHistory,
     cfg: CheckConfig,
     obs: &Obs,
 ) -> Verdict {
-    // Ill-formed records (see `PendingHistory::malformed`) were dropped from
-    // the complete part but are neither completed nor completable pending
-    // ops; a refutation over the remainder could be an artifact of the loss,
-    // so it degrades to Unknown at the end.
-    let taint = |verdict: Verdict| match verdict {
+    let c = ph.complete.len();
+    // Candidates for inclusion: possibly-effective mutators (unknown
+    // operations conservatively count as mutators).
+    let candidates: Vec<usize> = (0..ph.pending.len())
+        .filter(|&j| {
+            let p = &ph.pending[j];
+            p.may_have_effect && spec.op_meta(p.invocation.op).is_none_or(|m| m.class.is_mutator())
+        })
+        .collect();
+    // An included candidate responds no earlier than any invocation, so it
+    // precedes nothing and leaving it out never blocks another op.
+    let respond = (ph.complete.ops.iter().map(|o| o.t_invoke))
+        .chain(candidates.iter().map(|&j| ph.pending[j].t_invoke))
+        .fold(ph.horizon, Time::max);
+    let (optional, is_free): (Vec<TimedOp>, Vec<bool>) = candidates
+        .iter()
+        .map(|&j| {
+            let p = &ph.pending[j];
+            // A pure mutator's return is state-independent: read it off a
+            // fresh object. For a mixed/unknown op the same value is a mere
+            // placeholder — the op is free, and the search accepts whatever
+            // the specification returns at each tried position.
+            let op = p.invocation.op;
+            let ret = spec.new_object().apply(op, &p.invocation.arg);
+            let instance = OpInstance { op, arg: p.invocation.arg.clone(), ret };
+            let free = spec.op_meta(op).is_none_or(|m| m.class != OpClass::PureMutator);
+            (TimedOp { pid: p.pid, instance, t_invoke: p.t_invoke, t_respond: respond }, free)
+        })
+        .unzip();
+    let free = is_free.contains(&true).then(|| [vec![false; c], is_free].concat());
+    match ladder(spec, &ph.complete, &optional, free.as_deref(), cfg, obs).0 {
+        // Re-index the placed candidates into `ph.pending`.
+        Verdict::Linearizable(order) => Verdict::Linearizable(
+            order.into_iter().map(|i| if i < c { i } else { c + candidates[i - c] }).collect(),
+        ),
+        // Ill-formed records (see `PendingHistory::malformed`) were dropped
+        // from the complete part but are neither completed nor completable
+        // pending ops; a refutation over the remainder could be an artifact
+        // of the loss.
         Verdict::NotLinearizable if ph.malformed > 0 => {
             count(obs, "check.pending.malformed_degraded");
             Verdict::Unknown
         }
         v => v,
-    };
-    // Candidates that must be *tried* as included: possibly-effective
-    // mutators (unknown operations conservatively count as mutators).
-    let candidates: Vec<&PendingOp> = ph
-        .pending
-        .iter()
-        .filter(|p| {
-            p.may_have_effect && spec.op_meta(p.invocation.op).is_none_or(|m| m.class.is_mutator())
-        })
-        .collect();
-
-    if candidates.len() > cfg.max_pending_candidates {
-        // Too many completions to enumerate: only the all-removed one is
-        // tried, so a positive verdict survives but refutation cannot.
-        return match ladder(spec, &ph.complete, cfg, obs).0 {
-            Verdict::Linearizable(w) => Verdict::Linearizable(w),
-            _ => {
-                count(obs, "check.pending.budget_exhausted");
-                Verdict::Unknown
-            }
-        };
-    }
-
-    let masks: u64 = 1 << candidates.len();
-    let threads = cfg.effective_threads().min(masks as usize);
-    // Each completion is an independent sub-check, so the mask sweep is an
-    // embarrassingly parallel unit of work: distribute masks across workers
-    // (each running the inner search single-threaded). The lowest linearizing
-    // mask wins, exactly as in the sequential sweep: masks are handed out in
-    // ascending order and workers stop only at masks above the best found,
-    // so every lower mask is decided. Otherwise any Unknown taints, else
-    // every completion was refuted. Observed checks stay sequential so
-    // per-completion metrics remain deterministic.
-    if !obs.is_active() && threads > 1 && masks > 1 {
-        let inner = CheckConfig { threads: 1, ..cfg };
-        let next_mask = AtomicU64::new(0);
-        let any_unknown = AtomicBool::new(false);
-        // The lowest linearizing mask so far, with its witness.
-        let best: Mutex<Option<(u64, Vec<usize>)>> = Mutex::new(None);
-        const POISONED: &str = "a pending-sweep worker panicked";
-        thread::scope(|s| {
-            for _ in 0..threads {
-                let (next_mask, any_unknown, best, candidates) =
-                    (&next_mask, &any_unknown, &best, &candidates);
-                s.spawn(move || loop {
-                    let mask = next_mask.fetch_add(1, Ordering::Relaxed);
-                    let beaten =
-                        best.lock().expect(POISONED).as_ref().is_some_and(|(b, _)| *b < mask);
-                    if mask >= masks || beaten {
-                        break;
-                    }
-                    match eval_completion(spec, ph, inner, obs, candidates, mask) {
-                        Verdict::Linearizable(w) => {
-                            let mut slot = best.lock().expect(POISONED);
-                            if slot.as_ref().is_none_or(|(b, _)| mask < *b) {
-                                *slot = Some((mask, w));
-                            }
-                        }
-                        Verdict::Unknown => any_unknown.store(true, Ordering::Relaxed),
-                        Verdict::NotLinearizable => {}
-                    }
-                });
-            }
-        });
-        return match best.into_inner().expect(POISONED) {
-            Some((_, w)) => Verdict::Linearizable(w),
-            None if any_unknown.load(Ordering::Relaxed) => Verdict::Unknown,
-            None => taint(Verdict::NotLinearizable),
-        };
-    }
-
-    let mut any_unknown = false;
-    for mask in 0..masks {
-        match eval_completion(spec, ph, cfg, obs, &candidates, mask) {
-            Verdict::Linearizable(w) => return Verdict::Linearizable(w),
-            Verdict::Unknown => any_unknown = true,
-            Verdict::NotLinearizable => {}
-        }
-    }
-    if any_unknown {
-        Verdict::Unknown
-    } else {
-        taint(Verdict::NotLinearizable)
-    }
-}
-
-/// Decide one completion of the pending history: include exactly the
-/// candidates selected by `mask`, fabricate their responses, and check the
-/// extended history.
-fn eval_completion(
-    spec: &Arc<dyn ObjectSpec>,
-    ph: &PendingHistory,
-    cfg: CheckConfig,
-    obs: &Obs,
-    candidates: &[&PendingOp],
-    mask: u64,
-) -> Verdict {
-    let mut h = ph.complete.clone();
-    // Free-response marks for the ops appended by this completion
-    // (parallel to `h.ops[ph.complete.len()..]`).
-    let mut appended_free = Vec::new();
-    for (i, p) in candidates.iter().enumerate() {
-        if mask & (1 << i) == 0 {
-            continue;
-        }
-        let is_pure_mutator =
-            spec.op_meta(p.invocation.op).is_some_and(|m| m.class == OpClass::PureMutator);
-        // A pure mutator's return is state-independent: read it off a
-        // fresh object. For a mixed/unknown op the same value is a mere
-        // placeholder — the op is marked free and the search accepts
-        // whatever the specification returns at each tried position.
-        let ret = spec.new_object().apply(p.invocation.op, &p.invocation.arg);
-        h.ops.push(TimedOp {
-            pid: p.pid,
-            instance: OpInstance { op: p.invocation.op, arg: p.invocation.arg.clone(), ret },
-            t_invoke: p.t_invoke,
-            t_respond: ph.horizon.max(p.t_invoke),
-        });
-        appended_free.push(!is_pure_mutator);
-    }
-    if appended_free.contains(&true) {
-        // Free ops bypass the monitors (their placeholder responses would
-        // mislead witness construction): decide with the general search.
-        // Since the specification is deterministic and every admissible
-        // position is tried, a refutation here refutes every response
-        // assignment for the free ops.
-        let mut free = vec![false; ph.complete.len()];
-        free.extend_from_slice(&appended_free);
-        wing_gong::decide::<false>(spec, &HistoryArena::from_history(&h), Some(&free), cfg).0
-    } else {
-        ladder(spec, &h, cfg, obs).0
     }
 }
 
@@ -491,7 +405,9 @@ impl Frontier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::PendingOp;
     use lintime_adt::prelude::*;
+    use lintime_sim::time::Pid;
 
     fn h(tuples: Vec<(usize, OpInstance, i64, i64)>) -> History {
         History::from_tuples(tuples)
@@ -739,9 +655,6 @@ mod tests {
 
     #[test]
     fn pending_checker_enumerates_completions() {
-        use crate::history::{PendingHistory, PendingOp};
-        use lintime_sim::time::Pid;
-
         let spec = erase(Register::new(0));
         // Completed: a read that saw 5. Pending: the write(5) whose response
         // was lost. Dropping the write refutes the read; including it (the
@@ -809,90 +722,48 @@ mod tests {
         assert!(check_fast_pending(&spec, &clean).is_linearizable());
     }
 
-    #[test]
-    fn pending_checker_caps_enumeration() {
-        use crate::history::{PendingHistory, PendingOp};
-        use lintime_sim::time::Pid;
+    /// Pending `write(100 + i)`s invoked at `t0 + i`, for `i` in `0..k`.
+    fn pending_writes(k: i64, t0: i64) -> Vec<PendingOp> {
+        (0..k)
+            .map(|i| PendingOp {
+                pid: Pid(0),
+                invocation: Invocation::new("write", i + 100),
+                t_invoke: Time(t0 + i),
+                may_have_effect: true,
+            })
+            .collect()
+    }
 
-        let spec = erase(Register::new(0));
-        let many = |k: usize| -> Vec<PendingOp> {
-            (0..k)
-                .map(|i| PendingOp {
-                    pid: Pid(0),
-                    invocation: Invocation::new("write", i as i64 + 100),
-                    t_invoke: Time(i as i64),
-                    may_have_effect: true,
-                })
-                .collect()
-        };
-        // Over the cap with an un-refutable complete part: Linearizable via
-        // the all-removed completion, no enumeration needed.
-        let ok = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 0), 50, 60)]),
-            pending: many(9),
-            horizon: Time(60),
+    /// A completed `read -> ret` at [50, 60] beside `pending`, horizon 80.
+    fn read_beside(ret: i64, pending: Vec<PendingOp>) -> PendingHistory {
+        PendingHistory {
+            complete: h(vec![(1, OpInstance::new("read", (), ret), 50, 60)]),
+            pending,
+            horizon: Time(80),
             malformed: 0,
-        };
-        assert!(check_fast_pending(&spec, &ok).is_linearizable());
-        // Over the cap with a complete part that *needs* a pending write:
-        // must degrade to Unknown, never claim a violation.
-        let needs = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
-            pending: many(9),
-            horizon: Time(60),
-            malformed: 0,
-        };
-        assert_eq!(check_fast_pending(&spec, &needs), Verdict::Unknown);
-        // At the cap it enumerates and finds the completing subset.
-        let at_cap = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
-            pending: many(8),
-            horizon: Time(60),
-            malformed: 0,
-        };
-        assert!(check_fast_pending(&spec, &at_cap).is_linearizable());
-        // The cap is configuration, not a constant: raising it lets the
-        // checker decide the history the default budget gave up on.
-        let raised = CheckConfig { max_pending_candidates: 9, ..CheckConfig::default() };
-        assert!(check_fast_pending_with(&spec, &needs, raised, &Obs::off()).is_linearizable());
+        }
     }
 
     #[test]
     fn pending_budget_exhaustion_is_counted() {
-        use crate::history::{PendingHistory, PendingOp};
-        use lintime_sim::time::Pid;
-
         let spec = erase(Register::new(0));
-        let ph = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
-            pending: (0..9)
-                .map(|i| PendingOp {
-                    pid: Pid(0),
-                    invocation: Invocation::new("write", i + 100),
-                    t_invoke: Time(i),
-                    may_have_effect: true,
-                })
-                .collect(),
-            horizon: Time(60),
-            malformed: 0,
-        };
-        let (obs, _ring) = Obs::ring(16);
+        let ph = read_beside(100, pending_writes(9, 0));
+        let (obs, ring) = Obs::ring(64);
+        // The node budget bounds the pending search like any other: out of
+        // nodes, the verdict is Unknown, and the search is recorded.
+        let tight = CheckConfig { max_nodes: 5, threads: 1 };
+        assert_eq!(check_fast_pending_with(&spec, &ph, tight, &obs), Verdict::Unknown);
+        assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 1);
+        assert_eq!(obs.metrics.counter("check.fallback.nodes").get(), 5);
+        assert!(ring.events().iter().any(|e| e.detail.contains("budget exhausted")));
+        // The default budget decides it.
         let cfg = CheckConfig::default();
-        // 9 candidates > budget 8, and the all-removed completion is refuted:
-        // the forced Unknown bumps the budget counter.
-        assert_eq!(check_fast_pending_with(&spec, &ph, cfg, &obs), Verdict::Unknown);
-        assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
-        // Within budget, nothing is counted even when the verdict is Unknown
-        // for other reasons elsewhere; here the decided verdict counts 0.
-        let raised = CheckConfig { max_pending_candidates: 9, ..cfg };
-        assert!(check_fast_pending_with(&spec, &ph, raised, &obs).is_linearizable());
-        assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
+        assert!(check_fast_pending_with(&spec, &ph, cfg, &obs).is_linearizable());
+        assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 2);
     }
 
     #[test]
     fn pending_refutations_degrade_over_malformed_records() {
-        use crate::history::PendingHistory;
-
         let spec = erase(Register::new(0));
         // read -> 5 with nothing pending is a sound refutation...
         let mut ph = PendingHistory {
@@ -921,79 +792,22 @@ mod tests {
         };
         assert!(check_fast_pending(&spec, &good).is_linearizable());
     }
-
-    #[test]
-    fn pending_mask_sweep_parallel_matches_sequential() {
-        use crate::history::{PendingHistory, PendingOp};
-        use lintime_sim::time::Pid;
-
-        let spec = erase(Register::new(0));
-        let pending_writes = |k: i64| -> Vec<PendingOp> {
-            (0..k)
-                .map(|i| PendingOp {
-                    pid: Pid(0),
-                    invocation: Invocation::new("write", i + 100),
-                    t_invoke: Time(i),
-                    may_have_effect: true,
-                })
-                .collect()
-        };
-        // Linearizable only via the completion that includes write(103).
-        let ok = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 103), 50, 60)]),
-            pending: pending_writes(5),
-            horizon: Time(60),
-            malformed: 0,
-        };
-        // Refuted by every one of the 2^5 completions.
-        let bad = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 999), 50, 60)]),
-            pending: pending_writes(5),
-            horizon: Time(60),
-            malformed: 0,
-        };
-        for threads in [1, 2, 4] {
-            let cfg = CheckConfig { threads, ..CheckConfig::default() };
-            assert!(
-                check_fast_pending_with(&spec, &ok, cfg, &Obs::off()).is_linearizable(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                check_fast_pending_with(&spec, &bad, cfg, &Obs::off()),
-                Verdict::NotLinearizable,
-                "{threads} threads"
-            );
-        }
-    }
-
     #[test]
     fn pending_witness_does_not_depend_on_thread_scheduling() {
-        use crate::history::{PendingHistory, PendingOp};
-        use lintime_sim::time::Pid;
-
         let spec = erase(Register::new(0));
-        // Every completion that includes write(103) — 16 of the 32 masks —
-        // linearizes, each with a different witness; the lowest such mask
-        // (write(103) alone) is the one the sequential sweep returns.
-        let ph = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 103), 50, 60)]),
-            pending: (0..5)
-                .map(|i| PendingOp {
-                    pid: Pid(0),
-                    invocation: Invocation::new("write", i + 100),
-                    t_invoke: Time(i),
-                    may_have_effect: true,
-                })
-                .collect(),
-            horizon: Time(60),
-            malformed: 0,
-        };
+        // Ten ops, so the search may fork; the probe decides it in one
+        // descent (writes 100..103, then the read), so it never does.
+        // Writes 104..108 are invoked after the read responds and are left
+        // out.
+        let mut pending = pending_writes(4, 0);
+        pending.extend(pending_writes(9, 66).split_off(4));
+        let ph = read_beside(103, pending);
         let check = |threads| {
             let cfg = CheckConfig { threads, ..CheckConfig::default() };
             check_fast_pending_with(&spec, &ph, cfg, &Obs::off())
         };
         let sequential = check(1);
-        assert_eq!(sequential, Verdict::Linearizable(vec![1, 0]));
+        assert_eq!(sequential, Verdict::Linearizable(vec![1, 2, 3, 4, 0]));
         for _ in 0..20 {
             for threads in [1, 2, 4] {
                 assert_eq!(check(threads), sequential, "{threads} threads");

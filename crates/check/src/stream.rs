@@ -714,7 +714,7 @@ impl StreamChecker {
     fn decide_prefix(&mut self, k: usize, gc: bool) {
         let hist = History { ops: self.window.drain(..k).collect() };
         let (verdict, fell_back) =
-            monitor::ladder(&self.seeded, &hist, self.cfg.check, &Obs::off());
+            monitor::ladder(&self.seeded, &hist, &[], None, self.cfg.check, &Obs::off());
         if fell_back {
             // Ambiguous window: it took the bounded offline Wing–Gong re-check.
             self.stats.fallbacks += 1;

@@ -21,9 +21,11 @@
 //! * **Prefix frontiers, no precedence lists.** The predecessors of op `i`
 //!   are exactly the ops that respond before `i` invokes, so the candidate
 //!   set at every node is a *prefix* of the invoke-sorted index array,
-//!   bounded by the earliest pending response — one `partition_point` over a
-//!   contiguous `i64` column per node. Frames carry resume pointers past the
-//!   done prefixes of both sort orders (`Frame::resp_ptr` / `inv_ptr`), so
+//!   bounded by the earliest pending response. That bound never shrinks
+//!   down a search path, so each node finds it by galloping over a
+//!   contiguous `i64` column from its parent's bound — O(1) when the
+//!   frontier barely moves. Frames carry resume pointers past the done
+//!   prefixes of both sort orders (`Frame::resp_ptr` / `inv_ptr`), so
 //!   neither the threshold scan nor the candidate scan ever re-walks ops
 //!   linearized further up the path.
 //! * **In-place conditional apply.** Instead of cloning the object per
@@ -119,13 +121,9 @@ impl Verdict {
 pub struct CheckConfig {
     /// Maximum number of search nodes before giving up with
     /// [`Verdict::Unknown`]. Shared across all workers when the search runs
-    /// in parallel.
+    /// in parallel, and bounding the pending-aware checker's search
+    /// ([`crate::monitor::check_fast_pending`]) like any other.
     pub max_nodes: u64,
-    /// Pending completions are enumerated exhaustively for up to this many
-    /// candidate operations (`2^k` sub-checks); beyond it the pending-aware
-    /// checker degrades to [`Verdict::Unknown`] rather than silently
-    /// guessing. See [`crate::monitor::check_fast_pending`].
-    pub max_pending_candidates: usize,
     /// Worker threads for the parallel search. `0` (the default) resolves to
     /// [`std::thread::available_parallelism`]; `1` forces the sequential
     /// search. Parallelism only engages for histories longer than
@@ -136,7 +134,7 @@ pub struct CheckConfig {
 
 impl Default for CheckConfig {
     fn default() -> Self {
-        CheckConfig { max_nodes: 5_000_000, max_pending_candidates: 8, threads: 0 }
+        CheckConfig { max_nodes: 5_000_000, threads: 0 }
     }
 }
 
@@ -473,6 +471,8 @@ enum Outcome {
 
 /// One node of the iterative depth-first search. Frames hold no object
 /// state: the search keeps a single live object plus interval snapshots.
+/// The default frame is the root's parent: every scan starts at 0.
+#[derive(Default)]
 struct Frame {
     /// Next position in the invoke-sorted index array to try.
     cand: u32,
@@ -490,22 +490,38 @@ struct Frame {
     inv_ptr: u32,
 }
 
-/// Builds the frontier for a node whose undone scans may start at
-/// `resp_from` / `inv_from`; requires at least one undone op.
-fn make_frame(arena: &HistoryArena, done: &BitSet, resp_from: u32, inv_from: u32) -> Frame {
-    let mut rp = resp_from as usize;
+/// Builds the frontier for a child of `parent` (whose done set was a subset
+/// of `done`): the undone scans resume at the parent's pointers, and the
+/// frontier bound gallops up from the parent's — the threshold never
+/// decreases as the done set grows. Requires at least one undone op.
+fn make_frame(arena: &HistoryArena, done: &BitSet, parent: &Frame) -> Frame {
+    let mut rp = parent.resp_ptr as usize;
     while done.get(arena.by_respond[rp] as usize) {
         rp += 1;
     }
     let threshold = arena.t_respond[arena.by_respond[rp] as usize];
-    let cand_end = arena.invokes_sorted.partition_point(|&t| t <= threshold) as u32;
+    let cand_end = gallop(&arena.invokes_sorted, parent.cand_end as usize, threshold) as u32;
     // The op at `by_respond[rp]` is undone and invoked before `threshold`,
     // so the advance stops strictly below `cand_end`.
-    let mut iv = inv_from as usize;
+    let mut iv = parent.inv_ptr as usize;
     while done.get(arena.by_invoke[iv] as usize) {
         iv += 1;
     }
     Frame { cand: iv as u32, cand_end, resp_ptr: rp as u32, inv_ptr: iv as u32 }
+}
+
+/// `sorted.partition_point(|&t| t <= threshold)` for a sorted slice whose
+/// first `from` entries are known to be `<= threshold`: an exponential
+/// search from `from`, then a binary search inside the last step.
+fn gallop(sorted: &[i64], from: usize, threshold: i64) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    // Invariant: `sorted[..lo]` are all `<= threshold`.
+    while sorted.get(lo + step - 1).is_some_and(|&t| t <= threshold) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step - 1).min(sorted.len());
+    lo + sorted[lo..hi].partition_point(|&t| t <= threshold)
 }
 
 /// Accepted ops between object snapshots. Backtracking replays at most
@@ -514,7 +530,9 @@ fn make_frame(arena: &HistoryArena, done: &BitSet, resp_from: u32, inv_from: u32
 /// `clone_box` per `SNAP_INTERVAL` accepted ops.
 const SNAP_INTERVAL: usize = 8;
 
-/// Depth-first search over all linearizations extending `prefix`.
+/// Depth-first search over all linearizations extending `prefix`. The search
+/// succeeds once the first `required` ops are all linearized; ops past them
+/// are optional and may be left out (see [`decide`]).
 ///
 /// The object-state invariant: `obj` reflects `order[..obj_depth]`, and
 /// `obj_depth == order.len()` iff `obj` is current for the search path
@@ -528,12 +546,15 @@ fn dfs<const STATS: bool, C: Ctx>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
     free: Option<&[bool]>,
+    required: usize,
     prefix: &[u32],
     ctx: &mut C,
     stats: &mut SearchStats,
 ) -> Outcome {
     let n = arena.len();
-    debug_assert!(prefix.len() < n, "callers guarantee at least one undone op");
+    // Required ops not yet linearized; the search succeeds when it hits 0.
+    let mut left = required - prefix.iter().filter(|&&i| (i as usize) < required).count();
+    debug_assert!(left > 0, "callers guarantee at least one undone required op");
     let mut done = BitSet::new(n);
     let mut done_hash = 0u64;
     let mut order: Vec<u32> = Vec::with_capacity(n);
@@ -560,7 +581,7 @@ fn dfs<const STATS: bool, C: Ctx>(
         return Outcome::Stopped;
     }
     let mut stack: Vec<Frame> = Vec::with_capacity(n - order.len() + 1);
-    stack.push(make_frame(arena, &done, 0, 0));
+    stack.push(make_frame(arena, &done, &Frame::default()));
     if STATS {
         stats.nodes += 1;
         // Every done op sits inside the cand_end prefix (the respond-time
@@ -589,6 +610,7 @@ fn dfs<const STATS: bool, C: Ctx>(
             let iu = order.pop().expect("a frame below the root has a linearized op");
             done.clear(iu as usize);
             done_hash ^= fxhash::mix64(iu as u64);
+            left += ((iu as usize) < required) as usize;
             while snaps.len() > 1 && (snaps.len() - 1) * SNAP_INTERVAL > order.len() {
                 snaps.pop();
             }
@@ -639,8 +661,11 @@ fn dfs<const STATS: bool, C: Ctx>(
         done_hash ^= fxhash::mix64(iu as u64);
         order.push(iu);
         obj_depth = order.len();
-        if order.len() == n {
-            return Outcome::Found(order);
+        if i < required {
+            left -= 1;
+            if left == 0 {
+                return Outcome::Found(order);
+            }
         }
         // Children of forced frames (singleton frontier) skip the memo: the
         // only path to them goes through their memoized ancestor.
@@ -654,6 +679,7 @@ fn dfs<const STATS: bool, C: Ctx>(
                 order.pop();
                 done.clear(i);
                 done_hash ^= fxhash::mix64(iu as u64);
+                left += (i < required) as usize;
                 // `obj` stays one op deep of `order`; the next accepted
                 // candidate triggers a snapshot restore.
                 continue;
@@ -665,9 +691,8 @@ fn dfs<const STATS: bool, C: Ctx>(
         if !ctx.try_node() {
             return Outcome::Stopped;
         }
-        let resp_from = stack[top].resp_ptr;
-        let inv_from = stack[top].inv_ptr;
-        stack.push(make_frame(arena, &done, resp_from, inv_from));
+        let frame = make_frame(arena, &done, &stack[top]);
+        stack.push(frame);
         if STATS {
             stats.nodes += 1;
             stats.record_frontier(stack[stack.len() - 1].cand_end as usize - order.len());
@@ -683,6 +708,8 @@ fn dfs<const STATS: bool, C: Ctx>(
 /// One breadth-first seeding node: a viable prefix with its replayed state.
 struct SeedNode {
     prefix: Vec<u32>,
+    /// Required ops not in `prefix`.
+    left: usize,
     done: BitSet,
     done_hash: u64,
     obj: Box<dyn ObjState>,
@@ -709,14 +736,15 @@ fn seed_jobs<const STATS: bool>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
     free: Option<&[bool]>,
+    required: usize,
     target: usize,
     budget: &mut u64,
     stats: &mut SearchStats,
 ) -> Seeded {
-    let n = arena.len();
     let mut layer = vec![SeedNode {
         prefix: Vec::new(),
-        done: BitSet::new(n),
+        left: required,
+        done: BitSet::new(arena.len()),
         done_hash: 0,
         obj: spec.new_object(),
     }];
@@ -725,7 +753,7 @@ fn seed_jobs<const STATS: bool>(
         let mut next: Vec<SeedNode> = Vec::new();
         let mut dedup = U64Set::new();
         for node in &layer {
-            let frame = make_frame(arena, &node.done, 0, 0);
+            let frame = make_frame(arena, &node.done, &Frame::default());
             for &iu in &arena.by_invoke[..frame.cand_end as usize] {
                 let i = iu as usize;
                 if node.done.get(i) {
@@ -750,7 +778,8 @@ fn seed_jobs<const STATS: bool>(
                 }
                 let mut prefix = node.prefix.clone();
                 prefix.push(iu);
-                if prefix.len() == n {
+                let left = node.left - (i < required) as usize;
+                if left == 0 {
                     return Seeded::Done(Verdict::Linearizable(
                         prefix.into_iter().map(|i| i as usize).collect(),
                     ));
@@ -761,7 +790,7 @@ fn seed_jobs<const STATS: bool>(
                 }
                 let mut done = node.done.clone();
                 done.set(i);
-                next.push(SeedNode { prefix, done, done_hash, obj });
+                next.push(SeedNode { prefix, left, done, done_hash, obj });
             }
         }
         if next.is_empty() {
@@ -786,22 +815,18 @@ fn parallel<const STATS: bool>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
     free: Option<&[bool]>,
+    required: usize,
     cfg: CheckConfig,
     threads: usize,
 ) -> (Verdict, SearchStats) {
     let mut stats = SearchStats::default();
     let mut budget = cfg.max_nodes;
-    let jobs = match seed_jobs::<STATS>(
-        spec,
-        arena,
-        free,
-        threads * JOBS_PER_WORKER,
-        &mut budget,
-        &mut stats,
-    ) {
-        Seeded::Done(verdict) => return (verdict, stats),
-        Seeded::Jobs(jobs) => jobs,
-    };
+    let target = threads * JOBS_PER_WORKER;
+    let jobs =
+        match seed_jobs::<STATS>(spec, arena, free, required, target, &mut budget, &mut stats) {
+            Seeded::Done(verdict) => return (verdict, stats),
+            Seeded::Jobs(jobs) => jobs,
+        };
     let queue: Mutex<VecDeque<Vec<u32>>> = Mutex::new(jobs.into());
     let remaining = AtomicU64::new(budget);
     let cancel = AtomicBool::new(false);
@@ -824,7 +849,9 @@ fn parallel<const STATS: bool>(
                     }
                     first = false;
                     let mut ctx = SharedCtx { memo, remaining, quota: 0, cancel };
-                    match dfs::<STATS, _>(spec, arena, free, &prefix, &mut ctx, &mut local) {
+                    match dfs::<STATS, _>(
+                        spec, arena, free, required, &prefix, &mut ctx, &mut local,
+                    ) {
                         Outcome::Found(order) => {
                             let mut w = witness.lock().unwrap();
                             if w.is_none() {
@@ -889,15 +916,25 @@ const PROBE_SLACK_NODES: u64 = 64;
 /// produces exactly one response per (state, op) pair and the search tries
 /// every admissible position, so `NotLinearizable` refutes **every**
 /// response assignment for the marked ops.
+///
+/// Only the first `required` ops must be linearized; ordinary checks pass
+/// `arena.len()`. Ops past them are *optional*: the search succeeds as soon
+/// as every required op is linearized, and the witness names the optional
+/// ops it placed. This decides every inclusion choice for pending
+/// operations in one search, provided each optional op responds no earlier
+/// than any op in the arena is invoked — then it precedes nothing, and
+/// leaving it out never blocks another op.
 pub(crate) fn decide<const STATS: bool>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
     free: Option<&[bool]>,
+    required: usize,
     cfg: CheckConfig,
 ) -> (Verdict, SearchStats) {
     let mut stats = SearchStats::default();
     let n = arena.len();
-    if n == 0 {
+    debug_assert!(required <= n);
+    if required == 0 {
         return (Verdict::Linearizable(Vec::new()), stats);
     }
     if let Some(f) = free {
@@ -911,7 +948,7 @@ pub(crate) fn decide<const STATS: bool>(
         cfg.max_nodes
     };
     let mut ctx = LocalCtx { memo: U64Set::new(), used: 0, max: budget };
-    let outcome = dfs::<STATS, _>(spec, arena, free, &[], &mut ctx, &mut stats);
+    let outcome = dfs::<STATS, _>(spec, arena, free, required, &[], &mut ctx, &mut stats);
     let verdict = match outcome {
         Outcome::Found(order) => {
             Verdict::Linearizable(order.into_iter().map(|i| i as usize).collect())
@@ -922,7 +959,7 @@ pub(crate) fn decide<const STATS: bool>(
             // were never exhaustively explored. The parallel search starts
             // over from the root with whatever budget the probe left.
             let rest = CheckConfig { max_nodes: cfg.max_nodes - ctx.used, ..cfg };
-            let (verdict, mut par) = parallel::<STATS>(spec, arena, free, rest, threads);
+            let (verdict, mut par) = parallel::<STATS>(spec, arena, free, required, rest, threads);
             par.absorb(&stats);
             return (verdict, par);
         }
@@ -936,7 +973,7 @@ pub(crate) fn decide<const STATS: bool>(
 
 /// [`check`] with an explicit configuration.
 pub fn check_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: CheckConfig) -> Verdict {
-    decide::<false>(spec, &HistoryArena::from_history(history), None, cfg).0
+    decide::<false>(spec, &HistoryArena::from_history(history), None, history.len(), cfg).0
 }
 
 /// [`check_with`] plus [`SearchStats`] describing the search that produced
@@ -948,7 +985,7 @@ pub fn check_with_stats(
     history: &History,
     cfg: CheckConfig,
 ) -> (Verdict, SearchStats) {
-    decide::<true>(spec, &HistoryArena::from_history(history), None, cfg)
+    decide::<true>(spec, &HistoryArena::from_history(history), None, history.len(), cfg)
 }
 
 #[cfg(test)]
@@ -1104,11 +1141,7 @@ mod tests {
         // its share, seeding a little more, and the workers the rest.
         let hard = escalating_queue_history(6, false);
         let max_nodes = probe_budget(&hard) + 300;
-        let (v4, stats) = check_with_stats(
-            &spec,
-            &hard,
-            CheckConfig { max_nodes, threads: 4, ..CheckConfig::default() },
-        );
+        let (v4, stats) = check_with_stats(&spec, &hard, CheckConfig { max_nodes, threads: 4 });
         assert_eq!(v4, Verdict::Unknown);
         assert_eq!(stats.workers, 4, "the search must escalate past the probe");
         assert!(stats.nodes <= max_nodes, "{} nodes > budget {max_nodes}", stats.nodes);
@@ -1116,7 +1149,8 @@ mod tests {
 
     /// The free-response search: ops marked in `free` accept any response.
     fn check_free(spec: &Arc<dyn ObjectSpec>, h: &History, free: &[bool]) -> Verdict {
-        decide::<false>(spec, &HistoryArena::from_history(h), Some(free), CheckConfig::default()).0
+        let arena = HistoryArena::from_history(h);
+        decide::<false>(spec, &arena, Some(free), h.len(), CheckConfig::default()).0
     }
 
     #[test]
@@ -1392,7 +1426,7 @@ mod tests {
         let probe = probe_budget(&h);
         for max_nodes in [1, probe / 2, probe - 1, probe] {
             for threads in [2, 4] {
-                let cfg = CheckConfig { max_nodes, threads, ..CheckConfig::default() };
+                let cfg = CheckConfig { max_nodes, threads };
                 let (verdict, stats) = check_with_stats(&spec, &h, cfg);
                 assert_eq!(verdict, Verdict::Unknown, "max_nodes {max_nodes}, {threads} threads");
                 assert_eq!(stats.workers, 1, "nothing is left to escalate with");
@@ -1409,7 +1443,7 @@ mod tests {
             let probe = probe_budget(&h);
             for max_nodes in [probe - 1, probe, probe + 1, probe + 40, probe + 400, 5_000] {
                 for threads in [2, 4] {
-                    let cfg = CheckConfig { max_nodes, threads, ..CheckConfig::default() };
+                    let cfg = CheckConfig { max_nodes, threads };
                     let (verdict, stats) = check_with_stats(&spec, &h, cfg);
                     assert!(
                         stats.nodes <= max_nodes,
@@ -1431,6 +1465,51 @@ mod tests {
     }
 
     #[test]
+    fn galloped_frontier_bound_matches_partition_point() {
+        use lintime_sim::rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(0x6A11_0B00);
+        for _ in 0..300 {
+            let n = rng.gen_range(1usize..48);
+            let tuples = (0..n)
+                .map(|i| {
+                    let t = rng.gen_range(-30i64..30);
+                    (i % 4, inst("write", 0, ()), t, t + rng.gen_range(0i64..20))
+                })
+                .collect();
+            let arena = HistoryArena::from_history(&History::from_tuples(tuples));
+            let mut done = BitSet::new(n);
+            let mut frame = make_frame(&arena, &done, &Frame::default());
+            // Along a random, monotonically growing done set, each child
+            // gallops from its parent's bound to the exact bound.
+            for step in 0..n {
+                let threshold = (0..n).filter(|&i| !done.get(i)).map(|i| arena.t_respond[i]).min();
+                let exact = arena.invokes_sorted.partition_point(|&t| t <= threshold.unwrap());
+                assert_eq!(frame.cand_end as usize, exact, "step {step} of {n}");
+                if step + 1 == n {
+                    break;
+                }
+                let undone: Vec<usize> = (0..n).filter(|&i| !done.get(i)).collect();
+                done.set(undone[rng.gen_range(0..undone.len())]);
+                frame = make_frame(&arena, &done, &frame);
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_edges() {
+        let sorted = [-5i64, -5, 0, 3, 3, 3, 9];
+        for from in 0..=sorted.len() {
+            for threshold in -7..11 {
+                let exact = sorted.partition_point(|&t| t <= threshold);
+                if from <= exact {
+                    assert_eq!(gallop(&sorted, from, threshold), exact, "{from} {threshold}");
+                }
+            }
+        }
+        assert_eq!(gallop(&[], 0, 0), 0);
+    }
+
+    #[test]
     fn arena_entry_point_matches_history_entry_point() {
         let spec = erase(FifoQueue::new());
         for h in [
@@ -1444,8 +1523,9 @@ mod tests {
             // (witness included) as the history entry points.
             let arena = HistoryArena::from_history(&h);
             let cfg = CheckConfig { threads: 1, ..CheckConfig::default() };
-            assert_eq!(decide::<false>(&spec, &arena, None, cfg).0, check_with(&spec, &h, cfg));
-            let (v1, s1) = decide::<true>(&spec, &arena, None, cfg);
+            let n = h.len();
+            assert_eq!(decide::<false>(&spec, &arena, None, n, cfg).0, check_with(&spec, &h, cfg));
+            let (v1, s1) = decide::<true>(&spec, &arena, None, n, cfg);
             let (v2, s2) = check_with_stats(&spec, &h, cfg);
             assert_eq!(v1, v2);
             assert_eq!(s1, s2);

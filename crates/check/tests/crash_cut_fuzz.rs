@@ -4,13 +4,15 @@
 //! A crash cuts a history mid-operation, leaving pending invocations whose
 //! effects may or may not have happened. Linearizability then quantifies
 //! over completions: each pending operation is either dropped or completed
-//! with *some* response. The fast checker enumerates candidate inclusion
-//! masks and resolves mixed-operation responses with the free-response
-//! search; the oracle here enumerates every inclusion subset **and** every
-//! concrete response assignment from the value domain, then permutation-
-//! checks each completed history. The two must agree whenever the fast
-//! checker is decisive — in particular, `NotLinearizable` may only be
-//! claimed when every completion is refuted.
+//! with *some* response. The fast checker runs one search in which every
+//! candidate pending operation is optional, and resolves mixed-operation
+//! responses by accepting whatever the specification returns; the oracle
+//! here enumerates every inclusion subset **and** every concrete response
+//! assignment from the value domain, then permutation-checks each completed
+//! history. The two must agree whenever the fast checker is decisive — in
+//! particular, `NotLinearizable` may only be claimed when every completion
+//! is refuted — and every `Linearizable` witness must replay against the
+//! completion it names.
 
 use lintime_adt::prelude::*;
 use lintime_adt::spec::OpInstance;
@@ -176,6 +178,62 @@ fn arb_pending_history(seed: u64) -> PendingHistory {
     PendingHistory { complete, pending, horizon: Time(100), malformed: 0 }
 }
 
+/// Replay a pending witness against the completion it names: `order`
+/// indexes `ph.complete.ops` followed by `ph.pending`. It must hold every
+/// complete op once and only possibly-effective pending ops, each at most
+/// once; respect real time, with pending ops responding at the horizon; and
+/// replay legally — complete ops reproduce their recorded returns, included
+/// pure mutators their constant return, and free (mixed) ops take whatever
+/// the specification returns.
+fn replay_pending_witness(
+    spec: &Arc<dyn ObjectSpec>,
+    ph: &PendingHistory,
+    order: &[usize],
+) -> Result<(), String> {
+    let c = ph.complete.len();
+    let mut seen = vec![false; c + ph.pending.len()];
+    for &i in order {
+        if i >= seen.len() || seen[i] {
+            return Err(format!("index {i} out of range or repeated"));
+        }
+        seen[i] = true;
+        if i >= c && !ph.pending[i - c].may_have_effect {
+            return Err(format!("pending op {} took no effect but is placed", i - c));
+        }
+    }
+    if !seen[..c].iter().all(|&s| s) {
+        return Err("a complete op is missing".into());
+    }
+    let interval = |i: usize| match ph.complete.ops.get(i) {
+        Some(o) => (o.t_invoke, o.t_respond),
+        None => (ph.pending[i - c].t_invoke, ph.horizon),
+    };
+    let mut max_invoke = Time(i64::MIN);
+    for &i in order {
+        let (t_invoke, t_respond) = interval(i);
+        if t_respond < max_invoke {
+            return Err(format!("op {i} is placed after an op it precedes"));
+        }
+        max_invoke = max_invoke.max(t_invoke);
+    }
+    let mut obj = spec.new_object();
+    for &i in order {
+        if let Some(o) = ph.complete.ops.get(i) {
+            if obj.apply(o.instance.op, &o.instance.arg) != o.instance.ret {
+                return Err(format!("complete op {i} does not reproduce its return"));
+            }
+            continue;
+        }
+        let inv = &ph.pending[i - c].invocation;
+        let ret = obj.apply(inv.op, &inv.arg);
+        let pure_mutator = spec.op_meta(inv.op).is_some_and(|m| m.class == OpClass::PureMutator);
+        if pure_mutator && ret != spec.new_object().apply(inv.op, &inv.arg) {
+            return Err(format!("pure mutator {i} does not return its constant"));
+        }
+    }
+    Ok(())
+}
+
 #[test]
 fn pending_checker_agrees_with_completion_enumeration() {
     let spec = erase(FifoQueue::new());
@@ -184,9 +242,12 @@ fn pending_checker_agrees_with_completion_enumeration() {
         let ph = arb_pending_history(seed);
         let oracle = brute_force_pending(&spec, &ph);
         match check_fast_pending(&spec, &ph) {
-            Verdict::Linearizable(_) => {
+            Verdict::Linearizable(order) => {
                 decisive += 1;
                 assert!(oracle, "seed {seed}: fast accepted, every completion refuted: {ph:?}");
+                if let Err(why) = replay_pending_witness(&spec, &ph, &order) {
+                    panic!("seed {seed}: witness {order:?} does not replay: {why}\n{ph:?}");
+                }
             }
             Verdict::NotLinearizable => {
                 decisive += 1;
@@ -195,33 +256,41 @@ fn pending_checker_agrees_with_completion_enumeration() {
             Verdict::Unknown => unknown += 1,
         }
     }
-    // The corpus must actually exercise the decision procedure: the free
-    // completion search should decide the overwhelming majority of these
-    // small histories.
+    // The corpus must actually exercise the decision procedure: the pending
+    // search should decide the overwhelming majority of these small
+    // histories.
     assert!(decisive >= 250, "only {decisive} decisive verdicts ({unknown} unknown)");
 }
 
 #[test]
 fn observed_pending_checker_matches_unobserved() {
-    // The unobserved sweep may run its completions on worker threads; the
-    // observed one runs them in order. Both must return the same verdict,
-    // witness included.
+    // Observing the check compiles the search's statistics in; it must not
+    // change the verdict, witness included.
     let spec = erase(FifoQueue::new());
-    let obs = Obs::new(TraceHandle::null(), Registry::new());
+    let (mut deferred, mut searched) = (0u64, 0u64);
     for seed in 0u64..300 {
         let ph = arb_pending_history(seed);
+        let obs = Obs::new(TraceHandle::null(), Registry::new());
         let off = check_fast_pending_with(&spec, &ph, CheckConfig::default(), &Obs::off());
         let on = check_fast_pending_with(&spec, &ph, CheckConfig::default(), &obs);
         assert_eq!(on, off, "seed {seed}: observing the check changed its verdict: {ph:?}");
+        // At most one monitor step (on the complete part) and at most one
+        // search, recorded whenever it runs — free-response ones included;
+        // a certified monitor witness leaves nothing to search.
+        let get = |name: &str| obs.metrics.counter(name).get();
+        let runs = get("check.fallback.runs");
+        let witnesses = get("check.monitor.witnesses");
+        let steps = witnesses + get("check.monitor.violations") + get("check.monitor.deferred");
+        assert!(steps <= 1 && runs <= 1, "seed {seed}: {steps} monitor steps, {runs} searches");
+        assert!(witnesses == 0 || runs == 0, "seed {seed}: searched past a monitor witness");
+        assert!(runs == 0 || get("check.fallback.nodes") > 0, "seed {seed}");
+        assert_eq!(get("check.monitor.invalid_witnesses"), 0);
+        deferred += get("check.monitor.deferred");
+        searched += runs;
     }
-    // Completions with a free (mixed) op go straight to the search; the rest
-    // take one monitor step each, and every deferral one fallback search.
-    let get = |name: &str| obs.metrics.counter(name).get();
-    let deferred = get("check.monitor.deferred");
-    let steps = get("check.monitor.witnesses") + get("check.monitor.violations") + deferred;
-    assert!(steps > 0, "the corpus never reached the monitors");
-    assert_eq!(get("check.fallback.runs"), deferred);
-    assert_eq!(get("check.monitor.invalid_witnesses"), 0);
+    assert!(deferred > 0, "the corpus never reached the monitors");
+    // Searches past a refuted all-removed completion count too.
+    assert!(searched > deferred, "{searched} searches, {deferred} deferrals");
 }
 
 #[test]
@@ -274,4 +343,101 @@ fn refutation_requires_every_completion_refuted() {
     };
     assert_eq!(check_fast_pending(&spec, &ph), Verdict::NotLinearizable);
     assert!(!brute_force_pending(&spec, &ph));
+}
+
+/// A completed `read -> ret` at [50, 60] beside pending `write(100 + i)`s
+/// invoked at `i`, for `i` in `0..k`; horizon 80.
+fn read_beside_writes(ret: i64, k: i64) -> PendingHistory {
+    let write = |i: i64| PendingOp {
+        pid: Pid(0),
+        invocation: Invocation::new("write", i + 100),
+        t_invoke: Time(i),
+        may_have_effect: true,
+    };
+    PendingHistory {
+        complete: History::from_tuples(vec![(1, OpInstance::new("read", (), ret), 50, 60)]),
+        pending: (0..k).map(write).collect(),
+        horizon: Time(80),
+        malformed: 0,
+    }
+}
+
+/// `v` is a witness for [`read_beside_writes`]`(ret, ..)`: the read, the
+/// only required op, ends it, right after `write(ret)` (`pending[ret - 100]`,
+/// named `1 + ret - 100`).
+fn assert_read_witness(v: &Verdict, ret: i64) {
+    let Verdict::Linearizable(order) = v else { panic!("expected a witness, got {v:?}") };
+    assert_eq!(order[order.len() - 2..], [(ret - 99) as usize, 0], "{order:?}");
+}
+
+#[test]
+fn pending_checker_decides_past_eight_candidates() {
+    let spec = erase(Register::new(0));
+    // Un-refutable complete part: the monitor certifies the all-removed
+    // completion, however many candidates there are.
+    let ok = read_beside_writes(0, 12);
+    assert_eq!(check_fast_pending(&spec, &ok), Verdict::Linearizable(vec![0]));
+    // A complete part that *needs* one of 9 or 12 pending writes is decided,
+    // with a witness naming the write it placed.
+    for k in [9, 12] {
+        assert_read_witness(&check_fast_pending(&spec, &read_beside_writes(100, k)), 100);
+    }
+    // And a read no completion explains is refuted, not left Unknown.
+    let bad = read_beside_writes(999, 12);
+    assert_eq!(check_fast_pending(&spec, &bad), Verdict::NotLinearizable);
+}
+
+#[test]
+fn pending_search_agrees_across_thread_counts() {
+    let spec = erase(Register::new(0));
+    // Small (always sequential) and wide (past the probe, so 2 and 4 threads
+    // escalate to the parallel search with optional ops).
+    for k in [5, 12] {
+        let (ok, bad) = (read_beside_writes(100 + k / 2, k), read_beside_writes(999, k));
+        for threads in [1, 2, 4] {
+            let cfg = CheckConfig { threads, ..CheckConfig::default() };
+            assert_read_witness(
+                &check_fast_pending_with(&spec, &ok, cfg, &Obs::off()),
+                100 + k / 2,
+            );
+            let v = check_fast_pending_with(&spec, &bad, cfg, &Obs::off());
+            assert_eq!(v, Verdict::NotLinearizable, "{k} candidates, {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn pending_search_skips_the_all_removed_refutation() {
+    // Six concurrent enqueues, dequeued in order around a peek (so the queue
+    // monitor defers), then a dequeue of 99, which only the pending
+    // enqueue(99) explains. Refuting the all-removed completion walks every
+    // enqueue order (about e·6! nodes); the one search with the enqueue
+    // optional descends straight to the witness.
+    let spec = erase(FifoQueue::new());
+    let mut tuples: Vec<(usize, OpInstance, i64, i64)> =
+        (0..6).map(|i| (i as usize, OpInstance::new("enqueue", i, ()), 0, 1000)).collect();
+    tuples.push((6, OpInstance::new("dequeue", (), 0), 2000, 2005));
+    tuples.push((6, OpInstance::new("peek", (), 1), 2010, 2015));
+    for v in 1..6 {
+        tuples.push((6, OpInstance::new("dequeue", (), v), 2010 + 10 * v, 2015 + 10 * v));
+    }
+    tuples.push((6, OpInstance::new("dequeue", (), 99), 2100, 2105));
+    let ph = PendingHistory {
+        complete: History::from_tuples(tuples),
+        pending: vec![PendingOp {
+            pid: Pid(7),
+            invocation: Invocation::new("enqueue", 99),
+            t_invoke: Time(0),
+            may_have_effect: true,
+        }],
+        horizon: Time(3000),
+        malformed: 0,
+    };
+    let n = (ph.complete.len() + ph.pending.len()) as u64;
+    let obs = Obs::new(TraceHandle::null(), Registry::new());
+    let cfg = CheckConfig { threads: 1, ..CheckConfig::default() };
+    assert!(check_fast_pending_with(&spec, &ph, cfg, &obs).is_linearizable());
+    assert_eq!(obs.metrics.counter("check.monitor.deferred").get(), 1);
+    let nodes = obs.metrics.counter("check.fallback.nodes").get();
+    assert!(nodes <= 4 * n + 64, "{nodes} nodes for {n} ops");
 }
