@@ -85,16 +85,21 @@ fn check_key(
     }
 }
 
+/// The values the set and kv writes store: `add`, `remove` and `del`.
+static PRESENT: Value = Value::Bool(true);
+static ABSENT: Value = Value::Bool(false);
+static MISSING: Value = Value::Unit;
+
 /// Reduce one key's ops to register reads/writes. `Ok(None)` is impossible
 /// structurally (kept for symmetry); `Err` short-circuits: a mutator with a
 /// non-ack return can be legal in no sequence.
 #[allow(clippy::type_complexity)]
-fn as_register_instance(
+fn as_register_instance<'a>(
     spec: &Arc<dyn ObjectSpec>,
     key: &Value,
-    history: &History,
+    history: &'a History,
     idxs: &[usize],
-) -> Result<Option<(Vec<RwOp>, Value)>, MonitorOutcome> {
+) -> Result<Option<(Vec<RwOp<'a>>, Value)>, MonitorOutcome> {
     // Probe the key's initial value from a fresh object instead of assuming
     // an empty structure, so seeded specs (e.g. the streaming checker's
     // carried window state) reduce against the correct baseline.
@@ -111,16 +116,16 @@ fn as_register_instance(
                     return Err(MonitorOutcome::Violation);
                 }
                 RwKind::Write(match op.instance.op {
-                    "add" => Value::Bool(true),
-                    "remove" => Value::Bool(false),
+                    "add" => &PRESENT,
+                    "remove" => &ABSENT,
                     "put" => match op.instance.arg.as_pair() {
-                        Some((_, v)) => v.clone(),
+                        Some((_, v)) => v,
                         None => return Err(MonitorOutcome::Deferred),
                     },
-                    _ => Value::Unit, // del: write "missing"
+                    _ => &MISSING, // del: write "missing"
                 })
             }
-            _ => RwKind::Read(op.instance.ret.clone()), // contains / get
+            _ => RwKind::Read(&op.instance.ret), // contains / get
         };
         rw.push(RwOp { idx: i, invoke: op.t_invoke, respond: op.t_respond, kind });
     }

@@ -38,7 +38,7 @@ pub mod register;
 use crate::arena::HistoryArena;
 use crate::history::{History, PendingHistory, TimedOp};
 use crate::wing_gong::{self, CheckConfig, SearchStats, Verdict, FRONTIER_BUCKETS};
-use lintime_adt::spec::{ObjectSpec, OpClass, OpInstance, SpecKind};
+use lintime_adt::spec::{ObjState, ObjectSpec, OpClass, OpInstance, SpecKind};
 use lintime_obs::{EventCategory, Obs};
 use lintime_sim::time::Time;
 use std::sync::Arc;
@@ -64,7 +64,7 @@ pub enum MonitorOutcome {
 /// interchangeable, and [`Verdict::Unknown`] can only arise from the
 /// fallback path's node budget.
 pub fn check_fast(spec: &Arc<dyn ObjectSpec>, history: &History) -> Verdict {
-    ladder(spec, history, &[], None, CheckConfig::default(), &Obs::off()).0
+    ladder(spec, history, &[], None, CheckConfig::default(), &Obs::off()).verdict
 }
 
 /// [`check_fast`] with an explicit configuration and checker observability.
@@ -81,14 +81,26 @@ pub fn check_fast_with(
     cfg: CheckConfig,
     obs: &Obs,
 ) -> Verdict {
-    ladder(spec, history, &[], None, cfg, obs).0
+    ladder(spec, history, &[], None, cfg, obs).verdict
+}
+
+/// What [`ladder`] decided.
+pub(crate) struct Decision {
+    pub verdict: Verdict,
+    /// The object state the witness ends in, from a fresh object of the
+    /// spec: `Some` iff `verdict` is `Linearizable`. It is the state the
+    /// decision's own replay or search ended in, so a caller that carries
+    /// state forward need not replay the witness again.
+    pub state: Option<Box<dyn ObjState>>,
+    /// Whether the Wing–Gong search ran.
+    pub searched: bool,
 }
 
 /// The decision ladder behind every monitor-first entry point, the streaming
 /// checker's windows and pending histories included: the specialized
 /// monitor, then a replay of its witness, then — when the monitor defers or
 /// its witness fails replay — the Wing–Gong search over one
-/// [`HistoryArena`]. Returns the verdict and whether the search ran.
+/// [`HistoryArena`] borrowed from `history` and `optional`.
 ///
 /// `optional` ops (with their `free` marks, covering `history` too) join the
 /// search only, after `history`'s ops: it may leave them out (see
@@ -101,7 +113,7 @@ pub(crate) fn ladder(
     free: Option<&[bool]>,
     cfg: CheckConfig,
     obs: &Obs,
-) -> (Verdict, bool) {
+) -> Decision {
     let active = obs.is_active();
     // Check phases happen after the run; anchor them at the history's end so
     // an interleaved trace reads chronologically.
@@ -111,24 +123,26 @@ pub(crate) fn ladder(
         format!("dispatch: {:?} history of {} ops", spec.kind(), history.len())
     });
     if history.is_empty() {
-        return (Verdict::Linearizable(Vec::new()), false);
+        let state = Some(spec.new_object());
+        return Decision { verdict: Verdict::Linearizable(Vec::new()), state, searched: false };
     }
     match dispatch_monitor(spec, history, cfg) {
         MonitorOutcome::Witness(order) => {
             let t0 = active.then(Instant::now);
-            let ok = verify_witness(spec, history, &order);
+            let replayed = replay(spec, history, &order);
             let replay_us = t0.map_or(0, |t0| t0.elapsed().as_micros() as u64);
             if active {
                 obs.metrics
                     .histogram("check.witness_replay_micros", &[10, 100, 1_000, 10_000])
                     .observe(replay_us);
             }
-            if ok {
+            if let Some(state) = replayed {
                 count(obs, "check.monitor.witnesses");
                 obs.emit(t_end, None, EventCategory::CheckPhase, || {
                     format!("monitor witness verified by replay in {replay_us}us")
                 });
-                return (Verdict::Linearizable(order), false);
+                let verdict = Verdict::Linearizable(order);
+                return Decision { verdict, state: Some(state), searched: false };
             }
             // A monitor bug, not a verdict: never certify an unchecked
             // witness. Decide with the general search instead.
@@ -145,7 +159,11 @@ pub(crate) fn ladder(
                 k => format!("monitor violation certificate; searching with {k} optional ops"),
             });
             if optional.is_empty() {
-                return (Verdict::NotLinearizable, false);
+                return Decision {
+                    verdict: Verdict::NotLinearizable,
+                    state: None,
+                    searched: false,
+                };
             }
         }
         MonitorOutcome::Deferred => {
@@ -159,12 +177,17 @@ pub(crate) fn ladder(
     // — including every parallel worker it spawns — shares this single
     // read-only extraction.
     let arena = HistoryArena::from_ops(&history.ops, optional);
-    if !active {
-        return (wing_gong::decide::<false>(spec, &arena, free, history.len(), cfg).0, true);
-    }
-    let (verdict, stats) = wing_gong::decide::<true>(spec, &arena, free, history.len(), cfg);
-    record_fallback(obs, t_end, &verdict, &stats);
-    (verdict, true)
+    let (verdict, state) = if active {
+        let (verdict, stats, state) =
+            wing_gong::decide::<true>(spec, &arena, free, history.len(), cfg);
+        record_fallback(obs, t_end, &verdict, &stats);
+        (verdict, state)
+    } else {
+        let (verdict, _, state) =
+            wing_gong::decide::<false>(spec, &arena, free, history.len(), cfg);
+        (verdict, state)
+    };
+    Decision { verdict, state, searched: true }
 }
 
 /// Bump the counter `name` if `obs` is active.
@@ -313,7 +336,7 @@ pub fn check_fast_pending_with(
         })
         .unzip();
     let free = is_free.contains(&true).then(|| [vec![false; c], is_free].concat());
-    match ladder(spec, &ph.complete, &optional, free.as_deref(), cfg, obs).0 {
+    match ladder(spec, &ph.complete, &optional, free.as_deref(), cfg, obs).verdict {
         // Re-index the placed candidates into `ph.pending`.
         Verdict::Linearizable(order) => Verdict::Linearizable(
             order.into_iter().map(|i| if i < c { i } else { c + candidates[i - c] }).collect(),
@@ -334,14 +357,25 @@ pub fn check_fast_pending_with(
 /// precedence and replays legally against `spec`. O(n) after the permutation
 /// check.
 pub fn verify_witness(spec: &Arc<dyn ObjectSpec>, history: &History, order: &[usize]) -> bool {
+    replay(spec, history, order).is_some()
+}
+
+/// The check behind [`verify_witness`], keeping what the replay produced:
+/// the object `order` leaves a fresh object of `spec` in, or `None` when
+/// `order` is not a valid witness.
+pub(crate) fn replay(
+    spec: &Arc<dyn ObjectSpec>,
+    history: &History,
+    order: &[usize],
+) -> Option<Box<dyn ObjState>> {
     let n = history.len();
     if order.len() != n {
-        return false;
+        return None;
     }
     let mut seen = vec![false; n];
     for &i in order {
         if i >= n || seen[i] {
-            return false;
+            return None;
         }
         seen[i] = true;
     }
@@ -351,17 +385,18 @@ pub fn verify_witness(spec: &Arc<dyn ObjectSpec>, history: &History, order: &[us
     for &i in order {
         let op = &history.ops[i];
         if op.t_respond < max_invoke {
-            return false;
+            return None;
         }
         max_invoke = max_invoke.max(op.t_invoke);
     }
     // Legality: replay through the erased object (mutates in place; no
     // per-step state clones).
     let mut obj = spec.new_object();
-    order.iter().all(|&i| {
+    let legal = order.iter().all(|&i| {
         let inst = &history.ops[i].instance;
         obj.apply(inst.op, &inst.arg) == inst.ret
-    })
+    });
+    legal.then_some(obj)
 }
 
 /// The scheduling frontier shared by the greedy witness builders: an op may

@@ -25,6 +25,7 @@
 
 use super::MonitorOutcome;
 use crate::history::History;
+use lintime_adt::fxhash::FxBuildHasher;
 use lintime_adt::spec::ObjectSpec;
 use lintime_adt::value::Value;
 use lintime_sim::time::Time;
@@ -33,42 +34,67 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// A parsed read or write, in history-index space.
-pub(crate) struct RwOp {
+pub(crate) struct RwOp<'a> {
     /// Index into `history.ops`.
     pub idx: usize,
     pub invoke: Time,
     pub respond: Time,
     /// `Read(returned value)` or `Write(written value)`.
-    pub kind: RwKind,
+    pub kind: RwKind<'a>,
 }
 
-/// Read (with returned value) or write (with written value).
-pub(crate) enum RwKind {
-    Read(Value),
-    Write(Value),
+/// Read (with returned value) or write (with written value), borrowed from
+/// the history.
+pub(crate) enum RwKind<'a> {
+    Read(&'a Value),
+    Write(&'a Value),
 }
+
+/// Written value → its cluster: the ordinal of its write among the ops'
+/// writes. Keys are op values, which can come from outside (a crafted trace
+/// can slow only its own check).
+type WriteIndex<'a> = HashMap<&'a Value, usize, FxBuildHasher>;
 
 /// Monitor a register history. Defers on any operation other than
 /// `read`/`write`.
 pub fn monitor(spec: &Arc<dyn ObjectSpec>, history: &History) -> MonitorOutcome {
-    let mut rw = Vec::with_capacity(history.len());
-    for (idx, op) in history.ops.iter().enumerate() {
-        let kind = match op.instance.op {
-            "read" => RwKind::Read(op.instance.ret.clone()),
+    // One pass classifies the ops and indexes the written values, so an
+    // ambiguous history defers before any per-op record is built.
+    let mut writes = WriteIndex::default();
+    let mut duplicate = false;
+    for op in &history.ops {
+        match op.instance.op {
+            "read" => {}
             "write" => {
                 if op.instance.ret != Value::Unit {
                     // A write acks with Unit in every legal sequence.
                     return MonitorOutcome::Violation;
                 }
-                RwKind::Write(op.instance.arg.clone())
+                if !duplicate {
+                    duplicate = writes.insert(&op.instance.arg, writes.len()).is_some();
+                }
             }
             _ => return MonitorOutcome::Deferred,
-        };
-        rw.push(RwOp { idx, invoke: op.t_invoke, respond: op.t_respond, kind });
+        }
     }
     // The initial value is whatever a fresh object reads.
     let init = spec.new_object().apply("read", &Value::Unit);
-    cluster_check(&rw, &init)
+    if duplicate || writes.contains_key(&init) {
+        return MonitorOutcome::Deferred;
+    }
+    let rw: Vec<RwOp<'_>> = history
+        .ops
+        .iter()
+        .enumerate()
+        .map(|(idx, op)| {
+            let kind = match op.instance.op {
+                "read" => RwKind::Read(&op.instance.ret),
+                _ => RwKind::Write(&op.instance.arg),
+            };
+            RwOp { idx, invoke: op.t_invoke, respond: op.t_respond, kind }
+        })
+        .collect();
+    order_clusters(&rw, &init, &writes)
 }
 
 /// A reads-from cluster: one write (none for the initial cluster) plus the
@@ -95,17 +121,27 @@ impl Cluster {
 }
 
 /// The cluster-order decision procedure over parsed read/write ops. `init`
-/// is the register's initial value. Also used per key by the set/kv monitor
+/// is the register's initial value. Used per key by the set/kv monitor
 /// ([`super::keyed`]), which reduces each key to a register instance.
-pub(crate) fn cluster_check(ops: &[RwOp], init: &Value) -> MonitorOutcome {
+pub(crate) fn cluster_check(ops: &[RwOp<'_>], init: &Value) -> MonitorOutcome {
     // One cluster per write, keyed by written value; ambiguity defers.
-    let mut by_value: HashMap<&Value, usize> = HashMap::new();
-    let mut clusters: Vec<Cluster> = Vec::new();
-    for (pos, op) in ops.iter().enumerate() {
-        if let RwKind::Write(v) = &op.kind {
-            if v == init || by_value.insert(v, clusters.len()).is_some() {
+    let mut by_value = WriteIndex::default();
+    for op in ops {
+        if let RwKind::Write(v) = op.kind {
+            if v == init || by_value.insert(v, by_value.len()).is_some() {
                 return MonitorOutcome::Deferred;
             }
+        }
+    }
+    order_clusters(ops, init, &by_value)
+}
+
+/// [`cluster_check`] past its ambiguity test: `by_value` indexes the
+/// pairwise distinct written values of `ops`, none equal to `init`.
+fn order_clusters(ops: &[RwOp<'_>], init: &Value, by_value: &WriteIndex<'_>) -> MonitorOutcome {
+    let mut clusters: Vec<Cluster> = Vec::with_capacity(by_value.len());
+    for (pos, op) in ops.iter().enumerate() {
+        if let RwKind::Write(_) = op.kind {
             let mut c = Cluster::empty(Some(pos));
             c.absorb(op.invoke, op.respond);
             clusters.push(c);
@@ -113,7 +149,7 @@ pub(crate) fn cluster_check(ops: &[RwOp], init: &Value) -> MonitorOutcome {
     }
     let mut initial = Cluster::empty(None);
     for (pos, op) in ops.iter().enumerate() {
-        if let RwKind::Read(v) = &op.kind {
+        if let RwKind::Read(v) = op.kind {
             if v == init {
                 initial.reads.push(pos);
                 initial.absorb(op.invoke, op.respond);

@@ -40,9 +40,13 @@
 //!    monitor first, falling back to a bounded offline Wing–Gong re-check
 //!    of the window when the monitor defers (counted in
 //!    `check.stream.fallbacks`; a budget-exhausted fallback degrades to
-//!    [`StreamVerdict::Unknown`], never a false refutation). A certified
-//!    prefix is replayed into the carried base state and dropped from the
-//!    window; a refuted prefix is a **sound violation** of the whole stream.
+//!    [`StreamVerdict::Unknown`], never a false refutation). The decision
+//!    builds its search arena over the window's ops without copying their
+//!    values, and a certified prefix hands on the state its witness ended
+//!    in — the monitor witness's verifying replay, or the search's live
+//!    object — as the new carried base state, so the witness is replayed
+//!    once; the prefix is then dropped from the window. A refuted prefix is
+//!    a **sound violation** of the whole stream.
 //!
 //! Resident memory is therefore `O(flush window + concurrency + unmatched
 //! items)`, flat in the stream length; the committed `BENCH_streaming.json`
@@ -708,22 +712,22 @@ impl StreamChecker {
     }
 
     /// Move `window[..k]` out and decide it against the seeded spec; on
-    /// certification with `gc` set, replay the witness into the base state
-    /// and count the prefix as retired. Sets the sticky verdict on refutation
-    /// or budget exhaustion (which drop the rest of the window anyway).
+    /// certification with `gc` set, the state the witness ends in becomes
+    /// the new base and the prefix counts as retired. Sets the sticky
+    /// verdict on refutation or budget exhaustion (which drop the rest of
+    /// the window anyway).
     fn decide_prefix(&mut self, k: usize, gc: bool) {
         let hist = History { ops: self.window.drain(..k).collect() };
-        let (verdict, fell_back) =
-            monitor::ladder(&self.seeded, &hist, &[], None, self.cfg.check, &Obs::off());
-        if fell_back {
+        let decision = monitor::ladder(&self.seeded, &hist, &[], None, self.cfg.check, &Obs::off());
+        if decision.searched {
             // Ambiguous window: it took the bounded offline Wing–Gong re-check.
             self.stats.fallbacks += 1;
             if let Some(m) = &self.metrics {
                 m.fallbacks.inc();
             }
         }
-        let order = match verdict {
-            Verdict::Linearizable(order) => order,
+        let (order, state) = match decision.verdict {
+            Verdict::Linearizable(order) => (order, decision.state.expect("a witness has a state")),
             Verdict::NotLinearizable => {
                 self.verdict = StreamVerdict::Violation(ViolationEvidence { window: hist });
                 self.die();
@@ -734,20 +738,14 @@ impl StreamChecker {
                 return;
             }
         };
-        // Certified. Snapshot for audit before the base state advances.
-        let snapshot = self
-            .cfg
-            .keep_witnesses
-            .then(|| self.base.lock().expect("stream base poisoned").clone_box());
+        // Certified. The decision replayed (or searched) its witness from
+        // the base state, so `state` is where the witness leaves it; the cut
+        // is canonical, so that is the unique post-prefix state shared by
+        // every linearization. The base it replaces is the audit snapshot.
+        let mut retired = None;
         if gc {
-            // The cut is canonical, so replaying *this* witness yields the
-            // unique post-prefix state shared by every linearization.
-            {
-                let mut base = self.base.lock().expect("stream base poisoned");
-                for &i in &order {
-                    base.apply(hist.ops[i].instance.op, &hist.ops[i].instance.arg);
-                }
-            }
+            let base = &mut *self.base.lock().expect("stream base poisoned");
+            retired = Some(std::mem::replace(base, state));
             self.stats.flushes += 1;
             self.stats.gc_reclaimed += k as u64;
             if let Some(m) = &self.metrics {
@@ -755,7 +753,9 @@ impl StreamChecker {
                 m.gc_reclaimed.add(k as u64);
             }
         }
-        if let Some(snapshot) = snapshot {
+        if self.cfg.keep_witnesses {
+            let snapshot = retired
+                .unwrap_or_else(|| self.base.lock().expect("stream base poisoned").clone_box());
             self.certified.push(CertifiedWindow {
                 spec: Arc::new(SeededSpec {
                     inner: Arc::clone(&self.seeded),
@@ -1401,6 +1401,163 @@ mod tests {
         }
         assert!(flushes > 100, "prefixes must be retired between checks: {flushes}");
         assert!(closed > 0 && closed < cuts, "{closed} closed of {cuts} cuts");
+    }
+
+    /// A legal stream for `spec` of about `ops` operations: three processes,
+    /// each op taking effect in the model when it responds. `pick` chooses
+    /// the next invocation from the rng and a fresh, never-used integer.
+    fn legal_stream(
+        spec: &Arc<dyn ObjectSpec>,
+        ops: usize,
+        seed: u64,
+        pick: fn(&mut lintime_sim::rng::SplitMix64, i64) -> (&'static str, Value),
+    ) -> Vec<OpEvent> {
+        let mut rng = lintime_sim::rng::SplitMix64::seed_from_u64(seed);
+        let mut model = spec.new_object();
+        let mut busy: Vec<Option<(&'static str, Value)>> = vec![None; 3];
+        let (mut events, mut t, mut fresh) = (Vec::new(), 0i64, 1i64);
+        while events.len() < 2 * ops {
+            let pid = rng.gen_range(0..busy.len());
+            t += rng.gen_range(0i64..3);
+            match busy[pid].take() {
+                None => {
+                    let (op, arg) = pick(&mut rng, fresh);
+                    fresh += 1;
+                    events.push(OpEvent::Invoke {
+                        pid: Pid(pid),
+                        t: Time(t),
+                        op,
+                        arg: arg.clone(),
+                    });
+                    busy[pid] = Some((op, arg));
+                }
+                Some((op, arg)) => {
+                    let ret = model.apply(op, &arg);
+                    events.push(OpEvent::Respond { pid: Pid(pid), t: Time(t), ret });
+                }
+            }
+        }
+        events
+    }
+
+    /// The certified base is the state the decision's own work ended in,
+    /// not a second replay of the witness. Over queue, stack, priority-queue,
+    /// register and kv streams, with unique values (monitor witnesses) and
+    /// with duplicates (Wing–Gong witnesses), at two flush sizes: after each
+    /// certified window the base equals a fresh replay of that window's
+    /// witness from the window's snapshot, and a checker whose base is
+    /// overwritten by that replay reaches the same verdicts and statistics.
+    #[test]
+    fn certified_base_is_the_replayed_witness_state() {
+        type Pick = fn(&mut lintime_sim::rng::SplitMix64, i64) -> (&'static str, Value);
+        // Consumers outnumber producers, so the structures stay short and
+        // empty often: closed cuts for the matched types, small searches.
+        let kinds: [(Arc<dyn ObjectSpec>, Pick, Pick); 5] = [
+            (
+                erase(FifoQueue::new()),
+                |rng, v| match rng.gen_range(0..5) {
+                    0 | 1 => ("enqueue", v.into()),
+                    _ => ("dequeue", Value::Unit),
+                },
+                |rng, _| match rng.gen_range(0..5) {
+                    0 | 1 => ("enqueue", rng.gen_range(0i64..4).into()),
+                    _ => ("dequeue", Value::Unit),
+                },
+            ),
+            (
+                erase(Stack::new()),
+                |rng, v| match rng.gen_range(0..5) {
+                    0 | 1 => ("push", v.into()),
+                    _ => ("pop", Value::Unit),
+                },
+                |rng, _| match rng.gen_range(0..5) {
+                    0 | 1 => ("push", rng.gen_range(0i64..4).into()),
+                    _ => ("pop", Value::Unit),
+                },
+            ),
+            (
+                erase(PriorityQueue::new()),
+                |rng, v| match rng.gen_range(0..5) {
+                    0 | 1 => ("insert", v.into()),
+                    _ => ("extract_min", Value::Unit),
+                },
+                |rng, _| match rng.gen_range(0..5) {
+                    0 | 1 => ("insert", rng.gen_range(0i64..4).into()),
+                    _ => ("extract_min", Value::Unit),
+                },
+            ),
+            (
+                erase(Register::new(0)),
+                |rng, v| match rng.gen_range(0..3) {
+                    0 => ("write", v.into()),
+                    _ => ("read", Value::Unit),
+                },
+                |rng, _| match rng.gen_range(0..3) {
+                    0 => ("write", rng.gen_range(1i64..3).into()),
+                    _ => ("read", Value::Unit),
+                },
+            ),
+            (
+                erase(KvStore::new()),
+                |rng, v| match rng.gen_range(0..4) {
+                    0 => ("put", Value::pair(rng.gen_range(0i64..3), v)),
+                    1 => ("del", rng.gen_range(0i64..3).into()),
+                    _ => ("get", rng.gen_range(0i64..3).into()),
+                },
+                |rng, _| match rng.gen_range(0..4) {
+                    0 => ("put", Value::pair(rng.gen_range(0i64..3), rng.gen_range(0i64..2))),
+                    1 => ("del", rng.gen_range(0i64..3).into()),
+                    _ => ("get", rng.gen_range(0i64..3).into()),
+                },
+            ),
+        ];
+        let replay = |cw: &CertifiedWindow| {
+            let mut obj = cw.spec.new_object();
+            for &i in &cw.order {
+                obj.apply(cw.window.ops[i].instance.op, &cw.window.ops[i].instance.arg);
+            }
+            obj
+        };
+        let base = |c: &StreamChecker| c.base.lock().unwrap().canonical();
+        let (mut flushes, mut searched) = (0u64, 0u64);
+        for (spec, unique, duplicates) in &kinds {
+            for seed in 0..4u64 {
+                let pick = if seed % 2 == 0 { *unique } else { *duplicates };
+                let events = legal_stream(spec, 4_000, seed, pick);
+                for flush in [64, 1024] {
+                    let cfg = StreamConfig::default().with_flush_ops(flush).keeping_witnesses();
+                    let mut adopting = StreamChecker::with_config(spec, cfg.clone());
+                    let mut replaying = StreamChecker::with_config(spec, cfg);
+                    let label = format!("{} seed {seed} flush {flush}", spec.name());
+                    for ev in &events {
+                        let flushes = adopting.stats.flushes;
+                        adopting.feed(ev);
+                        replaying.feed(ev);
+                        if adopting.stats.flushes > flushes {
+                            // A window was just certified: the base is where
+                            // its witness leaves the window's snapshot.
+                            let cw = adopting.certified.last().expect("kept");
+                            assert_eq!(base(&adopting), replay(cw).canonical(), "{label}");
+                        }
+                        if replaying.stats.flushes > flushes {
+                            let cw = replaying.certified.last().expect("kept");
+                            *replaying.base.lock().unwrap() = replay(cw);
+                        }
+                        assert_eq!(base(&adopting), base(&replaying), "{label}");
+                    }
+                    let (v1, s1) = adopting.finish();
+                    let (v2, s2) = replaying.finish();
+                    assert!(v1.is_ok(), "{label}: {v1:?}");
+                    assert_eq!(format!("{v1:?}"), format!("{v2:?}"), "{label}");
+                    assert_eq!(format!("{s1:?}"), format!("{s2:?}"), "{label}");
+                    flushes += s1.flushes;
+                    searched += s1.fallbacks;
+                }
+            }
+        }
+        // Fewer searches than flushes: some flushed windows were certified
+        // by a monitor witness.
+        assert!(searched > 0 && searched < flushes, "{searched} searched, {flushes} flushes");
     }
 
     /// `StreamChecker::observed` mirrors its statistics into `check.stream.*`

@@ -459,10 +459,17 @@ impl Ctx for SharedCtx<'_> {
     }
 }
 
+/// A complete legal order and the state it ends in.
+struct Witness {
+    order: Vec<u32>,
+    /// The search's live object after `order`.
+    state: Box<dyn ObjState>,
+}
+
 /// How one depth-first exploration ended.
 enum Outcome {
     /// A complete legal order (includes the job prefix).
-    Found(Vec<u32>),
+    Found(Witness),
     /// Every extension of the prefix was refuted.
     Exhausted,
     /// Budget spent or cancelled before the subtree was exhausted.
@@ -566,7 +573,7 @@ fn dfs<const STATS: bool, C: Ctx>(
     let mut snaps: Vec<Box<dyn ObjState>> = Vec::with_capacity(n / SNAP_INTERVAL + 1);
     for &iu in prefix {
         let i = iu as usize;
-        obj.apply(arena.op[i], &arena.arg[i]);
+        obj.apply(arena.op[i], arena.arg[i]);
         done.set(i);
         done_hash ^= fxhash::mix64(iu as u64);
         order.push(iu);
@@ -635,13 +642,13 @@ fn dfs<const STATS: bool, C: Ctx>(
                 let m = snaps.len();
                 let mut s = snaps[m - 1].clone_box();
                 for &ju in &order[(m - 1) * SNAP_INTERVAL..m * SNAP_INTERVAL] {
-                    s.apply(arena.op[ju as usize], &arena.arg[ju as usize]);
+                    s.apply(arena.op[ju as usize], arena.arg[ju as usize]);
                 }
                 snaps.push(s);
             }
             obj = snaps[k].clone_box();
             for &ju in &order[k * SNAP_INTERVAL..] {
-                obj.apply(arena.op[ju as usize], &arena.arg[ju as usize]);
+                obj.apply(arena.op[ju as usize], arena.arg[ju as usize]);
             }
             obj_depth = d;
         }
@@ -649,10 +656,10 @@ fn dfs<const STATS: bool, C: Ctx>(
         // op commits iff the specification reproduces its recorded response
         // (`apply_if` leaves the state untouched on mismatch).
         let committed = if free.is_some_and(|f| f[i]) {
-            obj.apply(arena.op[i], &arena.arg[i]);
+            obj.apply(arena.op[i], arena.arg[i]);
             true
         } else {
-            obj.apply_if(arena.op[i], &arena.arg[i], &arena.ret[i])
+            obj.apply_if(arena.op[i], arena.arg[i], arena.ret[i])
         };
         if !committed {
             continue;
@@ -664,7 +671,7 @@ fn dfs<const STATS: bool, C: Ctx>(
         if i < required {
             left -= 1;
             if left == 0 {
-                return Outcome::Found(order);
+                return Outcome::Found(Witness { order, state: obj });
             }
         }
         // Children of forced frames (singleton frontier) skip the memo: the
@@ -715,10 +722,11 @@ struct SeedNode {
     obj: Box<dyn ObjState>,
 }
 
-/// Result of job seeding: either the BFS already decided the instance, or a
-/// layer of disjoint viable prefixes to hand to the workers.
+/// Result of job seeding: either the BFS already decided the instance (with
+/// the witness's final state when linearizable), or a layer of disjoint
+/// viable prefixes to hand to the workers.
 enum Seeded {
-    Done(Verdict),
+    Done(Verdict, Option<Box<dyn ObjState>>),
     Jobs(Vec<Vec<u32>>),
 }
 
@@ -761,16 +769,16 @@ fn seed_jobs<const STATS: bool>(
                 }
                 let mut obj = node.obj.clone_box();
                 let committed = if free.is_some_and(|f| f[i]) {
-                    obj.apply(arena.op[i], &arena.arg[i]);
+                    obj.apply(arena.op[i], arena.arg[i]);
                     true
                 } else {
-                    obj.apply_if(arena.op[i], &arena.arg[i], &arena.ret[i])
+                    obj.apply_if(arena.op[i], arena.arg[i], arena.ret[i])
                 };
                 if !committed {
                     continue;
                 }
                 if *budget == 0 {
-                    return Seeded::Done(Verdict::Unknown);
+                    return Seeded::Done(Verdict::Unknown, None);
                 }
                 *budget -= 1;
                 if STATS {
@@ -780,9 +788,8 @@ fn seed_jobs<const STATS: bool>(
                 prefix.push(iu);
                 let left = node.left - (i < required) as usize;
                 if left == 0 {
-                    return Seeded::Done(Verdict::Linearizable(
-                        prefix.into_iter().map(|i| i as usize).collect(),
-                    ));
+                    let order = prefix.into_iter().map(|i| i as usize).collect();
+                    return Seeded::Done(Verdict::Linearizable(order), Some(obj));
                 }
                 let done_hash = node.done_hash ^ fxhash::mix64(iu as u64);
                 if !dedup.insert(fxhash::combine(done_hash, obj.state_hash())) {
@@ -796,7 +803,7 @@ fn seed_jobs<const STATS: bool>(
         if next.is_empty() {
             // Every viable prefix at this depth is a dead end, and the
             // layers cover all viable states: no linearization exists.
-            return Seeded::Done(Verdict::NotLinearizable);
+            return Seeded::Done(Verdict::NotLinearizable, None);
         }
         layer = next;
         depth += 1;
@@ -810,7 +817,7 @@ const JOBS_PER_WORKER: usize = 4;
 
 /// The parallel driver: seed disjoint jobs, run `threads` workers over a
 /// shared queue with a striped memo and a common budget, cancel on the first
-/// witness.
+/// witness. Returns what [`decide`] returns.
 fn parallel<const STATS: bool>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
@@ -818,20 +825,20 @@ fn parallel<const STATS: bool>(
     required: usize,
     cfg: CheckConfig,
     threads: usize,
-) -> (Verdict, SearchStats) {
+) -> (Verdict, SearchStats, Option<Box<dyn ObjState>>) {
     let mut stats = SearchStats::default();
     let mut budget = cfg.max_nodes;
     let target = threads * JOBS_PER_WORKER;
     let jobs =
         match seed_jobs::<STATS>(spec, arena, free, required, target, &mut budget, &mut stats) {
-            Seeded::Done(verdict) => return (verdict, stats),
+            Seeded::Done(verdict, state) => return (verdict, stats, state),
             Seeded::Jobs(jobs) => jobs,
         };
     let queue: Mutex<VecDeque<Vec<u32>>> = Mutex::new(jobs.into());
     let remaining = AtomicU64::new(budget);
     let cancel = AtomicBool::new(false);
     let stopped = AtomicBool::new(false);
-    let witness: Mutex<Option<Vec<u32>>> = Mutex::new(None);
+    let witness: Mutex<Option<Witness>> = Mutex::new(None);
     let memo = ShardedMemo::new();
     let (tx, rx) = mpsc::channel::<SearchStats>();
     thread::scope(|s| {
@@ -852,10 +859,10 @@ fn parallel<const STATS: bool>(
                     match dfs::<STATS, _>(
                         spec, arena, free, required, &prefix, &mut ctx, &mut local,
                     ) {
-                        Outcome::Found(order) => {
+                        Outcome::Found(found) => {
                             let mut w = witness.lock().unwrap();
                             if w.is_none() {
-                                *w = Some(order);
+                                *w = Some(found);
                             }
                             drop(w);
                             cancel.store(true, Ordering::Relaxed);
@@ -885,12 +892,14 @@ fn parallel<const STATS: bool>(
     stats.memo_shards = MEMO_SHARDS as u64;
     stats.memo_peak = memo.total_len() as u64;
     stats.cancelled = cancel.load(Ordering::Relaxed) as u64;
-    let verdict = match witness.into_inner().unwrap() {
-        Some(order) => Verdict::Linearizable(order.into_iter().map(|i| i as usize).collect()),
-        None if stopped.load(Ordering::Relaxed) => Verdict::Unknown,
-        None => Verdict::NotLinearizable,
-    };
-    (verdict, stats)
+    match witness.into_inner().unwrap() {
+        Some(Witness { order, state }) => {
+            let order = order.into_iter().map(|i| i as usize).collect();
+            (Verdict::Linearizable(order), stats, Some(state))
+        }
+        None if stopped.load(Ordering::Relaxed) => (Verdict::Unknown, stats, None),
+        None => (Verdict::NotLinearizable, stats, None),
+    }
 }
 
 /// Nodes per operation the sequential probe may spend before a parallel
@@ -917,6 +926,10 @@ const PROBE_SLACK_NODES: u64 = 64;
 /// every admissible position, so `NotLinearizable` refutes **every**
 /// response assignment for the marked ops.
 ///
+/// A `Linearizable` verdict comes with the object state its witness ends
+/// in: the search's live object at the moment it completed the order, so a
+/// caller that carries state forward need not replay the witness again.
+///
 /// Only the first `required` ops must be linearized; ordinary checks pass
 /// `arena.len()`. Ops past them are *optional*: the search succeeds as soon
 /// as every required op is linearized, and the witness names the optional
@@ -930,12 +943,12 @@ pub(crate) fn decide<const STATS: bool>(
     free: Option<&[bool]>,
     required: usize,
     cfg: CheckConfig,
-) -> (Verdict, SearchStats) {
+) -> (Verdict, SearchStats, Option<Box<dyn ObjState>>) {
     let mut stats = SearchStats::default();
     let n = arena.len();
     debug_assert!(required <= n);
     if required == 0 {
-        return (Verdict::Linearizable(Vec::new()), stats);
+        return (Verdict::Linearizable(Vec::new()), stats, Some(spec.new_object()));
     }
     if let Some(f) = free {
         assert_eq!(f.len(), n, "free mask must cover the history");
@@ -949,26 +962,27 @@ pub(crate) fn decide<const STATS: bool>(
     };
     let mut ctx = LocalCtx { memo: U64Set::new(), used: 0, max: budget };
     let outcome = dfs::<STATS, _>(spec, arena, free, required, &[], &mut ctx, &mut stats);
-    let verdict = match outcome {
-        Outcome::Found(order) => {
-            Verdict::Linearizable(order.into_iter().map(|i| i as usize).collect())
+    let (verdict, state) = match outcome {
+        Outcome::Found(Witness { order, state }) => {
+            (Verdict::Linearizable(order.into_iter().map(|i| i as usize).collect()), Some(state))
         }
-        Outcome::Exhausted => Verdict::NotLinearizable,
+        Outcome::Exhausted => (Verdict::NotLinearizable, None),
         Outcome::Stopped if may_fork && ctx.used < cfg.max_nodes => {
             // The probe's memo is not reusable: entries on its abandoned path
             // were never exhaustively explored. The parallel search starts
             // over from the root with whatever budget the probe left.
             let rest = CheckConfig { max_nodes: cfg.max_nodes - ctx.used, ..cfg };
-            let (verdict, mut par) = parallel::<STATS>(spec, arena, free, required, rest, threads);
+            let (verdict, mut par, state) =
+                parallel::<STATS>(spec, arena, free, required, rest, threads);
             par.absorb(&stats);
-            return (verdict, par);
+            return (verdict, par, state);
         }
-        Outcome::Stopped => Verdict::Unknown,
+        Outcome::Stopped => (Verdict::Unknown, None),
     };
     stats.workers = 1;
     stats.memo_shards = 1;
     stats.memo_peak = ctx.memo.len() as u64;
-    (verdict, stats)
+    (verdict, stats, state)
 }
 
 /// [`check`] with an explicit configuration.
@@ -985,7 +999,9 @@ pub fn check_with_stats(
     history: &History,
     cfg: CheckConfig,
 ) -> (Verdict, SearchStats) {
-    decide::<true>(spec, &HistoryArena::from_history(history), None, history.len(), cfg)
+    let (verdict, stats, _) =
+        decide::<true>(spec, &HistoryArena::from_history(history), None, history.len(), cfg);
+    (verdict, stats)
 }
 
 #[cfg(test)]
@@ -1369,6 +1385,45 @@ mod tests {
         assert!(stats.nodes > probe_budget(&h), "the probe's nodes are counted too");
     }
 
+    /// The state `decide` returns is where its witness leaves a fresh
+    /// object: from the sequential search (threads 1) and from a parallel
+    /// worker's `Found` (the escalating history at threads 2).
+    #[test]
+    fn returned_state_is_the_witness_replayed() {
+        let spec = erase(FifoQueue::new());
+        for mut h in [escalating_queue_history(6, false), backtracking_queue_history(6)] {
+            // Two values left behind, so the final state is not the initial
+            // one and its order shows.
+            let tail = History::from_tuples(vec![
+                (0, inst("enqueue", 100, ()), 5000, 5001),
+                (0, inst("enqueue", 101, ()), 5002, 5003),
+            ]);
+            h.ops.extend(tail.ops);
+            let arena = HistoryArena::from_history(&h);
+            for threads in [1, 2] {
+                let cfg = CheckConfig { threads, ..CheckConfig::default() };
+                let (verdict, stats, state) = decide::<true>(&spec, &arena, None, h.len(), cfg);
+                assert_eq!(stats.workers, threads as u64, "the probe must escalate");
+                let Verdict::Linearizable(order) = verdict else {
+                    panic!("expected a witness at {threads} threads");
+                };
+                let mut replayed = spec.new_object();
+                for &i in &order {
+                    replayed.apply(h.ops[i].instance.op, &h.ops[i].instance.arg);
+                }
+                let state = state.expect("a witness comes with its state");
+                assert_eq!(state.canonical(), replayed.canonical(), "{threads} threads");
+            }
+        }
+        // A refutation has no state.
+        let refuted = escalating_queue_history(6, true);
+        let arena = HistoryArena::from_history(&refuted);
+        let cfg = CheckConfig { threads: 2, ..CheckConfig::default() };
+        let (verdict, _, state) = decide::<false>(&spec, &arena, None, refuted.len(), cfg);
+        assert_eq!(verdict, Verdict::NotLinearizable);
+        assert!(state.is_none());
+    }
+
     #[test]
     fn probe_decides_easy_histories_without_forking() {
         let spec = erase(FifoQueue::new());
@@ -1476,7 +1531,8 @@ mod tests {
                     (i % 4, inst("write", 0, ()), t, t + rng.gen_range(0i64..20))
                 })
                 .collect();
-            let arena = HistoryArena::from_history(&History::from_tuples(tuples));
+            let h = History::from_tuples(tuples);
+            let arena = HistoryArena::from_history(&h);
             let mut done = BitSet::new(n);
             let mut frame = make_frame(&arena, &done, &Frame::default());
             // Along a random, monotonically growing done set, each child
@@ -1525,7 +1581,7 @@ mod tests {
             let cfg = CheckConfig { threads: 1, ..CheckConfig::default() };
             let n = h.len();
             assert_eq!(decide::<false>(&spec, &arena, None, n, cfg).0, check_with(&spec, &h, cfg));
-            let (v1, s1) = decide::<true>(&spec, &arena, None, n, cfg);
+            let (v1, s1, _) = decide::<true>(&spec, &arena, None, n, cfg);
             let (v2, s2) = check_with_stats(&spec, &h, cfg);
             assert_eq!(v1, v2);
             assert_eq!(s1, s2);
