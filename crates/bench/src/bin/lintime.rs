@@ -14,8 +14,6 @@
 //!     --seed <s>           workload + delay seed (default 42)
 //!     --delay <d>          random | max | min (default random)
 //!     --n/--d/--u <v>      model parameters (default 4 / 6000 / 2400)
-//!     --check-threads <t>  checker worker threads, 0 = auto (default 0); used
-//!                          only when a sequential probe fails to decide
 //!     --stream-check       also check online: a live checker thread consumes
 //!                          the engine's operation-event stream as it runs
 //!     --timeline           draw the run as ASCII timelines
@@ -304,7 +302,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let ops_per_process = flags.usize_flag("ops", 6)?;
     let stream_check = flags.bool_flag("stream-check");
     let draw_timeline = flags.bool_flag("timeline");
-    let check_threads = flags.usize_flag("check-threads", 0)?;
     flags.finish()?;
     let workload = Workload { mix, ops_per_process, max_gap: params.d * 2, seed };
 
@@ -383,21 +380,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         if run.is_suspect() { format!("yes {:?}", run.suspect) } else { "no".to_string() }
     );
 
-    // 0 = auto (std::thread::available_parallelism); 1 forces the
-    // sequential search. Workers start only after a sequential probe of a
-    // few nodes per op failed to decide.
-    let check_cfg = lintime_check::wing_gong::CheckConfig {
-        threads: check_threads,
-        ..lintime_check::wing_gong::CheckConfig::default()
-    };
     let history = lintime_check::history::History::from_run(&run)
         .map_err(|e| format!("cannot check: {e}"))?;
-    match lintime_check::monitor::check_fast_with(
-        &spec,
-        &history,
-        check_cfg,
-        &lintime_obs::Obs::off(),
-    ) {
+    match lintime_check::monitor::check_fast(&spec, &history) {
         lintime_check::wing_gong::Verdict::Linearizable(_) => {
             println!("\nlinearizable ✓ ({} ops, {} events)", run.ops.len(), run.events);
             Ok(())
@@ -415,5 +400,18 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             println!("\nchecker budget exceeded (verdict unknown)");
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lintime_bench::genflags::FlagError;
+
+    #[test]
+    fn simulate_rejects_the_removed_check_threads_flag() {
+        let args: Vec<String> = ["--check-threads", "2"].iter().map(|a| a.to_string()).collect();
+        let err = cmd_simulate(&args).unwrap_err();
+        assert_eq!(err, FlagError::UnknownFlags(vec!["check-threads".into()]).to_string());
     }
 }

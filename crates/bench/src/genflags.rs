@@ -30,6 +30,8 @@ pub enum FlagError {
     },
     /// Flags that no accessor consumed — almost always typos.
     UnknownFlags(Vec<String>),
+    /// A flag given more than once (name without the leading `--`).
+    RepeatedFlag(String),
 }
 
 impl fmt::Display for FlagError {
@@ -45,6 +47,7 @@ impl fmt::Display for FlagError {
                 let list: Vec<String> = names.iter().map(|n| format!("--{n}")).collect();
                 write!(f, "unknown flag(s): {}", list.join(", "))
             }
+            FlagError::RepeatedFlag(name) => write!(f, "--{name} given more than once"),
         }
     }
 }
@@ -81,7 +84,9 @@ impl FlagSet {
             } else {
                 "true".to_string() // boolean flag
             };
-            flags.insert(key.to_string(), value);
+            if flags.insert(key.to_string(), value).is_some() {
+                return Err(FlagError::RepeatedFlag(key.to_string()));
+            }
         }
         Ok(FlagSet { flags, consumed: BTreeSet::new() })
     }
@@ -204,5 +209,15 @@ mod tests {
         let err = f.finish().unwrap_err();
         assert_eq!(err, FlagError::UnknownFlags(vec!["opps".into()]));
         assert!(err.to_string().contains("--opps"), "{err}");
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected_not_overwritten() {
+        let err = FlagSet::parse(&args(&["--ops", "5", "--ops", "6"])).unwrap_err();
+        assert_eq!(err, FlagError::RepeatedFlag("ops".into()));
+        assert!(err.to_string().contains("--ops"), "{err}");
+        // Bare boolean flags count too.
+        let err = FlagSet::parse(&args(&["--timeline", "--timeline"])).unwrap_err();
+        assert_eq!(err, FlagError::RepeatedFlag("timeline".into()));
     }
 }

@@ -10,9 +10,8 @@
 //! copied, so the arena lives no longer than they do. It is built a single
 //! time per decision — by the monitor-first decision ladder behind
 //! [`crate::monitor::check_fast`] when the monitor defers, or by the
-//! [`crate::wing_gong`] entry points themselves — and then shared read-only
-//! by every search the decision spawns, including all parallel workers (the
-//! arena is `Sync`; workers never touch anything but `&HistoryArena`).
+//! [`crate::wing_gong`] entry points themselves — and then read, never
+//! written, by the one search that decides it.
 //!
 //! Timestamp scans (frontier thresholds, predecessor prefixes) thus walk
 //! contiguous `i64` arrays the prefetcher can stream, and the done-set

@@ -173,9 +173,7 @@ pub(crate) fn ladder(
             });
         }
     }
-    // Transpose once and hand the arena straight to the search: the decision
-    // — including every parallel worker it spawns — shares this single
-    // read-only extraction.
+    // Transpose once and hand the arena straight to the search.
     let arena = HistoryArena::from_ops(&history.ops, optional);
     let (verdict, state) = if active {
         let (verdict, stats, state) =
@@ -204,10 +202,6 @@ fn record_fallback(obs: &Obs, t_end: i64, verdict: &Verdict, stats: &SearchStats
     r.counter("check.fallback.nodes").add(stats.nodes);
     r.counter("check.fallback.memo_hits").add(stats.memo_hits);
     r.counter("check.fallback.memo_inserts").add(stats.memo_inserts);
-    r.counter("check.par.workers").add(stats.workers);
-    r.counter("check.par.steals").add(stats.steals);
-    r.counter("check.par.memo_shards").add(stats.memo_shards);
-    r.counter("check.par.cancelled").add(stats.cancelled);
     let frontier = r.histogram("check.frontier_size", &FRONTIER_BUCKETS);
     for (i, &n) in stats.frontier_sizes.iter().enumerate() {
         // Fold pre-bucketed counts in at each bucket's upper bound (overflow
@@ -786,7 +780,7 @@ mod tests {
         let (obs, ring) = Obs::ring(64);
         // The node budget bounds the pending search like any other: out of
         // nodes, the verdict is Unknown, and the search is recorded.
-        let tight = CheckConfig { max_nodes: 5, threads: 1 };
+        let tight = CheckConfig { max_nodes: 5 };
         assert_eq!(check_fast_pending_with(&spec, &ph, tight, &obs), Verdict::Unknown);
         assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 1);
         assert_eq!(obs.metrics.counter("check.fallback.nodes").get(), 5);
@@ -828,26 +822,15 @@ mod tests {
         assert!(check_fast_pending(&spec, &good).is_linearizable());
     }
     #[test]
-    fn pending_witness_does_not_depend_on_thread_scheduling() {
+    fn pending_witness_places_the_writes_before_the_read() {
         let spec = erase(Register::new(0));
-        // Ten ops, so the search may fork; the probe decides it in one
-        // descent (writes 100..103, then the read), so it never does.
+        // Ten ops, decided in one descent: writes 100..103, then the read.
         // Writes 104..108 are invoked after the read responds and are left
         // out.
         let mut pending = pending_writes(4, 0);
         pending.extend(pending_writes(9, 66).split_off(4));
         let ph = read_beside(103, pending);
-        let check = |threads| {
-            let cfg = CheckConfig { threads, ..CheckConfig::default() };
-            check_fast_pending_with(&spec, &ph, cfg, &Obs::off())
-        };
-        let sequential = check(1);
-        assert_eq!(sequential, Verdict::Linearizable(vec![1, 2, 3, 4, 0]));
-        for _ in 0..20 {
-            for threads in [1, 2, 4] {
-                assert_eq!(check(threads), sequential, "{threads} threads");
-            }
-        }
+        assert_eq!(check_fast_pending(&spec, &ph), Verdict::Linearizable(vec![1, 2, 3, 4, 0]));
     }
 
     #[test]

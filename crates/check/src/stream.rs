@@ -1104,7 +1104,7 @@ mod tests {
         // budget starves the fallback. The stream must answer Unknown —
         // the history is actually legal, so a refutation would be false.
         let spec = erase(FifoQueue::new());
-        let check = CheckConfig { max_nodes: 1, ..CheckConfig::default() };
+        let check = CheckConfig { max_nodes: 1 };
         let cfg = StreamConfig::default().with_flush_ops(1).with_check(check);
         let mut c = StreamChecker::with_config(&spec, cfg);
         op(&mut c, 0, "enqueue", 1, (), 0, 1);

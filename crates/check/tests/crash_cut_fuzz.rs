@@ -388,21 +388,14 @@ fn pending_checker_decides_past_eight_candidates() {
 }
 
 #[test]
-fn pending_search_agrees_across_thread_counts() {
+fn pending_search_decides_five_and_twelve_candidates() {
     let spec = erase(Register::new(0));
-    // Small (always sequential) and wide (past the probe, so 2 and 4 threads
-    // escalate to the parallel search with optional ops).
+    // A read only the middle pending write explains gets a witness naming
+    // that write; a read no write explains is refuted.
     for k in [5, 12] {
         let (ok, bad) = (read_beside_writes(100 + k / 2, k), read_beside_writes(999, k));
-        for threads in [1, 2, 4] {
-            let cfg = CheckConfig { threads, ..CheckConfig::default() };
-            assert_read_witness(
-                &check_fast_pending_with(&spec, &ok, cfg, &Obs::off()),
-                100 + k / 2,
-            );
-            let v = check_fast_pending_with(&spec, &bad, cfg, &Obs::off());
-            assert_eq!(v, Verdict::NotLinearizable, "{k} candidates, {threads} threads");
-        }
+        assert_read_witness(&check_fast_pending(&spec, &ok), 100 + k / 2);
+        assert_eq!(check_fast_pending(&spec, &bad), Verdict::NotLinearizable, "{k} candidates");
     }
 }
 
@@ -435,8 +428,7 @@ fn pending_search_skips_the_all_removed_refutation() {
     };
     let n = (ph.complete.len() + ph.pending.len()) as u64;
     let obs = Obs::new(TraceHandle::null(), Registry::new());
-    let cfg = CheckConfig { threads: 1, ..CheckConfig::default() };
-    assert!(check_fast_pending_with(&spec, &ph, cfg, &obs).is_linearizable());
+    assert!(check_fast_pending_with(&spec, &ph, CheckConfig::default(), &obs).is_linearizable());
     assert_eq!(obs.metrics.counter("check.monitor.deferred").get(), 1);
     let nodes = obs.metrics.counter("check.fallback.nodes").get();
     assert!(nodes <= 4 * n + 64, "{nodes} nodes for {n} ops");

@@ -648,13 +648,8 @@ mod tests {
             schedule = schedule.at(Pid(pid), Time(0), Invocation::new("write", 7));
         }
         let cfg = SimConfig::new(p, DelaySpec::AllMax).with_schedule(schedule);
-        let checked = run_reliable_checked(
-            &spec,
-            &cfg,
-            Time::ZERO,
-            rc,
-            CheckConfig { max_nodes: 1, ..CheckConfig::default() },
-        );
+        let checked =
+            run_reliable_checked(&spec, &cfg, Time::ZERO, rc, CheckConfig { max_nodes: 1 });
         assert_eq!(checked.verdict, RunVerdict::Unknown, "{}", checked.run);
         assert!(!checked.certified());
     }

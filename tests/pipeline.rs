@@ -306,29 +306,21 @@ fn recorded_queue_stream(ops: usize, seed: u64) -> (Arc<dyn ObjectSpec>, Vec<OpE
     (spec, rx.into_iter().collect())
 }
 
-/// The Wing–Gong fallback's sequential probe decides engine-shaped windows
-/// before any worker thread is spawned, so a streamed verdict — down to every
-/// certified witness order and every counter — is the same at every thread
-/// count.
+/// A recorded `BatchedWtlw` queue stream sends its windows to the Wing–Gong
+/// fallback, which certifies them.
 #[test]
-fn stream_witnesses_do_not_depend_on_the_thread_count() {
+fn stream_certifies_recorded_fallback_windows() {
     let (spec, events) = recorded_queue_stream(6_000, 7);
-    let runs = [0, 1, 2].map(|threads| {
-        let check = CheckConfig { threads, ..CheckConfig::default() };
-        let cfg = StreamConfig::default().with_flush_ops(64).with_check(check).keeping_witnesses();
-        let mut checker = StreamChecker::with_config(&spec, cfg);
-        for ev in &events {
-            checker.feed(ev);
-        }
-        let orders: Vec<Vec<usize>> = checker.certified().iter().map(|w| w.order.clone()).collect();
-        let (verdict, stats) = checker.finish();
-        assert!(verdict.is_ok(), "threads {threads}: {verdict:?}");
-        assert!(stats.fallbacks >= 10, "windows must reach Wing–Gong: {stats:?}");
-        (orders, format!("{stats:?}"))
-    });
-    assert!(runs[0].0.len() >= 10, "only {} certified windows", runs[0].0.len());
-    assert_eq!(runs[0], runs[1], "threads 0 vs 1");
-    assert_eq!(runs[1], runs[2], "threads 1 vs 2");
+    let cfg = StreamConfig::default().with_flush_ops(64).keeping_witnesses();
+    let mut checker = StreamChecker::with_config(&spec, cfg);
+    for ev in &events {
+        checker.feed(ev);
+    }
+    let certified = checker.certified().len();
+    let (verdict, stats) = checker.finish();
+    assert!(verdict.is_ok(), "{verdict:?}");
+    assert!(stats.fallbacks >= 10, "windows must reach Wing–Gong: {stats:?}");
+    assert!(certified >= 10, "only {certified} certified windows");
 }
 
 #[test]
