@@ -17,7 +17,11 @@
 //! Mutator pipeline at every process: the invoker simulates the minimum
 //! message delay with a `d − u` *add* timer (other processes add on message
 //! receipt), then a `u + ε` *execute* timer guarantees no smaller timestamp
-//! can still arrive (maximum delay spread `u` plus clock skew `ε`).
+//! can still arrive (maximum delay spread `u` plus clock skew `ε`). Every
+//! execute timer has the same duration, so they fire in the order their
+//! entries were added: an entry queued below a larger timestamp that is
+//! still waiting is drained by that entry's earlier timer, and arms none of
+//! its own.
 //!
 //! The timer durations are gathered in [`Waits`]; [`Waits::standard`] is the
 //! paper's algorithm with tradeoff parameter `X ∈ [0, d − ε]`, and the
@@ -173,7 +177,10 @@ pub struct WtlwNode<R = ()> {
     spec: Arc<dyn ObjectSpec>,
     object: Box<dyn ObjState>,
     waits: Waits,
-    to_execute: BinaryHeap<Reverse<(Timestamp, Invocation)>>,
+    /// Queued mutators, each with whether its Execute timer was armed.
+    to_execute: BinaryHeap<Reverse<(Timestamp, Invocation, bool)>>,
+    /// The largest timestamp queued since `to_execute` was last empty.
+    queued_max: Option<Timestamp>,
     /// Timestamp of the locally-invoked *mixed* operation awaiting execution.
     pending_mixed: Option<Timestamp>,
     /// Number of mutators executed on the local copy.
@@ -209,6 +216,7 @@ impl<R: ExecRecorder> WtlwNode<R> {
             object,
             waits,
             to_execute: BinaryHeap::new(),
+            queued_max: None,
             pending_mixed: None,
             executed: 0,
             frontier: None,
@@ -252,8 +260,17 @@ impl<R: ExecRecorder> WtlwNode<R> {
         ts: Timestamp,
         fx: &mut Effects<WtlwMsg, WtlwTimer>,
     ) {
-        self.to_execute.push(Reverse((ts, inv)));
-        fx.set_timer(self.waits.execute, WtlwTimer::Execute { ts });
+        // Every Execute timer lasts `waits.execute`, so deadlines fire in
+        // the order entries were added. While the entry holding `queued_max`
+        // is queued, its timer is armed and fires first; if `ts` is below
+        // it, that timer drains this entry, whose own timer could only ever
+        // be cancelled — so it is never armed.
+        let armed = self.queued_max.is_none_or(|max| max <= ts);
+        if armed {
+            self.queued_max = Some(ts);
+            fx.set_timer(self.waits.execute, WtlwTimer::Execute { ts });
+        }
+        self.to_execute.push(Reverse((ts, inv, armed)));
     }
 
     /// Execute every queued mutator with timestamp ≤ `up_to`, in timestamp
@@ -266,24 +283,27 @@ impl<R: ExecRecorder> WtlwNode<R> {
         firing: Option<Timestamp>,
         fx: &mut Effects<WtlwMsg, WtlwTimer>,
     ) {
-        while let Some(Reverse((ts, _))) = self.to_execute.peek() {
+        while let Some(Reverse((ts, _, _))) = self.to_execute.peek() {
             if *ts > up_to {
                 break;
             }
-            let Reverse((ts, inv)) = self.to_execute.pop().expect("peeked entry");
+            let Reverse((ts, inv, armed)) = self.to_execute.pop().expect("peeked entry");
             let ret = self.object.apply(inv.op, &inv.arg);
             self.executed += 1;
             self.frontier = self.frontier.max(Some(ts));
             self.digest =
                 fxhash::combine(self.digest, fxhash::hash64(&(ts, inv.op, &inv.arg, &ret)));
             self.recorder.mutator(ts, &inv, &ret);
-            if Some(ts) != firing {
+            if armed && Some(ts) != firing {
                 fx.cancel_timer(WtlwTimer::Execute { ts });
             }
             if self.pending_mixed == Some(ts) {
                 self.pending_mixed = None;
                 fx.respond(ret);
             }
+        }
+        if self.to_execute.is_empty() {
+            self.queued_max = None;
         }
     }
 }
@@ -689,6 +709,107 @@ mod tests {
         assert_eq!(nodes[0].frontier(), Some(Timestamp::new(Time(20_000) - x, Pid(0))));
         assert_eq!(nodes[2].frontier(), Some(Timestamp::new(Time(0), Pid(1))));
         assert_eq!(nodes[0].exec_digest(), nodes[2].exec_digest());
+    }
+
+    /// One handler call on a hand-driven node at local time `at`.
+    fn step(
+        node: &mut WtlwNode,
+        at: Time,
+        f: impl FnOnce(&mut WtlwNode, &mut Effects<WtlwMsg, WtlwTimer>),
+    ) -> lintime_sim::node::EffectParts<WtlwMsg, WtlwTimer> {
+        let mut fx = Effects::new(Pid(0), params().n, at);
+        f(node, &mut fx);
+        fx.into_parts()
+    }
+
+    #[test]
+    fn delivery_behind_a_larger_queued_timestamp_arms_no_execute_timer() {
+        let p = params();
+        let spec = erase(Register::new(0));
+        let mut node = WtlwNode::new(Pid(0), spec, p, Time::ZERO);
+        let w = Waits::standard(p, Time::ZERO);
+        let announce = |t: i64, pid: usize, v: i64| WtlwMsg {
+            inv: Invocation::new("write", v),
+            ts: Timestamp::new(Time(t), Pid(pid)),
+        };
+        let (big, small) = (announce(100, 1, 1), announce(50, 2, 2));
+        let (t_big, t_small) = (Time(3700), Time(3800));
+        // The larger timestamp arrives first and arms its timer.
+        let fx = step(&mut node, t_big, |n, fx| n.on_deliver(Pid(1), big.clone(), fx));
+        assert_eq!(fx.timers_set, vec![(t_big + w.execute, WtlwTimer::Execute { ts: big.ts })]);
+        // The smaller one, queued behind it, arms nothing: the earlier
+        // deadline drains it anyway.
+        let fx = step(&mut node, t_small, |n, fx| n.on_deliver(Pid(2), small.clone(), fx));
+        assert!(fx.timers_set.is_empty() && fx.timers_cancelled.is_empty());
+        // That deadline executes both, in timestamp order, before the small
+        // entry's would-be deadline, and cancels nothing (nothing else armed).
+        let fire = t_big + w.execute;
+        assert!(fire <= t_small + w.execute);
+        let fx = step(&mut node, fire, |n, fx| n.on_timer(WtlwTimer::Execute { ts: big.ts }, fx));
+        assert!(fx.timers_cancelled.is_empty());
+        assert_eq!(node.executed(), 2);
+        assert_eq!(node.local_state(), Value::Int(1));
+        // The queue is empty again, so the next entry arms its own timer
+        // whatever its timestamp.
+        let late = announce(10, 3, 3);
+        let fx = step(&mut node, fire, |n, fx| n.on_deliver(Pid(3), late.clone(), fx));
+        assert_eq!(fx.timers_set, vec![(fire + w.execute, WtlwTimer::Execute { ts: late.ts })]);
+    }
+
+    #[test]
+    fn accessor_drain_cancels_only_armed_entries() {
+        let p = params();
+        let spec = erase(Register::new(0));
+        let mut node = WtlwNode::new(Pid(0), spec, p, Time::ZERO);
+        let announce = |t: i64, pid: usize| WtlwMsg {
+            inv: Invocation::new("write", t),
+            ts: Timestamp::new(Time(t), Pid(pid)),
+        };
+        step(&mut node, Time(3700), |n, fx| n.on_deliver(Pid(1), announce(100, 1), fx));
+        step(&mut node, Time(3800), |n, fx| n.on_deliver(Pid(2), announce(50, 2), fx));
+        // A read timestamped above both drains both: only the armed entry
+        // has a timer to cancel.
+        let ts = Timestamp::new(Time(200), Pid(0));
+        let read = WtlwTimer::RespondAop { inv: Invocation::nullary("read"), ts };
+        let fx = step(&mut node, Time(6200), |n, fx| n.on_timer(read, fx));
+        let armed = Timestamp::new(Time(100), Pid(1));
+        assert_eq!(fx.timers_cancelled, vec![WtlwTimer::Execute { ts: armed }]);
+        assert_eq!(fx.response, Some(Value::Int(100)));
+    }
+
+    #[test]
+    fn mixed_op_covered_at_a_replica_still_responds_at_d_plus_epsilon() {
+        // p1's write (ts 10) reaches p2 in the minimum delay, p0's rmw (ts
+        // 0) in the maximum: at p2 the rmw queues behind the larger
+        // timestamp and arms no timer. p0 itself still answers at d + ε, and
+        // every replica executes the same sequence.
+        let p = params();
+        let spec = erase(RmwRegister::new(0));
+        let delay =
+            DelaySpec::matrix_from_fn(
+                p.n,
+                |i, j| if (i, j) == (1, 2) { p.min_delay() } else { p.d },
+            );
+        let cfg = SimConfig::new(p, delay).with_schedule(
+            Schedule::new().at(Pid(0), Time(0), Invocation::new("rmw", 7)).at(
+                Pid(1),
+                Time(10),
+                Invocation::new("write", 3),
+            ),
+        );
+        let (run, nodes) = lintime_sim::engine::simulate_full(&cfg, |pid| {
+            WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO)
+        });
+        assert!(run.complete() && run.errors.is_empty(), "{run}");
+        assert_eq!(run.ops[0].latency(), Some(p.d + p.epsilon));
+        assert_eq!(run.ops[0].ret, Some(Value::Int(0)));
+        assert_eq!(run.ops[1].latency(), Some(p.epsilon));
+        let state = |n: &WtlwNode| (n.executed(), n.exec_digest(), n.local_state());
+        assert!(nodes.iter().all(|n| state(n) == state(&nodes[0])));
+        // Events: 2 invocations, the write's ack timer, 2 self-adds, 6
+        // deliveries, and 8 Execute timers less the two covered ones — at p2
+        // and at p1, where the rmw arrives behind p1's own queued write.
+        assert_eq!(run.events, 2 + 1 + 2 + 6 + 6);
     }
 
     #[test]
