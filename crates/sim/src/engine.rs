@@ -299,17 +299,30 @@ const DELIVER: u8 = 0;
 const TIMER: u8 = 1;
 const INVOKE: u8 = 2;
 
-/// Sequence numbers fill the low 56 bits of an ordinal; a run that would
-/// need more ends truncated instead of reusing one.
-const SEQ_LIMIT: u64 = 1 << 56;
+/// Bits of an ordinal's low word: the class (2), the sequence number (38)
+/// and the slab slot (24), high to low.
+const SEQ_BITS: u32 = 38;
+const SLOT_BITS: u32 = 24;
+
+/// A run that would create more events than this ends truncated instead of
+/// reusing a sequence number.
+const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
+
+/// A run that would hold more events pending at once than this ends
+/// truncated instead of reusing a slot.
+const SLOT_LIMIT: usize = 1 << SLOT_BITS;
 
 /// The event key `(time, class, seq)` packed into one integer with the same
 /// order: the time with its sign bit flipped (so negative times, which
 /// [`SimConfig::shifted`] can produce, sort first) in the high 64 bits, then
-/// the class byte, then the sequence number.
+/// the class, then the sequence number. The low [`SLOT_BITS`] are left zero
+/// for the slab slot ([`EventQueue::push`]); sequence numbers are unique, so
+/// the slot never decides an order.
 fn ordinal(time: Time, class: u8, seq: u64) -> u128 {
-    debug_assert!(seq < SEQ_LIMIT);
-    (((time.0 as u64) ^ (1 << 63)) as u128) << 64 | (class as u128) << 56 | seq as u128
+    debug_assert!(class < 4 && seq < SEQ_LIMIT);
+    (((time.0 as u64) ^ (1 << 63)) as u128) << 64
+        | (class as u128) << (SEQ_BITS + SLOT_BITS)
+        | (seq as u128) << SLOT_BITS
 }
 
 fn ordinal_time(ord: u128) -> Time {
@@ -317,28 +330,43 @@ fn ordinal_time(ord: u128) -> Time {
 }
 
 fn ordinal_class(ord: u128) -> u8 {
-    (ord >> 56) as u8
+    (ord as u64 >> (SEQ_BITS + SLOT_BITS)) as u8
+}
+
+fn ordinal_slot(ord: u128) -> usize {
+    ord as usize & (SLOT_LIMIT - 1)
 }
 
 /// Everything the run itself schedules, in ordinal order. The heap sifts
-/// only `(ordinal, slot)` pairs; each payload is written into a slab slot
-/// once and taken out once, and freed slots are reused.
+/// bare ordinals carrying their slab slot; each payload is written into a
+/// slot once and taken out once, and freed slots are reused.
 struct EventQueue<M> {
-    heap: BinaryHeap<Reverse<(u128, u32)>>,
+    heap: BinaryHeap<Reverse<u128>>,
     slab: Vec<Option<(Pid, EventKind<M>)>>,
-    free: Vec<u32>,
+    free: Vec<usize>,
     seq: u64,
+    /// Slots the slab may grow to ([`SLOT_LIMIT`]; smaller in tests).
+    slot_limit: usize,
+    /// A push found every slot taken.
+    full: bool,
 }
 
 impl<M> EventQueue<M> {
     fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new(), seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            seq: 0,
+            slot_limit: SLOT_LIMIT,
+            full: false,
+        }
     }
 
     /// The ordinal of the next event created at `(time, class)` — the one
     /// place sequence numbers advance. `None` once they are exhausted.
     fn next_ordinal(&mut self, time: Time, class: u8) -> Option<u128> {
-        if self.exhausted() {
+        if self.seq >= SEQ_LIMIT {
             return None;
         }
         let ord = ordinal(time, class, self.seq);
@@ -346,36 +374,46 @@ impl<M> EventQueue<M> {
         Some(ord)
     }
 
-    /// True once every sequence number is used; the event loop then ends
-    /// the run as truncated (an event pushed after this is dropped, never
-    /// mis-ordered).
-    fn exhausted(&self) -> bool {
-        self.seq >= SEQ_LIMIT
+    /// Why the queue refuses new events, once it does: every sequence
+    /// number is used, or a push found every slot taken. The event loop then
+    /// ends the run as truncated with this error; an event pushed after
+    /// this is dropped, never mis-ordered.
+    fn exhausted(&self) -> Option<String> {
+        if self.seq >= SEQ_LIMIT {
+            Some(format!("event sequence numbers exhausted ({SEQ_LIMIT} events created)"))
+        } else if self.full {
+            Some(format!("event slots exhausted ({} events pending)", self.slot_limit))
+        } else {
+            None
+        }
     }
 
     fn push(&mut self, time: Time, class: u8, pid: Pid, kind: EventKind<M>) {
         let Some(ord) = self.next_ordinal(time, class) else { return };
         let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some((pid, kind));
-                slot
+            Some(slot) => slot,
+            None if self.slab.len() < self.slot_limit => {
+                self.slab.push(None);
+                self.slab.len() - 1
             }
             None => {
-                self.slab.push(Some((pid, kind)));
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+                self.full = true;
+                return;
             }
         };
-        self.heap.push(Reverse((ord, slot)));
+        self.slab[slot] = Some((pid, kind));
+        self.heap.push(Reverse(ord | slot as u128));
     }
 
     fn peek(&self) -> Option<u128> {
-        self.heap.peek().map(|&Reverse((ord, _))| ord)
+        self.heap.peek().map(|&Reverse(ord)| ord)
     }
 
     fn pop(&mut self) -> Option<(u128, Pid, EventKind<M>)> {
-        let Reverse((ord, slot)) = self.heap.pop()?;
+        let Reverse(ord) = self.heap.pop()?;
+        let slot = ordinal_slot(ord);
         self.free.push(slot);
-        let (pid, kind) = self.slab[slot as usize].take().expect("a queued slot holds its event");
+        let (pid, kind) = self.slab[slot].take().expect("a queued slot holds its event");
         Some((ord, pid, kind))
     }
 }
@@ -626,12 +664,12 @@ pub fn simulate_full<N: Node>(
     // One effect sink for the whole run, re-armed per event.
     let mut fx: Effects<N::Msg, N::Timer> = Effects::new(Pid(0), n, Time::ZERO);
     loop {
-        if queue.exhausted() {
-            errors.push(format!("event sequence numbers exhausted ({SEQ_LIMIT} events created)"));
+        if let Some(error) = queue.exhausted() {
+            errors.push(error);
             truncated = true;
             break;
         }
-        let Some((ord, pid, kind)) = next_entry(&mut arrivals, &mut queue) else { break };
+        let Some((ord, pid, mut kind)) = next_entry(&mut arrivals, &mut queue) else { break };
         let now = ordinal_time(ord);
         if let Some(cap) = config.max_real_time {
             if now > cap {
@@ -688,28 +726,22 @@ pub fn simulate_full<N: Node>(
             }
         }
 
-        // Resolve admission markers into the invocation they admit. The pop
-        // happens here, at processing time: if another event claimed the
-        // process first (or an epoch barrier started), the queue is left
-        // untouched and the next response — or the barrier reopening —
-        // schedules a fresh marker.
-        let (kind, admitted) = match kind {
-            EventKind::AdmitIngress => {
-                if procs[pid.0].pending_op.is_some() || draining {
-                    continue;
-                }
-                match procs[pid.0].ingress.pop_front() {
-                    None => continue,
-                    Some((t_arrive, inv)) => {
-                        if let Some(m) = &metrics {
-                            m.ingress_wait.observe_i64((now - t_arrive).0);
-                        }
-                        (EventKind::Invoke { inv, source: InvokeSource::Open }, true)
-                    }
-                }
+        // Resolve an admission marker, in place, into the invocation it
+        // admits. The pop happens here, at processing time: if another event
+        // claimed the process first (or an epoch barrier started), the queue
+        // is left untouched and the next response — or the barrier
+        // reopening — schedules a fresh marker.
+        let admitted = matches!(kind, EventKind::AdmitIngress);
+        if admitted {
+            if procs[pid.0].pending_op.is_some() || draining {
+                continue;
             }
-            k => (k, false),
-        };
+            let Some((t_arrive, inv)) = procs[pid.0].ingress.pop_front() else { continue };
+            if let Some(m) = &metrics {
+                m.ingress_wait.observe_i64((now - t_arrive).0);
+            }
+            kind = EventKind::Invoke { inv, source: InvokeSource::Open };
+        }
 
         events += 1;
         if let Some(m) = &metrics {
@@ -1579,13 +1611,22 @@ mod tests {
             }
         }
         keys.sort();
-        for w in keys.windows(2) {
+        // Any slots, even ones running against the key order, keep it: the
+        // sequence number decides before the slot bits are reached.
+        let slot = |i: usize| [SLOT_LIMIT - 1, 0, 1, SLOT_LIMIT / 2][i % 4];
+        for (i, w) in keys.windows(2).enumerate() {
             let (a, b) = (w[0], w[1]);
-            assert!(ordinal(a.0, a.1, a.2) < ordinal(b.0, b.1, b.2), "{a:?} vs {b:?}");
+            let (oa, ob) = (ordinal(a.0, a.1, a.2), ordinal(b.0, b.1, b.2));
+            assert!(oa < ob, "{a:?} vs {b:?}");
+            let (sa, sb) = (oa | slot(i) as u128, ob | slot(i + 1) as u128);
+            assert!(sa < sb, "{a:?} vs {b:?} with slots");
         }
-        for (time, class, seq) in keys {
-            let ord = ordinal(time, class, seq);
-            assert_eq!((ordinal_time(ord), ordinal_class(ord)), (time, class));
+        for (i, (time, class, seq)) in keys.into_iter().enumerate() {
+            let ord = ordinal(time, class, seq) | slot(i) as u128;
+            assert_eq!(
+                (ordinal_time(ord), ordinal_class(ord), ordinal_slot(ord)),
+                (time, class, slot(i))
+            );
         }
     }
 
@@ -1593,13 +1634,52 @@ mod tests {
     fn exhausted_sequence_numbers_refuse_new_events() {
         let mut queue: EventQueue<()> = EventQueue::new();
         queue.seq = SEQ_LIMIT - 1;
+        assert_eq!(queue.exhausted(), None);
         queue.push(Time(5), DELIVER, Pid(0), EventKind::AdmitIngress);
-        assert!(queue.exhausted());
+        assert!(queue.exhausted().is_some_and(|e| e.contains("sequence numbers exhausted")));
         // Refused rather than given a wrapped or repeated sequence number.
         queue.push(Time(1), DELIVER, Pid(0), EventKind::AdmitIngress);
         let (ord, _, _) = queue.pop().expect("the last numbered event is queued");
-        assert_eq!(ord, ordinal(Time(5), DELIVER, SEQ_LIMIT - 1));
+        assert_eq!(ord >> SLOT_BITS, ordinal(Time(5), DELIVER, SEQ_LIMIT - 1) >> SLOT_BITS);
         assert!(queue.pop().is_none());
+    }
+
+    #[test]
+    fn exhausted_slots_refuse_new_events() {
+        let mut queue: EventQueue<()> = EventQueue { slot_limit: 2, ..EventQueue::new() };
+        queue.push(Time(3), TIMER, Pid(0), EventKind::Timer { id: 0 });
+        queue.push(Time(1), TIMER, Pid(1), EventKind::Timer { id: 1 });
+        assert_eq!(queue.exhausted(), None);
+        // A third pending event finds no slot: refused, and the queue says
+        // why, rather than overwriting a pending event or panicking.
+        queue.push(Time(2), TIMER, Pid(2), EventKind::Timer { id: 2 });
+        assert!(queue.exhausted().is_some_and(|e| e.contains("slots exhausted (2 events")));
+        let order: Vec<_> = std::iter::from_fn(|| queue.pop())
+            .map(|(ord, pid, _)| (ordinal_time(ord), pid))
+            .collect();
+        assert_eq!(order, vec![(Time(1), Pid(1)), (Time(3), Pid(0))]);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_without_disturbing_the_order() {
+        // Freed slots go to later events whose keys sort before and after
+        // the pending ones; the pops still follow (time, class, seq) alone.
+        let mut queue: EventQueue<()> = EventQueue { slot_limit: 3, ..EventQueue::new() };
+        for (t, id) in [(9, 0), (8, 1), (7, 2)] {
+            queue.push(Time(t), TIMER, Pid(0), EventKind::Timer { id });
+        }
+        let mut fired = Vec::new();
+        for (t, id) in [(9, 3), (9, 4), (1, 5)] {
+            let (ord, _, kind) = queue.pop().expect("pending event");
+            let EventKind::Timer { id: got } = kind else { unreachable!() };
+            fired.push((ordinal_time(ord).as_ticks(), got));
+            queue.push(Time(t), TIMER, Pid(0), EventKind::Timer { id });
+        }
+        while let Some((ord, _, EventKind::Timer { id })) = queue.pop() {
+            fired.push((ordinal_time(ord).as_ticks(), id));
+        }
+        assert_eq!(queue.exhausted(), None);
+        assert_eq!(fired, vec![(7, 2), (8, 1), (9, 0), (1, 5), (9, 3), (9, 4)]);
     }
 
     #[test]
