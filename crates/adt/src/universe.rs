@@ -33,7 +33,7 @@ impl ExploreLimits {
         ExploreLimits { max_depth: 6, max_states: 4000 }
     }
 
-    /// A quick exploration for benches and smoke tests.
+    /// A quick exploration for smoke tests and fast reports.
     pub fn quick() -> Self {
         ExploreLimits { max_depth: 3, max_states: 100 }
     }

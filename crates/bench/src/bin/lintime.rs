@@ -34,7 +34,7 @@
 //!     --n/--d/--u <v>      model parameters (default 4 / 6000 / 2400)
 //!     --flush <w>          checker flush window = admission epoch (default 1024)
 //!     --seed <s>           generator + delay seed (default 42)
-//!     --json-out <p>       also write the BENCH-style JSON rows to <p>
+//!     --json-out <p>       also write the report as JSON rows to <p>
 //! lintime trace <scenario> [flags]       replay a scenario with tracing on
 //!     scenarios: table5 (fault-free queue), faults (recovery under drops)
 //!     --seed <s>           scenario seed (default 7)
@@ -172,8 +172,20 @@ fn parse_mix(name: &str) -> Result<Mix, String> {
     }
 }
 
+/// Render an element rate: `12.3k`, `4.56M`, …
+fn fmt_count(x: f64) -> String {
+    if x >= 1e9 {
+        format!("{:.2}G", x / 1e9)
+    } else if x >= 1e6 {
+        format!("{:.2}M", x / 1e6)
+    } else if x >= 1e3 {
+        format!("{:.1}k", x / 1e3)
+    } else {
+        format!("{x:.0}")
+    }
+}
+
 fn cmd_stream(args: &[String]) -> Result<(), String> {
-    use lintime_bench::microbench::fmt_count;
     use lintime_bench::streamgen::{run_scenario, StreamKind};
     let mut flags = FlagSet::parse(args)?;
     let adt = flags.str_flag("adt", "fifo-queue");
@@ -413,5 +425,13 @@ mod tests {
         let args: Vec<String> = ["--check-threads", "2"].iter().map(|a| a.to_string()).collect();
         let err = cmd_simulate(&args).unwrap_err();
         assert_eq!(err, FlagError::UnknownFlags(vec!["check-threads".into()]).to_string());
+    }
+
+    #[test]
+    fn counts_pick_sane_units() {
+        assert_eq!(fmt_count(900.0), "900");
+        assert_eq!(fmt_count(12_300.0), "12.3k");
+        assert_eq!(fmt_count(4_560_000.0), "4.56M");
+        assert_eq!(fmt_count(2_000_000_000.0), "2.00G");
     }
 }

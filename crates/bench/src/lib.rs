@@ -1,23 +1,20 @@
 //! # lintime-bench
 //!
-//! The benchmark and reproduction harness: every table and figure of the
-//! paper has a generator here (see [`experiments`]) plus a binary under
-//! `src/bin` that prints it, and a timing bench under `benches` that
-//! measures the corresponding simulator workload. The example programs
-//! live under this crate's `examples/` directory, and the
-//! workspace-level `tests/` directory is wired into this crate. The
-//! robustness extension adds a fault-injection sweep
+//! The reproduction harness: every table and figure of the paper has a
+//! generator here (see [`experiments`]) plus a binary under `src/bin` that
+//! prints it. The example programs live under this crate's `examples/`
+//! directory, and the workspace-level `tests/` directory is wired into this
+//! crate. The robustness extension adds a fault-injection sweep
 //! ([`experiments::fault_sweep_report`], `--bin fault_sweep`) and a
 //! cross-backend availability matrix ([`matrix`]), and the
 //! observability extension adds traced scenario replay ([`tracecmd`],
 //! `lintime trace`) plus a `--metrics-out` snapshot flag on the sweep
 //! binaries. The streaming extension adds generated live event streams
-//! ([`streamgen`], `lintime stream`, `benches/streaming.rs`) for the
-//! bounded-memory online checker. The serving extension adds a sharded
-//! multi-object deployment under open-loop load ([`serve`], `lintime
-//! serve`) with per-shard online checking composed by locality, and a
-//! shared structured flag parser for the generator-driven subcommands
-//! ([`genflags`]).
+//! ([`streamgen`], `lintime stream`) for the bounded-memory online checker.
+//! The serving extension adds a sharded multi-object deployment under
+//! open-loop load ([`serve`], `lintime serve`) with per-shard online
+//! checking composed by locality, and a shared structured flag parser for
+//! the generator-driven subcommands ([`genflags`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,7 +22,6 @@
 pub mod experiments;
 pub mod genflags;
 pub mod matrix;
-pub mod microbench;
 pub mod serve;
 pub mod streamgen;
 pub mod sweep;

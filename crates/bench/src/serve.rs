@@ -747,8 +747,8 @@ impl ServeReport {
         out
     }
 
-    /// JSON rows in the committed-baseline style (`BENCH_serve.json`): one
-    /// aggregate row first, then one row per shard, no external serializer.
+    /// The report as JSON rows (`lintime serve --json-out`): one aggregate
+    /// row first, then one row per shard, no external serializer.
     pub fn render_json(&self) -> String {
         let mut out = String::from("[\n");
         let max_resident =
@@ -864,18 +864,35 @@ mod tests {
 
     #[test]
     fn healthy_deployment_composes_linearizable_with_zero_violations() {
-        let cfg = small();
-        let report = serve(&cfg).expect("serve");
-        assert_eq!(report.verdicts.class(), "linearizable", "{}", report.render_text());
-        assert_eq!(report.envelope_violations, 0, "{}", report.render_text());
-        assert_eq!(report.arrivals, 240);
-        assert_eq!(report.ops, 240, "open-loop arrivals must all drain");
-        assert!(report.shard_reports.iter().all(|s| s.unadmitted == 0 && !s.truncated));
-        assert!(report.peak_in_flight >= 1);
-        // Service percentiles exist and respect the worst envelope.
-        let worst = batched_predicted_latency(cfg.params, cfg.x, cfg.tick, OpClass::Mixed);
-        let p999 = report.service_p999.expect("samples exist");
-        assert!(p999 <= worst.as_ticks() as u64, "p999 {p999} > worst envelope {worst}");
+        // The small deployment, and a deep-backlog one at the default model
+        // parameters (2 shards × 2 workers, 20k arrivals at a mean gap of 2
+        // ticks).
+        let backlog = ServeConfig {
+            total_ops: 20_000,
+            mean_gap: Time(2),
+            flush_ops: 256,
+            ..ServeConfig::new(2, 2)
+        };
+        for cfg in [small(), backlog] {
+            let report = serve(&cfg).expect("serve");
+            assert_eq!(report.verdicts.class(), "linearizable", "{}", report.render_text());
+            assert_eq!(report.envelope_violations, 0, "{}", report.render_text());
+            assert_eq!(report.arrivals, cfg.total_ops as u64);
+            assert_eq!(report.ops, report.arrivals, "open-loop arrivals must all drain");
+            assert!(report.shard_reports.iter().all(|s| s.unadmitted == 0 && !s.truncated));
+            assert!(report.peak_in_flight >= 1);
+            // Admission epochs keep each checker within its flush window,
+            // however deep the ingress backlog grows.
+            let bound = 8 * cfg.flush_ops + 512;
+            for s in &report.shard_reports {
+                let peak = s.stats.peak_resident;
+                assert!(peak <= bound, "shard {}: resident peak {peak} above {bound}", s.shard);
+            }
+            // Service percentiles exist and respect the worst envelope.
+            let worst = batched_predicted_latency(cfg.params, cfg.x, cfg.tick, OpClass::Mixed);
+            let p999 = report.service_p999.expect("samples exist");
+            assert!(p999 <= worst.as_ticks() as u64, "p999 {p999} > worst envelope {worst}");
+        }
     }
 
     #[test]

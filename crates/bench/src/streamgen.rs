@@ -1,19 +1,18 @@
 //! Synthetic operation-event streams for the online checker.
 //!
-//! The streaming benchmark (`benches/streaming.rs`) and the `lintime stream`
-//! subcommand share these generators: deterministic, legal event streams of
-//! arbitrary length that are fed to a
-//! [`StreamChecker`] **one event at a
-//! time, never materialized** — the point of the exercise is that the
-//! checker's resident memory stays flat while the stream length grows
-//! without bound.
+//! The `lintime stream` subcommand, the `lintime-perf` benchmark and the
+//! flat-memory test below share these generators: deterministic, legal
+//! event streams of arbitrary length that are fed to a [`StreamChecker`]
+//! **one event at a time, never materialized** — the point of the exercise
+//! is that the checker's resident memory stays flat while the stream length
+//! grows without bound.
 //!
 //! Every scenario drives `procs` concurrent processes in rounds with
 //! strictly increasing virtual times and periodic quiescence (each round
 //! completes all its operations), so settled-prefix garbage collection has
 //! canonical cuts to retire. The generated histories are linearizable by
 //! construction; corrupting them is the differential fuzz suite's job
-//! (`tests/stream_fuzz.rs`), not the throughput bench's.
+//! (`tests/stream_fuzz.rs`), not the generators'.
 
 use lintime_adt::prelude::*;
 use lintime_check::stream::{StreamChecker, StreamConfig, StreamStats, StreamVerdict};
@@ -67,7 +66,7 @@ impl StreamKind {
 /// Outcome of one generated-stream run.
 pub struct StreamReport {
     /// Final streaming verdict (the generated streams are legal, so anything
-    /// but `Ok` is a bug — the bench asserts this).
+    /// but `Ok` is a bug — the tests assert this).
     pub verdict: StreamVerdict,
     /// Final checker statistics (throughput inputs, GC and memory figures).
     pub stats: StreamStats,
@@ -164,6 +163,37 @@ mod tests {
                 report.stats.peak_resident
             );
         }
+
+        // At the default flush window, residency is bounded by a constant
+        // multiple of flush window + concurrency, and a 10× longer queue
+        // stream peaks no higher than 1.5× the shorter one.
+        let cfg = StreamConfig::default();
+        let procs = 4;
+        let bound = 2 * cfg.flush_ops + 64 * procs;
+        let mut queue_peaks = Vec::new();
+        for (kind, ops) in [
+            (StreamKind::Queue, 20_000),
+            (StreamKind::Queue, 200_000),
+            (StreamKind::Register, 20_000),
+            (StreamKind::PriorityQueue, 20_000),
+        ] {
+            let report = run_scenario(kind, ops, procs, cfg.clone());
+            let id = format!("{}/{ops}", kind.label());
+            assert!(report.verdict.is_ok(), "{id}: {:?}", report.verdict);
+            assert!(
+                report.stats.peak_resident <= bound,
+                "{id}: resident peak {} above {bound}",
+                report.stats.peak_resident
+            );
+            if kind == StreamKind::Queue {
+                queue_peaks.push(report.stats.peak_resident);
+            }
+        }
+        let (short, long) = (queue_peaks[0], queue_peaks[1]);
+        assert!(
+            long as f64 <= short as f64 * 1.5,
+            "memory not flat: 200k queue ops peaked at {long} resident vs {short} at 20k"
+        );
     }
 
     #[test]

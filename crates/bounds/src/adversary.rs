@@ -21,8 +21,9 @@
 //!
 //! An attack *succeeds* (the victim is proven non-linearizable) when the
 //! checker rejects either the base run or the shifted run. Against the
-//! standard Algorithm 1 every attack must fail — the benches sweep victim
-//! speeds to locate the empirical crossover and compare it to the formulas.
+//! standard Algorithm 1 every attack must fail — the lower-bound reports sweep
+//! victim speeds to locate the empirical crossover and compare it to the
+//! formulas.
 
 use lintime_adt::spec::{Invocation, ObjectSpec};
 use lintime_adt::value::Value;

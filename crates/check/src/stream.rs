@@ -49,9 +49,10 @@
 //!    a **sound violation** of the whole stream.
 //!
 //! Resident memory is therefore `O(flush window + concurrency + unmatched
-//! items)`, flat in the stream length; the committed `BENCH_streaming.json`
-//! baseline demonstrates a 10M-op stream checked at over 1M ops/sec with a
-//! constant peak resident count.
+//! items)`, flat in the stream length: the tier-1 streaming test in
+//! `lintime-bench` holds a 200k-op queue stream to the resident peak of a
+//! 20k-op one, and `lintime stream --ops 10000000` prints throughput and
+//! peak residency at scale.
 //!
 //! # Honesty
 //!

@@ -1,6 +1,7 @@
 //! Algorithm 1 across a grid of model parameters: Lemma 4 exactness and
 //! linearizability must hold for every admissible (n, d, u, ε, X)
-//! combination, including the edges (u = d, ε = 0, X = d − ε, n = 2).
+//! combination, including the edges (u = d, ε = 0, X = d − ε, n = 2) and a
+//! wide cluster (n = 32), where every mutator fans out to 31 peers.
 
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
@@ -9,7 +10,7 @@ use lintime_sim::prelude::*;
 
 fn grid() -> Vec<ModelParams> {
     let mut out = Vec::new();
-    for n in [2usize, 3, 5] {
+    for n in [2usize, 3, 5, 32] {
         for (d, u) in [(Time(6000), Time(2400)), (Time(6000), Time(6000)), (Time(1200), Time(120))]
         {
             // Optimal skew, zero skew bound, and a loose skew bound.

@@ -19,9 +19,10 @@
 //!
 //! Everything funnels through one cheap, cloneable handle: [`Obs`]. The
 //! default ([`Obs::off`]) carries a [`sink::NullSink`] and an inactive flag,
-//! so instrumented code paths reduce to a single branch and bench numbers do
-//! not regress (see `BENCH_checker.json`); with [`Obs::ring`] or a
-//! [`sink::JsonlSink`] the same run becomes fully replayable and auditable.
+//! so instrumented code paths reduce to a single branch (the `lintime-perf`
+//! benchmark reports the on/off cost as `obs.on_ratio.*`); with
+//! [`Obs::ring`] or a [`sink::JsonlSink`] the same run becomes fully
+//! replayable and auditable.
 //!
 //! See `docs/OBSERVABILITY.md` for the event taxonomy and a worked example
 //! tracing one fault-sweep run end to end.
@@ -57,7 +58,7 @@ pub struct Obs {
 impl Obs {
     /// Observability disabled: a null trace sink, an empty registry, and
     /// [`Obs::is_active`] false. This is the default everywhere, and what
-    /// the benches measure.
+    /// the benchmark measures.
     pub fn off() -> Obs {
         Obs::default()
     }
