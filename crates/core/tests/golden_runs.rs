@@ -39,7 +39,12 @@ fn arms(p: ModelParams) -> Vec<(&'static str, Algorithm)> {
     vec![
         ("wtlw-x0", Algorithm::Wtlw { x: Time::ZERO }),
         ("wtlw-x1200", Algorithm::Wtlw { x: Time(1200) }),
+        // B = 0: every announcement leaves at once in a one-announcement
+        // frame.
+        ("batched-x0-b0", Algorithm::BatchedWtlw { x: Time::ZERO, tick: Time::ZERO }),
         ("batched-x0-b600", Algorithm::BatchedWtlw { x: Time::ZERO, tick: Time(600) }),
+        // B = ε, the tick `serve` runs at.
+        ("batched-x0-b1800", Algorithm::BatchedWtlw { x: Time::ZERO, tick: p.epsilon }),
         (
             "reliable-x600",
             Algorithm::ReliableWtlw { x: Time(600), recovery: RecoveryConfig::standard(p) },
