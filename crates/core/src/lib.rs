@@ -76,9 +76,7 @@ pub mod wtlw;
 pub mod prelude {
     pub use crate::abd_kv::{AbdKvNode, AbdMsg};
     pub use crate::backend::{run_backend, BackendRun, FaultTolerance, UnsupportedSpec};
-    pub use crate::batch::{
-        batched_predicted_latency, batched_waits, BatchMsg, BatchTimer, BatchWtlwNode,
-    };
+    pub use crate::batch::{batched_predicted_latency, batched_waits, BatchMsg, BatchWtlwNode};
     pub use crate::broadcast::BroadcastNode;
     pub use crate::centralized::CentralizedNode;
     pub use crate::cluster::{op_stats, run_algorithm, Algorithm, OpStats};

@@ -153,6 +153,49 @@ pub enum WtlwTimer {
         /// Timestamp of the entry this timer belongs to.
         ts: Timestamp,
     },
+    /// Send the buffered announcements. Only the batching policy
+    /// ([`crate::batch`]) arms it; Algorithm 1 itself ignores it.
+    Flush,
+}
+
+/// The effect sink Algorithm 1's handlers write through. How an announcement
+/// leaves (line 15) is the one policy a layer changes: [`Effects`] broadcasts
+/// it at once, [`crate::batch`] buffers it until a tick boundary, and
+/// [`crate::reliable`] tracks it for retransmission. Each layer's sink
+/// borrows the engine's `Effects`, so no effect is buffered twice.
+pub trait WtlwFx {
+    /// The local clock reading for this transition.
+    fn local_time(&self) -> Time;
+    /// Set `timer` to fire `delay` after now (local clock).
+    fn set_timer(&mut self, delay: Time, timer: WtlwTimer);
+    /// Cancel every pending timer equal to `timer`.
+    fn cancel_timer(&mut self, timer: WtlwTimer);
+    /// Respond to the pending operation with `ret`.
+    fn respond(&mut self, ret: Value);
+    /// Announce a mutator to every other process (line 15).
+    fn announce(&mut self, msg: WtlwMsg);
+}
+
+impl WtlwFx for Effects<WtlwMsg, WtlwTimer> {
+    fn local_time(&self) -> Time {
+        self.local_time()
+    }
+
+    fn set_timer(&mut self, delay: Time, timer: WtlwTimer) {
+        self.set_timer(delay, timer);
+    }
+
+    fn cancel_timer(&mut self, timer: WtlwTimer) {
+        self.cancel_timer(timer);
+    }
+
+    fn respond(&mut self, ret: Value) {
+        self.respond(ret);
+    }
+
+    fn announce(&mut self, msg: WtlwMsg) {
+        self.broadcast(msg);
+    }
 }
 
 /// Observer of every execution on a [`WtlwNode`]'s local copy.
@@ -254,12 +297,7 @@ impl<R: ExecRecorder> WtlwNode<R> {
         self.object.canonical()
     }
 
-    fn add_to_queue(
-        &mut self,
-        inv: Invocation,
-        ts: Timestamp,
-        fx: &mut Effects<WtlwMsg, WtlwTimer>,
-    ) {
+    fn add_to_queue(&mut self, inv: Invocation, ts: Timestamp, fx: &mut impl WtlwFx) {
         // Every Execute timer lasts `waits.execute`, so deadlines fire in
         // the order entries were added. While the entry holding `queued_max`
         // is queued, its timer is armed and fires first; if `ts` is below
@@ -277,12 +315,7 @@ impl<R: ExecRecorder> WtlwNode<R> {
     /// order (the while-loops of lines 4–8 and 22–29). `firing` is the
     /// timestamp whose own Execute timer triggered this drain (if any), so we
     /// do not try to cancel an already-consumed timer.
-    fn drain_up_to(
-        &mut self,
-        up_to: Timestamp,
-        firing: Option<Timestamp>,
-        fx: &mut Effects<WtlwMsg, WtlwTimer>,
-    ) {
+    fn drain_up_to(&mut self, up_to: Timestamp, firing: Option<Timestamp>, fx: &mut impl WtlwFx) {
         while let Some(Reverse((ts, _, _))) = self.to_execute.peek() {
             if *ts > up_to {
                 break;
@@ -306,17 +339,9 @@ impl<R: ExecRecorder> WtlwNode<R> {
             self.queued_max = None;
         }
     }
-}
 
-impl<R: ExecRecorder> Node for WtlwNode<R> {
-    type Msg = WtlwMsg;
-    type Timer = WtlwTimer;
-
-    fn msg_wire_bytes(msg: &WtlwMsg) -> usize {
-        msg.wire_bytes()
-    }
-
-    fn on_invoke(&mut self, inv: Invocation, fx: &mut Effects<WtlwMsg, WtlwTimer>) {
+    /// A user invoked `inv` here ([`Node::on_invoke`] through `fx`).
+    pub fn invoke(&mut self, inv: Invocation, fx: &mut impl WtlwFx) {
         let class = self
             .spec
             .op_meta(inv.op)
@@ -332,6 +357,10 @@ impl<R: ExecRecorder> Node for WtlwNode<R> {
             }
             OpClass::PureMutator | OpClass::Mixed => {
                 let ts = Timestamp::new(fx.local_time(), self.pid);
+                // Line 15: announce to all other processes. It comes first so
+                // that a batching sink arms its Flush before this
+                // invocation's own timers.
+                fx.announce(WtlwMsg { inv: inv.clone(), ts });
                 if class == OpClass::PureMutator {
                     // Line 12: pure mutators acknowledge after X + ε.
                     fx.set_timer(self.waits.mop_respond, WtlwTimer::RespondMop);
@@ -339,19 +368,20 @@ impl<R: ExecRecorder> Node for WtlwNode<R> {
                     self.pending_mixed = Some(ts);
                 }
                 // Line 14: simulate the minimum message delay to ourselves.
-                fx.set_timer(self.waits.add, WtlwTimer::Add { inv: inv.clone(), ts });
-                // Line 15: announce to all other processes.
-                fx.broadcast(WtlwMsg { inv, ts });
+                fx.set_timer(self.waits.add, WtlwTimer::Add { inv, ts });
             }
         }
     }
 
-    fn on_deliver(&mut self, _from: Pid, msg: WtlwMsg, fx: &mut Effects<WtlwMsg, WtlwTimer>) {
+    /// Another process's announcement `msg` arrived ([`Node::on_deliver`]
+    /// through `fx`).
+    pub fn deliver(&mut self, msg: WtlwMsg, fx: &mut impl WtlwFx) {
         // Lines 18–20 (receive branch): queue the remote mutator.
         self.add_to_queue(msg.inv, msg.ts, fx);
     }
 
-    fn on_timer(&mut self, timer: WtlwTimer, fx: &mut Effects<WtlwMsg, WtlwTimer>) {
+    /// `timer` expired ([`Node::on_timer`] through `fx`).
+    pub fn fire(&mut self, timer: WtlwTimer, fx: &mut impl WtlwFx) {
         match timer {
             WtlwTimer::RespondAop { inv, ts } => {
                 // Lines 3–9: drain smaller-timestamped mutators, then execute
@@ -374,7 +404,30 @@ impl<R: ExecRecorder> Node for WtlwNode<R> {
                 // Lines 21–29.
                 self.drain_up_to(ts, Some(ts), fx);
             }
+            // The batching policy's timer; nothing of Algorithm 1 waits on it.
+            WtlwTimer::Flush => {}
         }
+    }
+}
+
+impl<R: ExecRecorder> Node for WtlwNode<R> {
+    type Msg = WtlwMsg;
+    type Timer = WtlwTimer;
+
+    fn msg_wire_bytes(msg: &WtlwMsg) -> usize {
+        msg.wire_bytes()
+    }
+
+    fn on_invoke(&mut self, inv: Invocation, fx: &mut Effects<WtlwMsg, WtlwTimer>) {
+        self.invoke(inv, fx);
+    }
+
+    fn on_deliver(&mut self, _from: Pid, msg: WtlwMsg, fx: &mut Effects<WtlwMsg, WtlwTimer>) {
+        self.deliver(msg, fx);
+    }
+
+    fn on_timer(&mut self, timer: WtlwTimer, fx: &mut Effects<WtlwMsg, WtlwTimer>) {
+        self.fire(timer, fx);
     }
 }
 

@@ -147,13 +147,8 @@ impl<M, T: PartialEq> Effects<M, T> {
         self.response = Some(ret);
     }
 
-    /// True iff a response was produced.
-    pub fn has_response(&self) -> bool {
-        self.response.is_some()
-    }
-
-    /// Decompose into raw effect parts (for adapter nodes that wrap an inner
-    /// node with different message/timer types).
+    /// Decompose into raw effect parts (for a platform that applies them
+    /// itself, such as the live runtime).
     pub fn into_parts(self) -> EffectParts<M, T> {
         EffectParts {
             sends: self.sends,
@@ -162,26 +157,10 @@ impl<M, T: PartialEq> Effects<M, T> {
             response: self.response,
         }
     }
-
-    /// Absorb effect parts produced by an inner node, translating message and
-    /// timer types.
-    pub fn absorb<M2, T2>(
-        &mut self,
-        parts: EffectParts<M2, T2>,
-        mut fm: impl FnMut(M2) -> M,
-        mut ft: impl FnMut(T2) -> T,
-    ) {
-        self.sends.extend(parts.sends.into_iter().map(|(to, m)| (to, fm(m))));
-        self.timers_set.extend(parts.timers_set.into_iter().map(|(at, t)| (at, ft(t))));
-        self.timers_cancelled.extend(parts.timers_cancelled.into_iter().map(&mut ft));
-        if let Some(ret) = parts.response {
-            self.respond(ret);
-        }
-    }
 }
 
 /// Raw effects of one transition, decoupled from the sink (see
-/// [`Effects::into_parts`] / [`Effects::absorb`]).
+/// [`Effects::into_parts`]).
 pub struct EffectParts<M, T> {
     /// Messages to send.
     pub sends: Vec<(Pid, M)>,
