@@ -105,10 +105,7 @@ impl ObjState for ProductState {
 
     fn canonical(&self) -> Value {
         Value::list(
-            self.prefixes
-                .iter()
-                .zip(&self.objects)
-                .map(|(p, o)| Value::pair(Value::Str((*p).to_owned()), o.canonical())),
+            self.prefixes.iter().zip(&self.objects).map(|(p, o)| Value::pair(*p, o.canonical())),
         )
     }
 }

@@ -550,6 +550,11 @@ mod tests {
     }
 
     #[test]
+    fn invocation_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Invocation>(), 40);
+    }
+
+    #[test]
     fn run_and_check_legal_register() {
         let reg = Register::new(0);
         let invs = vec![

@@ -4,6 +4,15 @@
 //! [`Value`]s. Keeping a single dynamic value type lets the simulator, the
 //! linearizability checker, and the benchmark harness stay generic over data
 //! types without a proliferation of type parameters.
+//!
+//! Every recorded operation carries two `Value`s (argument and return), so
+//! the layout is kept tight: a `Value` is 24 bytes, and `Option<Value>` is
+//! too (the `None` niche lives in the tag). `Str` and `List` hold boxed
+//! slices (pointer + length, no spare capacity); `Pair` keeps two boxes,
+//! which with its tag sets the 24-byte floor. Boxed slices hash, compare and
+//! print exactly like the `String` / `Vec` they replace, so hashes,
+//! ordering, `Debug` output and [`Value::wire_bytes`] do not depend on the
+//! layout.
 
 use std::fmt;
 
@@ -22,11 +31,11 @@ pub enum Value {
     /// A signed integer; the workhorse for register values, queue items, node ids.
     Int(i64),
     /// A short string label.
-    Str(String),
+    Str(Box<str>),
     /// An ordered pair, used for compound arguments such as `insert(child, parent)`.
     Pair(Box<Value>, Box<Value>),
     /// A sequence, used for canonical state encodings (queue contents, etc.).
-    List(Vec<Value>),
+    List(Box<[Value]>),
 }
 
 impl Value {
@@ -104,13 +113,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into_boxed_str())
     }
 }
 
@@ -193,6 +202,12 @@ mod tests {
         s.insert(Value::pair(1, Value::list([Value::Int(2)])));
         s.insert(Value::pair(1, Value::list([Value::Int(2)])));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn layout_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 24);
     }
 
     #[test]

@@ -201,6 +201,11 @@ mod tests {
     }
 
     #[test]
+    fn timed_op_is_88_bytes() {
+        assert_eq!(std::mem::size_of::<TimedOp>(), 88);
+    }
+
+    #[test]
     fn precedence_is_strict_response_before_invoke() {
         let h = History::from_tuples(vec![
             (0, inst("a", 0, 0), 0, 10),

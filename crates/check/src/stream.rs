@@ -918,7 +918,7 @@ fn parse_value(s: &str) -> Option<(Value, &str)> {
         let mut chars = rest.char_indices();
         while let Some((i, c)) = chars.next() {
             match c {
-                '"' => return Some((Value::Str(out), &rest[i + 1..])),
+                '"' => return Some((Value::from(out), &rest[i + 1..])),
                 '\\' => match chars.next()?.1 {
                     'n' => out.push('\n'),
                     't' => out.push('\t'),
@@ -1247,7 +1247,7 @@ mod tests {
             Value::Bool(true),
             Value::Int(-42),
             Value::Int(7),
-            Value::Str("a b".to_string()),
+            Value::from("a b"),
             Value::pair(1, Value::pair(2, 3)),
             Value::list([Value::Int(1), Value::Unit, Value::pair(4, 5)]),
             Value::list([]),

@@ -4,8 +4,11 @@
 //!
 //! A counting global allocator measures the bytes a cluster's returned nodes
 //! still own (live bytes before dropping them minus live bytes after), at two
-//! run lengths ten times apart. This file holds exactly one test, so no other
-//! test allocates concurrently.
+//! run lengths ten times apart. It also tracks the peak of live bytes, so the
+//! same runs bound what the engine holds per recorded operation: the `Run`'s
+//! op records and little else (a closed-loop script is read in place, not
+//! copied). This file holds exactly one test, so no other test allocates
+//! concurrently.
 
 use lintime_adt::prelude::*;
 use lintime_core::wtlw::WtlwNode;
@@ -20,6 +23,7 @@ struct Counting;
 
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 static FREED: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees carry over; the counters have no
@@ -30,6 +34,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             ALLOCATED.fetch_add(layout.size(), Relaxed);
+            PEAK.fetch_max(live_bytes(), Relaxed);
         }
         ptr
     }
@@ -47,6 +52,7 @@ unsafe impl GlobalAlloc for Counting {
         if !new.is_null() {
             ALLOCATED.fetch_add(new_size, Relaxed);
             FREED.fetch_add(layout.size(), Relaxed);
+            PEAK.fetch_max(live_bytes(), Relaxed);
         }
         new
     }
@@ -59,9 +65,17 @@ fn live_bytes() -> usize {
     ALLOCATED.load(Relaxed) - FREED.load(Relaxed)
 }
 
-/// Bytes owned by the nodes of a closed-loop n = 4 register cluster after
-/// `per_process` alternating write/read operations at every process.
-fn bytes_held_by_nodes(per_process: usize) -> usize {
+/// What a closed-loop n = 4 register cluster costs after `per_process`
+/// alternating write/read operations at every process.
+struct Footprint {
+    /// Bytes the returned nodes still own.
+    node_bytes: usize,
+    /// Peak live bytes during `simulate_full`, above the live bytes just
+    /// before it (the schedule and configuration are already built).
+    run_peak: usize,
+}
+
+fn footprint(per_process: usize) -> Footprint {
     let p = ModelParams::default_experiment();
     let spec = erase(Register::new(0));
     let mut schedule = Schedule::new();
@@ -80,23 +94,40 @@ fn bytes_held_by_nodes(per_process: usize) -> usize {
         });
     }
     let cfg = SimConfig::new(p, DelaySpec::UniformRandom { seed: 3 }).with_schedule(schedule);
+    let baseline = live_bytes();
+    PEAK.store(baseline, Relaxed);
     let (run, nodes) =
         simulate_full(&cfg, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, Time(1200)));
+    let run_peak = PEAK.load(Relaxed).saturating_sub(baseline);
     assert!(run.complete());
     assert_eq!(run.ops.len(), per_process * p.n);
     drop(run);
     let before = live_bytes();
     drop(nodes);
-    before.saturating_sub(live_bytes())
+    Footprint { node_bytes: before.saturating_sub(live_bytes()), run_peak }
 }
 
 #[test]
 fn replica_state_does_not_grow_with_executed_operations() {
-    let short = bytes_held_by_nodes(500);
-    let long = bytes_held_by_nodes(5_000);
+    let short = footprint(500).node_bytes;
+    let long = footprint(5_000);
     assert!(
-        long <= short + 64 * 1024,
-        "nodes hold {long} B after 5000 ops per process but {short} B after 500: \
-         some per-replica field grows with the number of executed operations"
+        long.node_bytes <= short + 64 * 1024,
+        "nodes hold {} B after 5000 ops per process but {short} B after 500: \
+         some per-replica field grows with the number of executed operations",
+        long.node_bytes
+    );
+    // The run's high-water mark is its op records (`Run::ops` is sized to
+    // the schedule up front) plus in-flight state; a per-op copy of the
+    // input, such as a cloned script, pushes it past the bound.
+    let scheduled = 5_000 * ModelParams::default_experiment().n;
+    let bound = scheduled * size_of::<OpRecord>() * 5 / 4;
+    assert!(
+        long.run_peak <= bound,
+        "simulate_full peaked {} B above its baseline for {scheduled} scheduled ops \
+         ({} B/op); the bound is 1.25 x size_of::<OpRecord>() = {} B/op",
+        long.run_peak,
+        long.run_peak / scheduled,
+        bound / scheduled
     );
 }

@@ -438,6 +438,11 @@ mod tests {
     }
 
     #[test]
+    fn op_record_is_96_bytes() {
+        assert_eq!(std::mem::size_of::<OpRecord>(), 96);
+    }
+
+    #[test]
     fn completeness_and_latency() {
         let run = sample_run();
         assert!(run.complete());
