@@ -47,7 +47,8 @@ pub struct Script {
 pub struct Schedule {
     /// Timed invocations (error if the process is busy when one fires).
     pub timed: Vec<TimedInvocation>,
-    /// Closed-loop scripts (at most one per process).
+    /// Closed-loop scripts (at most one per process; `SimConfig::validate`
+    /// rejects a schedule with two).
     pub scripts: Vec<Script>,
     /// Open-loop arrivals: like `timed`, but an arrival at a busy process
     /// queues in that process's ingress queue (FIFO) and is admitted when
