@@ -1,5 +1,5 @@
 //! The same Algorithm 1 code, on real OS threads: one thread per process,
-//! crossbeam channels as the network, a router injecting WAN-shaped delays
+//! std `mpsc` channels as the network, a router injecting WAN-shaped delays
 //! and deliberate clock skew. Latencies are measured in wall-clock time and
 //! the recorded history is machine-checked for linearizability.
 //!

@@ -35,12 +35,17 @@ impl LiveClock {
         self.real_now() + self.offset
     }
 
-    /// The `Instant` at which the given *real* tick count occurs.
+    /// The `Instant` at which the given *real* tick count occurs. A time too
+    /// far out for the platform's `Instant` saturates to a late one it can
+    /// hold, never to one near the epoch.
     pub fn instant_at_real(&self, t: Time) -> Instant {
-        if t <= Time::ZERO {
-            return self.epoch;
+        let mut later = self.to_duration(t);
+        loop {
+            if let Some(at) = self.epoch.checked_add(later) {
+                return at;
+            }
+            later /= 2;
         }
-        self.epoch + self.tick * (t.as_ticks() as u32)
     }
 
     /// The `Instant` at which the given *local* clock value occurs.
@@ -48,12 +53,14 @@ impl LiveClock {
         self.instant_at_real(local - self.offset)
     }
 
-    /// Convert a tick count to a real duration.
+    /// Convert a tick count to a real duration, computed in `u128`
+    /// nanoseconds and saturating at `u64::MAX` nanoseconds (≈ 584 years).
     pub fn to_duration(&self, t: Time) -> Duration {
         if t <= Time::ZERO {
             return Duration::ZERO;
         }
-        self.tick * (t.as_ticks() as u32)
+        let nanos = self.tick.as_nanos() * t.as_ticks() as u128;
+        Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
     }
 }
 
@@ -79,6 +86,20 @@ mod tests {
         assert_eq!(at.duration_since(epoch), Duration::from_micros(5000));
         assert_eq!(c.to_duration(Time(10)), Duration::from_micros(500));
         assert_eq!(c.to_duration(Time(-5)), Duration::ZERO);
+    }
+
+    #[test]
+    fn instants_past_u32_ticks_do_not_wrap() {
+        let epoch = Instant::now();
+        let c = LiveClock::new(epoch, Time(0), Duration::from_micros(1));
+        let far = Time((1 << 32) + 5);
+        let want = Duration::from_micros((1 << 32) + 5);
+        assert_eq!(c.to_duration(far), want);
+        assert_eq!(c.instant_at_real(far).duration_since(epoch), want);
+        // Beyond u64 nanoseconds the duration saturates instead of wrapping.
+        let coarse = LiveClock::new(epoch, Time(0), Duration::from_secs(1));
+        assert_eq!(coarse.to_duration(Time(i64::MAX)), Duration::from_nanos(u64::MAX));
+        assert!(coarse.instant_at_real(Time(i64::MAX)) > epoch + Duration::from_secs(1 << 32));
     }
 
     #[test]

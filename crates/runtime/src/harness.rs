@@ -2,6 +2,16 @@
 //! invocation schedule in wall-clock time, and collect a recorded
 //! [`Run`] that the linearizability checker can verify.
 //!
+//! A run takes as long as its work, not a fixed window. Tick 0 is fixed by
+//! a readiness handshake once the router and every node thread are up, and
+//! after the last invocation the harness waits on a shared [`WorkCount`]
+//! for quiescence: every invocation, message and timer handled, so nothing
+//! can happen any more and every message sent has been routed or dropped.
+//! [`LiveConfig::settle`] is only the upper bound for a cluster that never
+//! goes quiet; hitting it shuts the cluster down exactly as a drained stop
+//! does, and is reported as a [`EventCategory::Watchdog`] event and the
+//! `harness.settle_cutoffs` counter.
+//!
 //! The harness never hangs on a sick cluster: configurations are validated
 //! up front (undersized delay matrices are a clear error, not a panic), and
 //! a watchdog derived from [`LiveConfig::settle`] collects node outputs with
@@ -12,6 +22,7 @@
 use crate::clock::LiveClock;
 use crate::platform::{spawn_node, Command, NodeInput, NodeOutput};
 use crate::router::Router;
+use crate::work::WorkCount;
 use lintime_adt::spec::ObjectSpec;
 use lintime_check::stream::{self, StreamConfig, StreamStats, StreamVerdict};
 use lintime_obs::{EventCategory, Obs};
@@ -23,7 +34,7 @@ use lintime_sim::run::Run;
 use lintime_sim::schedule::TimedInvocation;
 use lintime_sim::time::{ModelParams, Pid, Time};
 use std::sync::mpsc::{channel, sync_channel, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of a live cluster.
@@ -38,9 +49,13 @@ pub struct LiveConfig {
     pub offsets: Vec<Time>,
     /// Message-delay model (same specs as the simulator).
     pub delay: DelaySpec,
-    /// How long (in ticks) to wait after the last scheduled invocation
-    /// before shutting the cluster down. Also sizes the watchdog deadline
-    /// for node-thread shutdown.
+    /// Upper bound (in ticks after the last scheduled invocation) on how
+    /// long the cluster may keep working. The harness stops as soon as the
+    /// cluster is quiescent — every invocation, message and timer handled —
+    /// and only waits this long for one that never goes quiet (a stalled or
+    /// panicked node, a timer chain that never ends), which it reports
+    /// through [`LiveConfig::obs`]. Also sizes the watchdog deadline for
+    /// node-thread shutdown.
     pub settle: Time,
     /// Optional deterministic fault plan, mirrored onto the live router
     /// (drops, duplicates, delay overrides per link).
@@ -103,9 +118,12 @@ impl LiveConfig {
         self
     }
 
-    /// Structural validation, mirroring `SimConfig::validate`: offsets must
-    /// match `n` and a delay matrix must be `n × n`.
+    /// Structural validation, mirroring `SimConfig::validate`: the tick must
+    /// be positive, offsets must match `n` and a delay matrix must be `n × n`.
     pub fn validate(&self) -> Result<(), String> {
+        if self.tick.is_zero() {
+            return Err("tick duration must be positive".to_string());
+        }
         if self.offsets.len() != self.params.n {
             return Err(format!(
                 "{} clock offsets but the model has n = {} processes",
@@ -114,6 +132,44 @@ impl LiveConfig {
             ));
         }
         self.delay.validate_shape(self.params.n)
+    }
+}
+
+/// Readiness handshake: every thread the harness spawns checks in, and the
+/// harness fixes the cluster's epoch only once all of them are up, so no
+/// thread start-up cost lands inside the timed schedule.
+#[derive(Default)]
+struct StartGate {
+    /// Threads checked in so far, and the epoch once it is fixed.
+    state: Mutex<(usize, Option<Instant>)>,
+    changed: Condvar,
+}
+
+impl StartGate {
+    /// On a spawned thread: check in, then block until the epoch is fixed.
+    fn check_in(&self) -> Instant {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.0 += 1;
+        self.changed.notify_all();
+        let state = self
+            .changed
+            .wait_while(state, |(_, epoch)| epoch.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        state.1.expect("the gate opens with an epoch")
+    }
+
+    /// On the harness: wait for `parties` check-ins, then fix the epoch at
+    /// the current instant and release every thread.
+    fn open(&self, parties: usize) -> Instant {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self
+            .changed
+            .wait_while(state, |(ready, _)| *ready < parties)
+            .unwrap_or_else(PoisonError::into_inner);
+        let epoch = Instant::now();
+        state.1 = Some(epoch);
+        self.changed.notify_all();
+        epoch
     }
 }
 
@@ -149,7 +205,8 @@ pub fn run_live_checked<N: Node + 'static>(
 /// Run a timed schedule against a live cluster of `Node`s and record the
 /// result. Invocation and response times are measured in virtual ticks from
 /// the cluster epoch, so the returned [`Run`] is directly comparable to a
-/// simulator run (modulo scheduling jitter).
+/// simulator run (modulo scheduling jitter). Returns once the cluster is
+/// quiescent after the last invocation, or at `last + settle` at the latest.
 ///
 /// Never hangs: an invalid configuration or a crashed/stalled node thread
 /// produces a truncated run with a diagnosis in [`Run::errors`].
@@ -183,10 +240,6 @@ pub fn run_live<N: Node + 'static>(
         };
     }
 
-    // Give threads a little lead time before tick 0.
-    let epoch = Instant::now() + Duration::from_millis(20);
-    let base_clock = LiveClock::new(epoch, Time::ZERO, cfg.tick);
-
     // One merged input channel per node: router deliveries + harness
     // commands share it, so the node loop is a single recv.
     let mut input_txs: Vec<SyncSender<NodeInput<N::Msg>>> = Vec::with_capacity(n);
@@ -197,32 +250,44 @@ pub fn run_live<N: Node + 'static>(
         input_rxs.push(rx);
     }
     let obs = &cfg.obs;
+    // Build every node before spawning a thread, so a panicking constructor
+    // cannot leave threads waiting in the start handshake.
+    let nodes: Vec<N> = (0..n).map(|i| make_node(Pid(i))).collect();
+    let gate = Arc::new(StartGate::default());
+    let work = Arc::new(WorkCount::new());
+    let bind = |offset: Time| {
+        let (gate, tick) = (Arc::clone(&gate), cfg.tick);
+        move || LiveClock::new(gate.check_in(), offset, tick)
+    };
     let router = Router::spawn(
         cfg.params,
         cfg.delay.clone(),
-        base_clock,
+        bind(Time::ZERO),
         input_txs.clone(),
         cfg.faults.clone(),
         obs.clone(),
+        Arc::clone(&work),
     );
 
     let (results_tx, results_rx) = channel::<(Pid, NodeOutput)>();
     let mut handles = Vec::with_capacity(n);
-    for (i, inputs) in input_rxs.into_iter().enumerate() {
-        let pid = Pid(i);
-        let clock = LiveClock::new(epoch, cfg.offsets[i], cfg.tick);
+    for (i, (node, inputs)) in nodes.into_iter().zip(input_rxs).enumerate() {
         handles.push(spawn_node(
-            pid,
+            Pid(i),
             n,
-            clock,
-            make_node(pid),
+            bind(cfg.offsets[i]),
+            node,
             inputs,
             router.tx.clone(),
             results_tx.clone(),
             cfg.op_sink.clone(),
+            Arc::clone(&work),
         ));
     }
     drop(results_tx);
+
+    // Tick 0 is when the router and every node thread are up.
+    let base_clock = LiveClock::new(gate.open(n + 1), Time::ZERO, cfg.tick);
 
     // Drive the schedule in wall-clock time. try_send keeps the harness
     // immune to a wedged node whose inbox filled up.
@@ -237,7 +302,9 @@ pub fn run_live<N: Node + 'static>(
         }
         let pid = inv.pid;
         obs.emit(inv.at.0, Some(pid.0), EventCategory::OpInvoke, || format!("{:?}", inv.inv));
+        work.add(1);
         if let Err(e) = input_txs[pid.0].try_send(NodeInput::Command(Command::Invoke(inv.inv))) {
+            work.done(1);
             let why = match e {
                 TrySendError::Full(_) => "its inbox is full (node wedged?)",
                 TrySendError::Disconnected(_) => "its thread is dead",
@@ -254,11 +321,16 @@ pub fn run_live<N: Node + 'static>(
         last = last.max(inv.at);
     }
 
-    // Let in-flight work settle, then stop.
-    let stop_at = base_clock.instant_at_real(last + cfg.settle);
-    let now = Instant::now();
-    if stop_at > now {
-        std::thread::sleep(stop_at - now);
+    // Stop once the cluster is quiescent, or at `last + settle` if it never
+    // goes quiet; the run is recorded the same way either way.
+    if !work.wait_idle_until(base_clock.instant_at_real(last + cfg.settle)) {
+        let outstanding = work.get();
+        obs.emit(base_clock.real_now().0, None, EventCategory::Watchdog, || {
+            format!("cluster still busy at last invocation + settle: {outstanding} work units")
+        });
+        if obs.is_active() {
+            obs.metrics.counter("harness.settle_cutoffs").inc();
+        }
     }
     for tx in &input_txs {
         let _ = tx.try_send(NodeInput::Command(Command::Shutdown));
@@ -356,6 +428,7 @@ mod tests {
     use lintime_adt::value::Value;
     use lintime_check::stream::UnknownReason;
     use lintime_core::wtlw::WtlwNode;
+    use lintime_sim::faults::InjectedFault;
     use lintime_sim::node::Effects;
     use std::sync::Arc;
 
@@ -546,6 +619,129 @@ mod tests {
         );
     }
 
+    /// Messages Algorithm 1 sends for `schedule`: every operation but a pure
+    /// accessor announces itself to the `n − 1` other processes.
+    fn wtlw_sends(spec: &Arc<dyn ObjectSpec>, n: usize, schedule: &[TimedInvocation]) -> u64 {
+        let announced = schedule
+            .iter()
+            .filter(|t| spec.op_meta(t.inv.op).is_some_and(|m| m.class.is_mutator()))
+            .count();
+        ((n - 1) * announced) as u64
+    }
+
+    #[test]
+    fn drained_run_returns_long_before_settle() {
+        let mut cfg = cfg();
+        let p = cfg.params;
+        cfg.settle = p.d * 50; // 3 s: an upper bound, never waited out
+        let (obs, _ring) = Obs::ring(1024);
+        cfg = cfg.with_obs(obs.clone());
+        let spec = erase(FifoQueue::new());
+        let schedule = vec![
+            TimedInvocation { pid: Pid(0), at: Time(50), inv: Invocation::new("enqueue", 1) },
+            TimedInvocation { pid: Pid(1), at: Time(55), inv: Invocation::new("enqueue", 2) },
+            TimedInvocation { pid: Pid(2), at: Time(900), inv: Invocation::nullary("peek") },
+            TimedInvocation { pid: Pid(0), at: Time(1500), inv: Invocation::nullary("dequeue") },
+        ];
+        let last = schedule.iter().map(|t| t.at).max().unwrap();
+        let start = Instant::now();
+        let run =
+            run_live(&cfg, &schedule, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO));
+        let took = start.elapsed();
+        let limit = cfg.tick * (last + cfg.settle / 2).as_ticks() as u32;
+        assert!(took < limit, "took {took:?}, half the settle ends at {limit:?}");
+        assert!(run.complete() && !run.truncated, "{run}");
+        assert!(run.errors.is_empty(), "{:?}", run.errors);
+        // Quiescence means every message sent was routed: three announcing
+        // operations, two messages each.
+        assert_eq!(run.events, wtlw_sends(&spec, p.n, &schedule));
+        assert_eq!(run.events, 6);
+        let history = lintime_check::history::History::from_run(&run).unwrap();
+        assert!(lintime_check::monitor::check_fast(&spec, &history).is_linearizable(), "{run}");
+        assert_eq!(obs.metrics.counter("harness.settle_cutoffs").get(), 0);
+    }
+
+    /// A node that answers at once and then keeps a timer re-arming forever.
+    struct TickerNode;
+    impl Node for TickerNode {
+        type Msg = ();
+        type Timer = ();
+        fn on_invoke(&mut self, _inv: Invocation, fx: &mut Effects<(), ()>) {
+            fx.respond(Value::Unit);
+            fx.set_timer(Time(10), ());
+        }
+        fn on_deliver(&mut self, _from: Pid, _msg: (), _fx: &mut Effects<(), ()>) {}
+        fn on_timer(&mut self, _t: (), fx: &mut Effects<(), ()>) {
+            fx.set_timer(Time(10), ());
+        }
+    }
+
+    #[test]
+    fn endless_timer_chain_stops_at_the_settle_bound() {
+        let mut cfg = cfg();
+        cfg.settle = Time(300); // 60 ms
+        let (obs, ring) = Obs::ring(1024);
+        cfg = cfg.with_obs(obs.clone());
+        let schedule =
+            vec![TimedInvocation { pid: Pid(2), at: Time(50), inv: Invocation::nullary("tick") }];
+        let start = Instant::now();
+        let run = run_live(&cfg, &schedule, |_| TickerNode);
+        let bound = cfg.tick * (Time(50) + cfg.settle).as_ticks() as u32;
+        assert!(start.elapsed() >= bound, "stopped at {:?}, before {bound:?}", start.elapsed());
+        assert!(run.complete() && !run.truncated, "{run}");
+        assert!(run.errors.is_empty(), "{:?}", run.errors);
+        assert_eq!(obs.metrics.counter("harness.settle_cutoffs").get(), 1);
+        assert_eq!(obs.metrics.counter("harness.watchdog_fires").get(), 0);
+        assert!(ring.events().iter().any(|e| e.category == EventCategory::Watchdog));
+    }
+
+    #[test]
+    fn lossy_run_still_goes_quiet_and_routes_every_surviving_copy() {
+        let mut cfg = cfg().with_faults(
+            FaultPlan::new(3)
+                .drop_exact(Pid(0), Pid(1), 0)
+                .drop_exact(Pid(2), Pid(0), 1)
+                .duplicate_all(0.5),
+        );
+        let p = cfg.params;
+        cfg.settle = p.d * 50;
+        let (obs, _ring) = Obs::ring(4096);
+        cfg = cfg.with_obs(obs.clone());
+        let spec = erase(FifoQueue::new());
+        let schedule = vec![
+            TimedInvocation { pid: Pid(0), at: Time(50), inv: Invocation::new("enqueue", 1) },
+            TimedInvocation { pid: Pid(1), at: Time(55), inv: Invocation::new("enqueue", 2) },
+            TimedInvocation { pid: Pid(2), at: Time(60), inv: Invocation::new("enqueue", 3) },
+            TimedInvocation { pid: Pid(2), at: Time(900), inv: Invocation::new("enqueue", 4) },
+            TimedInvocation { pid: Pid(0), at: Time(1500), inv: Invocation::nullary("dequeue") },
+        ];
+        let last = schedule.iter().map(|t| t.at).max().unwrap();
+        let start = Instant::now();
+        let run =
+            run_live(&cfg, &schedule, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO));
+        let limit = cfg.tick * (last + cfg.settle / 2).as_ticks() as u32;
+        assert!(start.elapsed() < limit, "took {:?}", start.elapsed());
+        assert!(run.complete() && !run.truncated, "{run}");
+        assert_eq!(obs.metrics.counter("harness.settle_cutoffs").get(), 0);
+        let count = |dup: bool| {
+            run.faults
+                .iter()
+                .filter(|f| {
+                    if dup {
+                        matches!(f, InjectedFault::Duplicated { .. })
+                    } else {
+                        matches!(f, InjectedFault::Dropped { .. })
+                    }
+                })
+                .count() as u64
+        };
+        let (dropped, duplicated) = (count(false), count(true));
+        assert_eq!(dropped, 2);
+        assert!(duplicated > 0, "the plan must duplicate something: {:?}", run.faults);
+        let sent = wtlw_sends(&spec, p.n, &schedule);
+        assert_eq!(run.events, sent - dropped + duplicated, "{:?}", run.faults);
+    }
+
     #[test]
     fn invalid_live_config_is_refused_up_front() {
         let mut cfg = cfg();
@@ -553,5 +749,11 @@ mod tests {
         let run = run_live(&cfg, &[], |_| PanicNode);
         assert!(run.truncated);
         assert!(run.errors.iter().any(|e| e.contains("invalid configuration")), "{:?}", run.errors);
+        // A zero tick is refused before any thread is spawned, not by a
+        // clock assertion on the threads after the start handshake.
+        let zero_tick = LiveConfig { tick: Duration::ZERO, ..self::cfg() };
+        let run = run_live(&zero_tick, &[], |_| PanicNode);
+        assert!(run.truncated);
+        assert!(run.errors.iter().any(|e| e.contains("tick duration")), "{:?}", run.errors);
     }
 }

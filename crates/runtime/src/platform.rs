@@ -5,10 +5,14 @@
 //! ([`NodeInput`]: deliveries from the router plus commands from the
 //! harness), reports its [`NodeOutput`] through a results channel when it
 //! shuts down, and converts panics into a diagnosed output instead of a
-//! silent hang — the harness watchdog relies on this to fail fast.
+//! silent hang — the harness watchdog relies on this to fail fast. Each
+//! handler accounts its effects in the cluster's [`WorkCount`] before it
+//! releases the unit of the input or timer it handled, which is how the
+//! harness knows when a run has drained.
 
 use crate::clock::LiveClock;
 use crate::router::Envelope;
+use crate::work::WorkCount;
 use lintime_adt::spec::Invocation;
 use lintime_sim::engine::OpEvent;
 use lintime_sim::node::{Effects, Node};
@@ -16,6 +20,7 @@ use lintime_sim::run::OpRecord;
 use lintime_sim::time::Pid;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,22 +68,41 @@ struct PendingTimer<T> {
 /// Spawn the event loop for one process. The thread reports its
 /// [`NodeOutput`] through `results` when it shuts down — also when it
 /// panics, so the harness never joins a handle that will never finish.
+///
+/// `clock` is called on the new thread before the loop starts, so a caller
+/// can bind the epoch only once the thread is up (the harness's readiness
+/// handshake). Every input the node handles, message it sends and timer it
+/// arms is accounted in `work` (see [`crate::work`]).
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_node<N: Node + 'static>(
     pid: Pid,
     n: usize,
-    clock: LiveClock,
+    clock: impl FnOnce() -> LiveClock + Send + 'static,
     node: N,
     inputs: Receiver<NodeInput<N::Msg>>,
     router_tx: SyncSender<Envelope<N::Msg>>,
     results: Sender<(Pid, NodeOutput)>,
     op_sink: Option<Sender<OpEvent>>,
+    work: Arc<WorkCount>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("lintime-node-{pid}"))
         .spawn(move || {
             let out = catch_unwind(AssertUnwindSafe(|| {
-                node_loop(pid, n, clock, node, inputs, router_tx, op_sink)
+                let state = NodeState {
+                    pid,
+                    n,
+                    clock: clock(),
+                    router_tx,
+                    op_sink,
+                    work,
+                    timers: Vec::new(),
+                    next_timer_id: 0,
+                    records: Vec::new(),
+                    errors: Vec::new(),
+                    pending: None,
+                };
+                node_loop(node, inputs, state)
             }))
             .unwrap_or_else(|payload| {
                 let msg = payload
@@ -98,42 +122,38 @@ pub fn spawn_node<N: Node + 'static>(
         .expect("spawn node thread")
 }
 
-fn node_loop<N: Node>(
+/// Everything a node thread owns besides the [`Node`] itself.
+struct NodeState<M, T> {
     pid: Pid,
     n: usize,
     clock: LiveClock,
+    router_tx: SyncSender<Envelope<M>>,
+    op_sink: Option<Sender<OpEvent>>,
+    work: Arc<WorkCount>,
+    timers: Vec<PendingTimer<T>>,
+    next_timer_id: u64,
+    records: Vec<OpRecord>,
+    errors: Vec<String>,
+    pending: Option<usize>,
+}
+
+fn node_loop<N: Node>(
     mut node: N,
     inputs: Receiver<NodeInput<N::Msg>>,
-    router_tx: SyncSender<Envelope<N::Msg>>,
-    op_sink: Option<Sender<OpEvent>>,
+    mut st: NodeState<N::Msg, N::Timer>,
 ) -> NodeOutput {
-    let mut timers: Vec<PendingTimer<N::Timer>> = Vec::new();
-    let mut next_timer_id = 0u64;
-    let mut records: Vec<OpRecord> = Vec::new();
-    let mut errors: Vec<String> = Vec::new();
-    let mut pending: Option<usize> = None;
-
+    let pid = st.pid;
     loop {
         // Fire due timers first.
         let now = Instant::now();
-        while let Some(idx) = due_timer(&timers, now) {
-            let t = timers.swap_remove(idx);
-            let mut fx = Effects::new(pid, n, clock.local_now());
+        while let Some(idx) = due_timer(&st.timers, now) {
+            let t = st.timers.swap_remove(idx);
+            let mut fx = st.effects();
             node.on_timer(t.tag, &mut fx);
-            apply_effects(
-                pid,
-                &clock,
-                fx,
-                &router_tx,
-                &mut timers,
-                &mut next_timer_id,
-                &mut records,
-                &mut errors,
-                &mut pending,
-                &op_sink,
-            );
+            st.apply(fx);
         }
-        let timeout = timers
+        let timeout = st
+            .timers
             .iter()
             .map(|t| t.due)
             .min()
@@ -142,38 +162,28 @@ fn node_loop<N: Node>(
 
         match inputs.recv_timeout(timeout) {
             Ok(NodeInput::Deliver(from, m)) => {
-                let mut fx = Effects::new(pid, n, clock.local_now());
+                let mut fx = st.effects();
                 node.on_deliver(from, m, &mut fx);
-                apply_effects(
-                    pid,
-                    &clock,
-                    fx,
-                    &router_tx,
-                    &mut timers,
-                    &mut next_timer_id,
-                    &mut records,
-                    &mut errors,
-                    &mut pending,
-                    &op_sink,
-                );
+                st.apply(fx);
             }
             Ok(NodeInput::Command(Command::Invoke(inv))) => {
-                if pending.is_some() {
-                    errors.push(format!(
+                if st.pending.is_some() {
+                    st.errors.push(format!(
                         "{pid}: invocation {inv:?} while another operation is pending"
                     ));
+                    st.work.done(1);
                     continue;
                 }
-                pending = Some(records.len());
-                let t_invoke = clock.real_now();
-                records.push(OpRecord {
+                st.pending = Some(st.records.len());
+                let t_invoke = st.clock.real_now();
+                st.records.push(OpRecord {
                     pid,
                     invocation: inv.clone(),
                     ret: None,
                     t_invoke,
                     t_respond: None,
                 });
-                if let Some(sink) = &op_sink {
+                if let Some(sink) = &st.op_sink {
                     // A live consumer that hung up is not a node failure.
                     let _ = sink.send(OpEvent::Invoke {
                         pid,
@@ -182,23 +192,12 @@ fn node_loop<N: Node>(
                         arg: inv.arg.clone(),
                     });
                 }
-                let mut fx = Effects::new(pid, n, clock.local_now());
+                let mut fx = st.effects();
                 node.on_invoke(inv, &mut fx);
-                apply_effects(
-                    pid,
-                    &clock,
-                    fx,
-                    &router_tx,
-                    &mut timers,
-                    &mut next_timer_id,
-                    &mut records,
-                    &mut errors,
-                    &mut pending,
-                    &op_sink,
-                );
+                st.apply(fx);
             }
             Ok(NodeInput::Command(Command::Shutdown)) | Err(RecvTimeoutError::Disconnected) => {
-                return NodeOutput { records, errors, panicked: false };
+                return NodeOutput { records: st.records, errors: st.errors, panicked: false };
             }
             Err(RecvTimeoutError::Timeout) => {}
         }
@@ -214,44 +213,51 @@ fn due_timer<T>(timers: &[PendingTimer<T>], now: Instant) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply_effects<M: Send, T: Clone + PartialEq>(
-    pid: Pid,
-    clock: &LiveClock,
-    fx: Effects<M, T>,
-    router_tx: &SyncSender<Envelope<M>>,
-    timers: &mut Vec<PendingTimer<T>>,
-    next_timer_id: &mut u64,
-    records: &mut [OpRecord],
-    errors: &mut Vec<String>,
-    pending: &mut Option<usize>,
-    op_sink: &Option<Sender<OpEvent>>,
-) {
-    let parts = fx.into_parts();
-    for tag in parts.timers_cancelled {
-        timers.retain(|t| t.tag != tag);
+impl<M: Send, T: Clone + PartialEq> NodeState<M, T> {
+    fn effects(&self) -> Effects<M, T> {
+        Effects::new(self.pid, self.n, self.clock.local_now())
     }
-    for (to, msg) in parts.sends {
-        if router_tx.send(Envelope { from: pid, to, msg }).is_err() {
-            errors.push(format!("{pid}: router closed during send"));
+
+    /// Carry out one handler's effects, then release the unit of work of
+    /// the input or timer that ran it: the effects' own units are added
+    /// first, so the count cannot reach zero while they are in flight.
+    fn apply(&mut self, fx: Effects<M, T>) {
+        let pid = self.pid;
+        let parts = fx.into_parts();
+        self.work.add(parts.sends.len() + parts.timers_set.len());
+        for tag in parts.timers_cancelled {
+            let before = self.timers.len();
+            self.timers.retain(|t| t.tag != tag);
+            self.work.done(before - self.timers.len());
         }
-    }
-    for (local_fire, tag) in parts.timers_set {
-        let id = *next_timer_id;
-        *next_timer_id += 1;
-        timers.push(PendingTimer { due: clock.instant_at_local(local_fire), id, tag });
-    }
-    if let Some(ret) = parts.response {
-        match pending.take() {
-            Some(idx) => {
-                let t_respond = clock.real_now();
-                if let Some(sink) = op_sink {
-                    let _ = sink.send(OpEvent::Respond { pid, t: t_respond, ret: ret.clone() });
-                }
-                records[idx].ret = Some(ret);
-                records[idx].t_respond = Some(t_respond);
+        for (to, msg) in parts.sends {
+            if self.router_tx.send(Envelope { from: pid, to, msg }).is_err() {
+                self.errors.push(format!("{pid}: router closed during send"));
+                self.work.done(1);
             }
-            None => errors.push(format!("{pid}: response with no pending operation")),
         }
+        for (local_fire, tag) in parts.timers_set {
+            let id = self.next_timer_id;
+            self.next_timer_id += 1;
+            self.timers.push(PendingTimer {
+                due: self.clock.instant_at_local(local_fire),
+                id,
+                tag,
+            });
+        }
+        if let Some(ret) = parts.response {
+            match self.pending.take() {
+                Some(idx) => {
+                    let t_respond = self.clock.real_now();
+                    if let Some(sink) = &self.op_sink {
+                        let _ = sink.send(OpEvent::Respond { pid, t: t_respond, ret: ret.clone() });
+                    }
+                    self.records[idx].ret = Some(ret);
+                    self.records[idx].t_respond = Some(t_respond);
+                }
+                None => self.errors.push(format!("{pid}: response with no pending operation")),
+            }
+        }
+        self.work.done(1);
     }
 }

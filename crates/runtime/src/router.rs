@@ -13,6 +13,7 @@
 //! injected fault in the [`RouterReport`].
 
 use crate::clock::LiveClock;
+use crate::work::WorkCount;
 use lintime_obs::{EventCategory, Obs};
 use lintime_sim::delay::DelaySpec;
 use lintime_sim::faults::{FaultPlan, InjectedFault};
@@ -20,6 +21,7 @@ use lintime_sim::time::{ModelParams, Pid};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -86,18 +88,26 @@ impl<M: Clone + Send + 'static> Router<M> {
     /// forwarded, dropped, duplicated, and delay-overridden message becomes
     /// a trace event, and `router.*` metrics track throughput plus the delay
     /// heap's depth (current and high-water).
+    ///
+    /// `clock` is called on the router thread before it routes anything, so
+    /// the caller can bind the epoch once the thread is up. Each message is
+    /// one unit of `work` from its send until the receiver handles it: the
+    /// router releases the unit of a message it drops or cannot hand to a
+    /// closed inbox, and adds one per duplicate it injects.
+    #[allow(clippy::too_many_arguments)]
     pub fn spawn<I: From<(Pid, M)> + Send + 'static>(
         params: ModelParams,
         delay: DelaySpec,
-        clock: LiveClock,
+        clock: impl FnOnce() -> LiveClock + Send + 'static,
         inboxes: Vec<SyncSender<I>>,
         faults: Option<FaultPlan>,
         obs: Obs,
+        work: Arc<WorkCount>,
     ) -> Router<M> {
         let (tx, rx): (SyncSender<Envelope<M>>, Receiver<Envelope<M>>) = sync_channel(4096);
         let handle = std::thread::Builder::new()
             .name("lintime-router".into())
-            .spawn(move || route(params, delay, clock, rx, inboxes, faults, obs))
+            .spawn(move || route(params, delay, clock(), rx, inboxes, faults, obs, &work))
             .expect("spawn router");
         Router { tx, handle }
     }
@@ -142,6 +152,7 @@ fn route<M: Clone, I: From<(Pid, M)>>(
     inboxes: Vec<SyncSender<I>>,
     faults: Option<FaultPlan>,
     obs: Obs,
+    work: &WorkCount,
 ) -> RouterReport {
     let n = params.n;
     let mut counters = vec![0u64; n * n];
@@ -159,7 +170,9 @@ fn route<M: Clone, I: From<(Pid, M)>>(
                 format!("forwarded from {} to {}", s.env.from, s.env.to)
             });
             // A closed inbox means the node already shut down; drop quietly.
-            let _ = inboxes[s.env.to.0].send(I::from((s.env.from, s.env.msg)));
+            if inboxes[s.env.to.0].send(I::from((s.env.from, s.env.msg))).is_err() {
+                work.done(1);
+            }
             report.routed += 1;
             if let Some(m) = &metrics {
                 m.routed.inc();
@@ -216,6 +229,7 @@ fn route<M: Clone, I: From<(Pid, M)>>(
                         if let Some(m) = &metrics {
                             m.drops.inc();
                         }
+                        work.done(1);
                         continue;
                     }
                     if plan.should_duplicate(env.from, env.to, k) {
@@ -232,6 +246,7 @@ fn route<M: Clone, I: From<(Pid, M)>>(
                         if let Some(m) = &metrics {
                             m.duplicates.inc();
                         }
+                        work.add(1);
                         heap.push(Reverse(Scheduled {
                             due: Instant::now() + clock.to_duration(extra),
                             seq,
@@ -267,8 +282,15 @@ mod tests {
         let clock = LiveClock::new(Instant::now(), Time(0), tick);
         let (in0_tx, _in0_rx) = sync_channel::<(Pid, u32)>(16);
         let (in1_tx, in1_rx) = sync_channel::<(Pid, u32)>(16);
-        let router: Router<u32> =
-            Router::spawn(params, DelaySpec::AllMin, clock, vec![in0_tx, in1_tx], None, Obs::off());
+        let router: Router<u32> = Router::spawn(
+            params,
+            DelaySpec::AllMin,
+            move || clock,
+            vec![in0_tx, in1_tx],
+            None,
+            Obs::off(),
+            Arc::default(),
+        );
         let start = Instant::now();
         router.tx.send(Envelope { from: Pid(0), to: Pid(1), msg: 42 }).unwrap();
         let (from, msg) = in1_rx.recv_timeout(Duration::from_secs(2)).unwrap();
@@ -290,10 +312,11 @@ mod tests {
         let router: Router<u32> = Router::spawn(
             params,
             DelaySpec::Constant(Time(60)),
-            clock,
+            move || clock,
             vec![in0_tx, in1_tx],
             None,
             Obs::off(),
+            Arc::default(),
         );
         for i in 0..10 {
             router.tx.send(Envelope { from: Pid(0), to: Pid(1), msg: i }).unwrap();
@@ -312,14 +335,18 @@ mod tests {
         let plan = FaultPlan::new(11).drop_exact(Pid(0), Pid(1), 0).drop_exact(Pid(0), Pid(1), 2);
         let (in0_tx, _in0) = sync_channel::<(Pid, u32)>(64);
         let (in1_tx, in1_rx) = sync_channel::<(Pid, u32)>(64);
+        let work = Arc::new(WorkCount::new());
         let router: Router<u32> = Router::spawn(
             params,
             DelaySpec::Constant(Time(60)),
-            clock,
+            move || clock,
             vec![in0_tx, in1_tx],
             Some(plan),
             Obs::off(),
+            Arc::clone(&work),
         );
+        // Each message is one unit of work from its send on, as in a node.
+        work.add(5);
         for i in 0..5 {
             router.tx.send(Envelope { from: Pid(0), to: Pid(1), msg: i }).unwrap();
         }
@@ -329,6 +356,9 @@ mod tests {
         let report = router.join();
         assert_eq!(report.routed, 3);
         assert_eq!(report.faults.len(), 2);
+        // The two drops released their units; the three delivered messages
+        // hold theirs until a receiver handles them.
+        assert_eq!(work.get(), 3);
         assert!(report
             .faults
             .iter()
