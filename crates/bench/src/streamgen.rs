@@ -16,6 +16,7 @@
 
 use lintime_adt::prelude::*;
 use lintime_check::stream::{StreamChecker, StreamConfig, StreamStats, StreamVerdict};
+use lintime_sim::engine::OpEvent;
 use lintime_sim::time::{Pid, Time};
 use std::sync::Arc;
 
@@ -81,9 +82,23 @@ pub fn run_scenario(
     procs: usize,
     cfg: StreamConfig,
 ) -> StreamReport {
+    let mut c = StreamChecker::with_config(&kind.spec(), cfg);
+    generate(kind, total_ops, procs, |ev| match ev {
+        OpEvent::Invoke { pid, t, op, arg } => {
+            c.feed_invoke(pid, t, op, arg);
+        }
+        OpEvent::Respond { pid, t, ret } => {
+            c.feed_respond(pid, t, ret);
+        }
+    });
+    let (verdict, stats) = c.finish();
+    StreamReport { verdict, stats }
+}
+
+/// Hand a legal `kind` stream of at least `total_ops` completed operations
+/// across `procs` processes to `feed`, one event at a time.
+fn generate(kind: StreamKind, total_ops: usize, procs: usize, mut feed: impl FnMut(OpEvent)) {
     let procs = procs.max(1);
-    let spec = kind.spec();
-    let mut c = StreamChecker::with_config(&spec, cfg);
     let mut t = 0i64;
     let mut next_val = 0i64;
     let mut done = 0usize;
@@ -96,29 +111,24 @@ pub fn run_scenario(
                 };
                 // `procs` mutually overlapping producers of distinct values…
                 for i in 0..procs {
-                    c.feed_invoke(
-                        Pid(i),
-                        Time(t + i as i64),
-                        prod,
-                        Value::Int(next_val + i as i64),
-                    );
+                    let arg = Value::Int(next_val + i as i64);
+                    feed(OpEvent::Invoke { pid: Pid(i), t: Time(t + i as i64), op: prod, arg });
                 }
                 for i in 0..procs {
-                    c.feed_respond(Pid(i), Time(t + (procs + i) as i64), Value::Unit);
+                    let at = Time(t + (procs + i) as i64);
+                    feed(OpEvent::Respond { pid: Pid(i), t: at, ret: Value::Unit });
                 }
                 t += 2 * procs as i64;
                 // …then `procs` mutually overlapping consumers. All producers
                 // overlapped pairwise, so the identity matching is legal for
                 // FIFO order and (with ascending values) for min order alike.
                 for i in 0..procs {
-                    c.feed_invoke(Pid(i), Time(t + i as i64), cons, Value::Unit);
+                    let at = Time(t + i as i64);
+                    feed(OpEvent::Invoke { pid: Pid(i), t: at, op: cons, arg: Value::Unit });
                 }
                 for i in 0..procs {
-                    c.feed_respond(
-                        Pid(i),
-                        Time(t + (procs + i) as i64),
-                        Value::Int(next_val + i as i64),
-                    );
+                    let (at, ret) = (Time(t + (procs + i) as i64), Value::Int(next_val + i as i64));
+                    feed(OpEvent::Respond { pid: Pid(i), t: at, ret });
                 }
                 t += 2 * procs as i64;
                 next_val += procs as i64;
@@ -126,22 +136,23 @@ pub fn run_scenario(
             }
             StreamKind::Register => {
                 next_val += 1;
-                c.feed_invoke(Pid(0), Time(t), "write", Value::Int(next_val));
-                c.feed_respond(Pid(0), Time(t + 1), Value::Unit);
+                let arg = Value::Int(next_val);
+                feed(OpEvent::Invoke { pid: Pid(0), t: Time(t), op: "write", arg });
+                feed(OpEvent::Respond { pid: Pid(0), t: Time(t + 1), ret: Value::Unit });
                 t += 2;
                 for i in 0..procs {
-                    c.feed_invoke(Pid(i), Time(t + i as i64), "read", Value::Unit);
+                    let at = Time(t + i as i64);
+                    feed(OpEvent::Invoke { pid: Pid(i), t: at, op: "read", arg: Value::Unit });
                 }
                 for i in 0..procs {
-                    c.feed_respond(Pid(i), Time(t + (procs + i) as i64), Value::Int(next_val));
+                    let at = Time(t + (procs + i) as i64);
+                    feed(OpEvent::Respond { pid: Pid(i), t: at, ret: Value::Int(next_val) });
                 }
                 t += 2 * procs as i64;
                 done += procs + 1;
             }
         }
     }
-    let (verdict, stats) = c.finish();
-    StreamReport { verdict, stats }
 }
 
 #[cfg(test)]
@@ -185,6 +196,13 @@ mod tests {
                 "{id}: resident peak {} above {bound}",
                 report.stats.peak_resident
             );
+            // At most two windows are in flight to the decider.
+            assert!(
+                report.stats.peak_in_flight <= 2 * bound,
+                "{id}: in-flight peak {} above {}",
+                report.stats.peak_in_flight,
+                2 * bound
+            );
             if kind == StreamKind::Queue {
                 queue_peaks.push(report.stats.peak_resident);
             }
@@ -194,6 +212,25 @@ mod tests {
             long as f64 <= short as f64 * 1.5,
             "memory not flat: 200k queue ops peaked at {long} resident vs {short} at 20k"
         );
+    }
+
+    /// A checker whose `stats()` is read after every event (waiting for
+    /// each window in flight) ends exactly like one never queried before
+    /// `finish`, windows in flight and all.
+    #[test]
+    fn queried_checker_ends_like_an_unqueried_one() {
+        let spec = StreamKind::Queue.spec();
+        let mut queried = StreamChecker::new(&spec);
+        let mut quiet = StreamChecker::new(&spec);
+        generate(StreamKind::Queue, 20_000, 4, |ev| {
+            queried.feed(&ev);
+            queried.stats();
+            quiet.feed(&ev);
+        });
+        let (v1, s1) = queried.finish();
+        let (v2, s2) = quiet.finish();
+        assert!(v2.is_ok() && s2.flushes > 10, "{v2:?} {s2:?}");
+        assert_eq!(format!("{v1:?} {s1:?}"), format!("{v2:?} {s2:?}"));
     }
 
     #[test]

@@ -34,7 +34,10 @@
 //!    (per-key) last write to be strict in real time; counters are always
 //!    canonical (the sum is order-independent). A cut that is not canonical
 //!    simply delays GC — correctness never depends on flushing.
-//! 3. **Decide and retire.** The settled prefix goes through the same
+//! 3. **Hand off, decide and retire.** The settled prefix moves out of the
+//!    window to a **decider thread**, spawned at the first hand-off, while
+//!    the feeding thread goes on with the stream. The decider owns the
+//!    carried base state and takes windows in stream order through the same
 //!    decision ladder as [`crate::monitor::check_fast`], run against a
 //!    *seeded* spec that replays the carried state: the type-specialized
 //!    monitor first, falling back to a bounded offline Wing–Gong re-check
@@ -45,11 +48,20 @@
 //!    values, and a certified prefix hands on the state its witness ended
 //!    in — the monitor witness's verifying replay, or the search's live
 //!    object — as the new carried base state, so the witness is replayed
-//!    once; the prefix is then dropped from the window. A refuted prefix is
-//!    a **sound violation** of the whole stream.
+//!    once; the window is then dropped. A refuted prefix is a **sound
+//!    violation** of the whole stream. Results come back to the feeding
+//!    thread only at fixed points: at hand-off `j` it waits for window
+//!    `j − 2` (so at most two windows are in flight), and
+//!    [`finish`](StreamChecker::finish) and the accessors wait for all of
+//!    them. The verdict (and, on a violation, its evidence window) is
+//!    therefore the one a checker deciding each window at its cut would
+//!    reach, and on a legal stream so is every statistic, however often the
+//!    accessors are read. On a failing stream the statistics may differ:
+//!    events fed while the failed window was still in flight are counted.
 //!
 //! Resident memory is therefore `O(flush window + concurrency + unmatched
-//! items)`, flat in the stream length: the tier-1 streaming test in
+//! items)`, plus the at most two windows in flight, flat in the stream
+//! length: the tier-1 streaming test in
 //! `lintime-bench` holds a 200k-op queue stream to the resident peak of a
 //! 20k-op one, and `lintime stream --ops 10000000` prints throughput and
 //! peak residency at scale.
@@ -64,6 +76,15 @@
 //! event streams, window overflow past the configured bound, fallback
 //! budget exhaustion — degrades to [`StreamVerdict::Unknown`] and stays
 //! there.
+//!
+//! The running verdict returned by [`feed`](StreamChecker::feed) lags the
+//! stream by at most two windows: a window's refutation surfaces when its
+//! result is applied, at most two hand-offs after its cut. A degradation on
+//! the feeding side (a malformed event, a window overflow) first applies
+//! every window in flight, so an earlier refutation still takes precedence.
+//! [`finish`](StreamChecker::finish) and the accessors
+//! ([`verdict`](StreamChecker::verdict), [`stats`](StreamChecker::stats),
+//! [`certified`](StreamChecker::certified)) are exact.
 
 use crate::history::{History, PendingHistory, PendingOp, TimedOp};
 use crate::monitor;
@@ -75,13 +96,19 @@ use lintime_obs::{Counter, Gauge, Obs, TraceEvent};
 use lintime_sim::engine::OpEvent;
 use lintime_sim::run::Run;
 use lintime_sim::time::{Pid, Time};
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread;
 
 /// Streaming verdict after any number of [`StreamChecker::feed`] calls.
 ///
 /// `Violation` and `Unknown` are *sticky*: once reached, later events cannot
 /// improve the verdict (the checker drops its state and only counts events).
+/// The verdict `feed` returns may lag by up to two settled windows still
+/// being decided; [`StreamChecker::verdict`] and [`StreamChecker::finish`]
+/// wait for them.
 #[derive(Clone, Debug)]
 pub enum StreamVerdict {
     /// No violation so far: every settled window was certified linearizable
@@ -236,6 +263,11 @@ pub struct StreamStats {
     pub peak_resident: usize,
     /// High-water mark of concurrently pending invocations.
     pub peak_pending: usize,
+    /// High-water mark of ops handed to the decider whose results are not
+    /// yet applied, counted at the fixed application points (the two
+    /// latest windows at each hand-off), so reading the accessors early
+    /// does not lower it.
+    pub peak_in_flight: usize,
 }
 
 /// Pre-registered `check.stream.*` metric handles (one lock per run, not per
@@ -249,6 +281,7 @@ struct StreamMetrics {
     malformed: Counter,
     window_peak: Gauge,
     pending_peak: Gauge,
+    in_flight_peak: Gauge,
 }
 
 impl StreamMetrics {
@@ -263,6 +296,7 @@ impl StreamMetrics {
             malformed: r.counter("check.stream.malformed"),
             window_peak: r.gauge("check.stream.window_peak"),
             pending_peak: r.gauge("check.stream.pending_peak"),
+            in_flight_peak: r.gauge("check.stream.in_flight_peak"),
         }
     }
 }
@@ -380,8 +414,158 @@ struct PendingSlot {
     t_invoke: Time,
 }
 
+/// At most this many windows are handed to the decider and not yet applied:
+/// at hand-off `j` the feeding thread first applies window `j − 2`.
+/// At depth 1 the feeder waited at every hand-off; a deeper queue was no
+/// faster and would give up the bound on resident windows.
+const DEPTH: usize = 2;
+
+/// Name of the decider thread.
+const DECIDER_THREAD: &str = "stream-decider";
+
+/// What deciding one window came to.
+enum Outcome {
+    /// Certified: the carried base is now the state the witness ends in.
+    /// Holds the audit record under [`StreamConfig::keep_witnesses`].
+    Certified(Option<CertifiedWindow>),
+    /// Soundly refuted: the window is the evidence.
+    Refuted(History),
+    /// The fallback search ran out of budget.
+    Budget,
+    /// Not decided: an earlier window failed, so the stream is over.
+    Skipped,
+    /// The decision panicked; re-raised where the result is applied.
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// One window's result, as the decider hands it back.
+struct Decided {
+    ops: usize,
+    /// Whether the Wing–Gong fallback ran.
+    searched: bool,
+    outcome: Outcome,
+}
+
+/// The deciding stage: the carried base and the decision ladder, applied to
+/// windows in stream order. It lives on the decider thread; `finish` builds
+/// one more to decide the residue.
+struct WindowDecider {
+    seeded: Arc<dyn ObjectSpec>,
+    base: Arc<Mutex<Box<dyn ObjState>>>,
+    check: CheckConfig,
+    keep_witnesses: bool,
+    /// A window failed: the stream's verdict is final, skip the rest.
+    failed: bool,
+}
+
+impl WindowDecider {
+    /// Decide `window` against the carried base, unless an earlier window
+    /// failed. A panic is caught and returned, to be re-raised on the
+    /// feeding thread.
+    fn decide(&mut self, window: History) -> Decided {
+        let ops = window.len();
+        if self.failed {
+            return Decided { ops, searched: false, outcome: Outcome::Skipped };
+        }
+        let decided =
+            panic::catch_unwind(AssertUnwindSafe(|| self.decide_window(window))).unwrap_or_else(
+                |payload| Decided { ops, searched: false, outcome: Outcome::Panicked(payload) },
+            );
+        self.failed = !matches!(decided.outcome, Outcome::Certified(_));
+        decided
+    }
+
+    /// The one decision function behind every window: the monitor ladder
+    /// against the seeded spec; on certification the state the witness ends
+    /// in becomes the new base.
+    fn decide_window(&self, window: History) -> Decided {
+        let decision = monitor::ladder(&self.seeded, &window, &[], None, self.check, &Obs::off());
+        let (ops, searched) = (window.len(), decision.searched);
+        let outcome = match decision.verdict {
+            Verdict::Linearizable(order) => {
+                // The decision replayed (or searched) its witness from the
+                // base state, so `state` is where the witness leaves it; the
+                // cut is canonical, so that is the unique post-window state
+                // shared by every linearization. (The residue decided at
+                // `finish` need not end at a canonical cut, but nothing is
+                // decided after it.) The base it replaces is the audit
+                // snapshot.
+                let state = decision.state.expect("a witness has a state");
+                let retired =
+                    std::mem::replace(&mut *self.base.lock().expect("stream base poisoned"), state);
+                Outcome::Certified(self.keep_witnesses.then(|| CertifiedWindow {
+                    spec: Arc::new(SeededSpec {
+                        inner: Arc::clone(&self.seeded),
+                        base: Arc::new(Mutex::new(retired)),
+                    }),
+                    window,
+                    order,
+                }))
+            }
+            Verdict::NotLinearizable => Outcome::Refuted(window),
+            Verdict::Unknown => Outcome::Budget,
+        };
+        Decided { ops, searched, outcome }
+    }
+}
+
+/// Joins the decider thread when dropped.
+struct JoinOnDrop(Option<thread::JoinHandle<()>>);
+
+impl Drop for JoinOnDrop {
+    fn drop(&mut self) {
+        if let Some(handle) = self.0.take() {
+            // The decider catches the panics of its decisions.
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The decider thread and its two channels. Fields drop in order: closing
+/// both channels ends its loop (after at most the window it is deciding),
+/// then it is joined.
+struct Decider {
+    windows: mpsc::Sender<History>,
+    results: mpsc::Receiver<Decided>,
+    _thread: JoinOnDrop,
+}
+
+impl Decider {
+    /// Spawn the decider thread around `stage`.
+    fn spawn(mut stage: WindowDecider) -> Decider {
+        let (windows, inbox) = mpsc::channel::<History>();
+        let (outbox, results) = mpsc::channel();
+        let handle = thread::Builder::new()
+            .name(DECIDER_THREAD.into())
+            .spawn(move || {
+                for window in inbox {
+                    if outbox.send(stage.decide(window)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn stream decider");
+        Decider { windows, results, _thread: JoinOnDrop(Some(handle)) }
+    }
+
+    fn submit(&self, window: History) {
+        self.windows.send(window).expect("the decider thread runs until dropped");
+    }
+
+    /// The oldest outstanding result, waiting for it if need be.
+    fn next(&self) -> Decided {
+        self.results.recv().expect("the decider answers every window")
+    }
+}
+
 /// The online checker: feed events, read the running verdict, [`finish`](StreamChecker::finish)
 /// (see [`StreamChecker::finish`]) for the final one.
+///
+/// Structural work — the pending table, the window, the settled cut, the
+/// canonical test, the flush backoff, residency accounting — happens on
+/// the feeding thread; settled windows are decided on a decider thread
+/// (see the module docs). Dropping the checker closes the decider's channel
+/// and joins it.
 pub struct StreamChecker {
     seeded: Arc<dyn ObjectSpec>,
     base: Arc<Mutex<Box<dyn ObjState>>>,
@@ -412,6 +596,15 @@ pub struct StreamChecker {
     stats: StreamStats,
     /// Certified windows (only with [`StreamConfig::keep_witnesses`]).
     certified: Vec<CertifiedWindow>,
+    /// The decider thread: none before the first hand-off, or once the
+    /// stream's verdict is final.
+    decider: Option<Decider>,
+    /// Windows handed off whose results are not yet applied.
+    in_flight: usize,
+    /// Size of the window handed off last: with the current one, the ops in
+    /// flight under the fixed application schedule, whatever the accessors
+    /// applied early.
+    last_handed: usize,
 }
 
 impl StreamChecker {
@@ -448,16 +641,21 @@ impl StreamChecker {
             dead: false,
             stats: StreamStats::default(),
             certified: Vec::new(),
+            decider: None,
+            in_flight: 0,
+            last_handed: 0,
         }
     }
 
-    /// The running verdict.
-    pub fn verdict(&self) -> &StreamVerdict {
+    /// The verdict so far, after applying every window still in flight.
+    pub fn verdict(&mut self) -> &StreamVerdict {
+        self.settle();
         &self.verdict
     }
 
-    /// Live statistics.
-    pub fn stats(&self) -> &StreamStats {
+    /// Live statistics, after applying every window still in flight.
+    pub fn stats(&mut self) -> &StreamStats {
+        self.settle();
         &self.stats
     }
 
@@ -466,13 +664,16 @@ impl StreamChecker {
         self.window.len() + self.pending_count
     }
 
-    /// Certified windows retained under [`StreamConfig::keep_witnesses`].
-    pub fn certified(&self) -> &[CertifiedWindow] {
+    /// Certified windows retained under [`StreamConfig::keep_witnesses`],
+    /// after applying every window still in flight.
+    pub fn certified(&mut self) -> &[CertifiedWindow] {
+        self.settle();
         &self.certified
     }
 
     /// Feed a structured engine event (see
-    /// [`lintime_sim::engine::SimConfig::op_sink`]).
+    /// [`lintime_sim::engine::SimConfig::op_sink`]). Returns the running
+    /// verdict, which lags by at most two windows still being decided.
     pub fn feed(&mut self, ev: &OpEvent) -> &StreamVerdict {
         match ev {
             OpEvent::Invoke { pid, t, op, arg } => self.feed_invoke(*pid, *t, op, arg.clone()),
@@ -531,7 +732,10 @@ impl StreamChecker {
         }
         self.window.push(op);
         self.stats.ops += 1;
-        self.note_resident();
+        // The op moved from pending to the window: residency is unchanged.
+        if let Some(m) = &self.metrics {
+            m.window_peak.set_max(self.window.len() as i64);
+        }
         if self.window.len() >= self.next_flush {
             self.maybe_flush();
         }
@@ -564,18 +768,22 @@ impl StreamChecker {
         }
     }
 
-    /// Final verdict: decides whatever remains in the window, including
-    /// still-pending invocations (through the pending-aware offline checker,
-    /// which enumerates Herlihy–Wing completions).
+    /// Final verdict: applies every window still in flight, then decides
+    /// whatever remains in the window, including still-pending invocations
+    /// (through the pending-aware offline checker, which enumerates
+    /// Herlihy–Wing completions). A panic raised while deciding a window is
+    /// re-raised here at the latest.
     pub fn finish(mut self) -> (StreamVerdict, StreamStats) {
+        self.settle();
         if self.dead {
             return (self.verdict, self.stats);
         }
         self.sort_window();
         if self.pending_count == 0 {
             if !self.window.is_empty() {
-                let k = self.window.len();
-                self.decide_prefix(k, false);
+                let residue = History { ops: std::mem::take(&mut self.window) };
+                let decided = self.stage().decide(residue);
+                self.apply(decided, false);
             }
         } else {
             let pending: Vec<PendingOp> = self
@@ -638,6 +846,11 @@ impl StreamChecker {
             m.pending_peak.set_max(self.pending_count as i64);
         }
         if resident > self.cfg.max_resident && !self.dead {
+            // A refutation still in flight takes precedence.
+            self.settle();
+            if self.dead {
+                return;
+            }
             self.stats.window_overflows += 1;
             if let Some(m) = &self.metrics {
                 m.window_overflow.inc();
@@ -647,6 +860,13 @@ impl StreamChecker {
     }
 
     fn malformed(&mut self) -> &StreamVerdict {
+        // A refutation still in flight takes precedence: the stream ended
+        // before this event, which is then not counted.
+        let was_dead = self.dead;
+        self.settle();
+        if self.dead && !was_dead {
+            return &self.verdict;
+        }
         self.stats.malformed += 1;
         if let Some(m) = &self.metrics {
             m.malformed.inc();
@@ -663,12 +883,16 @@ impl StreamChecker {
     }
 
     /// Drop all tracked state: the verdict is final, memory goes flat.
+    /// Shutting the decider down loses nothing: a window still in flight
+    /// here was queued behind the one that failed, and skipped.
     fn die(&mut self) {
         self.dead = true;
         self.window = Vec::new();
         self.open = OpenValues::default();
         self.pending = Vec::new();
         self.pending_count = 0;
+        self.decider = None;
+        self.in_flight = 0;
     }
 
     fn sort_window(&mut self) {
@@ -678,7 +902,7 @@ impl StreamChecker {
         }
     }
 
-    /// Attempt to settle, decide, and retire a prefix of the window.
+    /// Attempt to settle a prefix of the window and hand it off.
     fn maybe_flush(&mut self) {
         if self.dead || self.non_monotone {
             return;
@@ -704,7 +928,7 @@ impl StreamChecker {
             self.next_flush = (self.window.len() * 3 / 2).max(self.window.len() + 1);
             return;
         }
-        self.decide_prefix(k, true);
+        self.hand_off(k);
         self.next_flush = self.cfg.flush_ops;
     }
 
@@ -712,59 +936,84 @@ impl StreamChecker {
         self.pending.iter().flatten().map(|s| s.t_invoke).min()
     }
 
-    /// Move `window[..k]` out and decide it against the seeded spec; on
-    /// certification with `gc` set, the state the witness ends in becomes
-    /// the new base and the prefix counts as retired. Sets the sticky
-    /// verdict on refutation or budget exhaustion (which drop the rest of
-    /// the window anyway).
-    fn decide_prefix(&mut self, k: usize, gc: bool) {
-        let hist = History { ops: self.window.drain(..k).collect() };
-        let decision = monitor::ladder(&self.seeded, &hist, &[], None, self.cfg.check, &Obs::off());
-        if decision.searched {
+    /// A deciding stage over the carried base.
+    fn stage(&self) -> WindowDecider {
+        WindowDecider {
+            seeded: Arc::clone(&self.seeded),
+            base: Arc::clone(&self.base),
+            check: self.cfg.check,
+            keep_witnesses: self.cfg.keep_witnesses,
+            failed: false,
+        }
+    }
+
+    /// Move the settled canonical prefix `window[..k]` to the decider, first
+    /// applying the oldest result if [`DEPTH`] windows are in flight.
+    fn hand_off(&mut self, k: usize) {
+        while self.in_flight >= DEPTH {
+            self.apply_next();
+            if self.dead {
+                return;
+            }
+        }
+        let window = History { ops: self.window.drain(..k).collect() };
+        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.last_handed + k);
+        self.last_handed = k;
+        if let Some(m) = &self.metrics {
+            m.in_flight_peak.set_max(self.stats.peak_in_flight as i64);
+        }
+        if self.decider.is_none() {
+            self.decider = Some(Decider::spawn(self.stage()));
+        }
+        self.decider.as_ref().expect("spawned above").submit(window);
+        self.in_flight += 1;
+    }
+
+    /// Wait for the oldest window in flight and apply its result.
+    fn apply_next(&mut self) {
+        let decided = self.decider.as_ref().expect("a window in flight").next();
+        self.in_flight -= 1;
+        self.apply(decided, true);
+    }
+
+    /// Apply every window still in flight.
+    fn settle(&mut self) {
+        while self.in_flight > 0 {
+            self.apply_next();
+        }
+    }
+
+    /// Apply one window's result on the feeding thread: count it, keep its
+    /// audit record, or end the stream on refutation or budget exhaustion.
+    /// A `retired` window was handed off at a canonical cut; the residue
+    /// decided at [`finish`](StreamChecker::finish) is not.
+    fn apply(&mut self, decided: Decided, retired: bool) {
+        if decided.searched {
             // Ambiguous window: it took the bounded offline Wing–Gong re-check.
             self.stats.fallbacks += 1;
             if let Some(m) = &self.metrics {
                 m.fallbacks.inc();
             }
         }
-        let (order, state) = match decision.verdict {
-            Verdict::Linearizable(order) => (order, decision.state.expect("a witness has a state")),
-            Verdict::NotLinearizable => {
-                self.verdict = StreamVerdict::Violation(ViolationEvidence { window: hist });
+        match decided.outcome {
+            Outcome::Certified(kept) => {
+                if retired {
+                    self.stats.flushes += 1;
+                    self.stats.gc_reclaimed += decided.ops as u64;
+                    if let Some(m) = &self.metrics {
+                        m.flushes.inc();
+                        m.gc_reclaimed.add(decided.ops as u64);
+                    }
+                }
+                self.certified.extend(kept);
+            }
+            Outcome::Refuted(window) => {
+                self.verdict = StreamVerdict::Violation(ViolationEvidence { window });
                 self.die();
-                return;
             }
-            Verdict::Unknown => {
-                self.degrade(UnknownReason::FallbackBudget);
-                return;
-            }
-        };
-        // Certified. The decision replayed (or searched) its witness from
-        // the base state, so `state` is where the witness leaves it; the cut
-        // is canonical, so that is the unique post-prefix state shared by
-        // every linearization. The base it replaces is the audit snapshot.
-        let mut retired = None;
-        if gc {
-            let base = &mut *self.base.lock().expect("stream base poisoned");
-            retired = Some(std::mem::replace(base, state));
-            self.stats.flushes += 1;
-            self.stats.gc_reclaimed += k as u64;
-            if let Some(m) = &self.metrics {
-                m.flushes.inc();
-                m.gc_reclaimed.add(k as u64);
-            }
-        }
-        if self.cfg.keep_witnesses {
-            let snapshot = retired
-                .unwrap_or_else(|| self.base.lock().expect("stream base poisoned").clone_box());
-            self.certified.push(CertifiedWindow {
-                spec: Arc::new(SeededSpec {
-                    inner: Arc::clone(&self.seeded),
-                    base: Arc::new(Mutex::new(snapshot)),
-                }),
-                window: hist,
-                order,
-            });
+            Outcome::Budget => self.degrade(UnknownReason::FallbackBudget),
+            Outcome::Skipped => {}
+            Outcome::Panicked(payload) => panic::resume_unwind(payload),
         }
     }
 
@@ -806,7 +1055,8 @@ impl StreamChecker {
                 }
             })),
             Shape::Keyed => {
-                let mut groups: HashMap<&Value, Vec<(&TimedOp, bool)>> = HashMap::new();
+                let mut groups: HashMap<&Value, Vec<(&TimedOp, bool)>, FxBuildHasher> =
+                    HashMap::default();
                 for op in prefix {
                     match op.instance.op {
                         "add" | "remove" | "del" => {
@@ -849,16 +1099,25 @@ fn matched_effect<'a>(
 /// True iff the mutator set is empty or its last-invoked member is a plain
 /// write (`is_write`) strictly after every other mutator in real time — then
 /// every linearization ends with it and the final state is its written
-/// value.
+/// value. One pass: the latest response among the mutators other than the
+/// running last-invoked one. (A tie for last invoke is never strict.)
 fn strict_last_write<'a>(mutators: impl Iterator<Item = (&'a TimedOp, bool)>) -> bool {
-    let ms: Vec<(&TimedOp, bool)> = mutators.collect();
-    let Some((last_idx, (last, is_write))) =
-        ms.iter().enumerate().max_by_key(|(_, (op, _))| op.t_invoke)
-    else {
-        return true;
-    };
-    *is_write
-        && ms.iter().enumerate().all(|(i, (op, _))| i == last_idx || op.t_respond < last.t_invoke)
+    let mut last: Option<(&TimedOp, bool)> = None;
+    let mut others_respond = Time(i64::MIN);
+    for (op, is_write) in mutators {
+        match last {
+            Some((l, _)) if op.t_invoke < l.t_invoke => {
+                others_respond = others_respond.max(op.t_respond);
+            }
+            _ => {
+                if let Some((l, _)) = last {
+                    others_respond = others_respond.max(l.t_respond);
+                }
+                last = Some((op, is_write));
+            }
+        }
+    }
+    last.is_none_or(|(l, is_write)| is_write && others_respond < l.t_invoke)
 }
 
 /// Parse an engine `OpInvoke` detail (`op(arg)` with [`Value`]'s `Debug`
@@ -1297,6 +1556,18 @@ mod tests {
     }
 
     impl StreamChecker {
+        /// Every window in flight applied: the internal fields then read as
+        /// those of a checker that decides each window at its cut.
+        fn settled(&mut self) -> &StreamChecker {
+            self.settle();
+            self
+        }
+
+        /// Whether a decider thread is running.
+        fn decider_spawned(&self) -> bool {
+            self.decider.is_some()
+        }
+
         /// The closed-prefix rule of a matched-pair type as a full rescan of
         /// `window[..k]`: the oracle for the running balance that
         /// [`StreamChecker::canonical_prefix`] keeps.
@@ -1378,7 +1649,7 @@ mod tests {
                             c.feed_respond(Pid(pid), Time(at), ret);
                         }
                     }
-                    if c.dead {
+                    if c.settled().dead {
                         break;
                     }
                     // Every cut of a short window; about 8 spread over a
@@ -1397,7 +1668,7 @@ mod tests {
                         closed += rescan as u64;
                     }
                 }
-                flushes += c.stats.flushes;
+                flushes += c.settled().stats.flushes;
             }
         }
         assert!(flushes > 100, "prefixes must be retired between checks: {flushes}");
@@ -1519,7 +1790,7 @@ mod tests {
             }
             obj
         };
-        let base = |c: &StreamChecker| c.base.lock().unwrap().canonical();
+        let base = |c: &mut StreamChecker| c.settled().base.lock().unwrap().canonical();
         let (mut flushes, mut searched) = (0u64, 0u64);
         for (spec, unique, duplicates) in &kinds {
             for seed in 0..4u64 {
@@ -1531,20 +1802,23 @@ mod tests {
                     let mut replaying = StreamChecker::with_config(spec, cfg);
                     let label = format!("{} seed {seed} flush {flush}", spec.name());
                     for ev in &events {
-                        let flushes = adopting.stats.flushes;
+                        let flushes = adopting.settled().stats.flushes;
                         adopting.feed(ev);
                         replaying.feed(ev);
-                        if adopting.stats.flushes > flushes {
+                        let adopted = adopting.settled();
+                        if adopted.stats.flushes > flushes {
                             // A window was just certified: the base is where
                             // its witness leaves the window's snapshot.
-                            let cw = adopting.certified.last().expect("kept");
-                            assert_eq!(base(&adopting), replay(cw).canonical(), "{label}");
+                            let cw = adopted.certified.last().expect("kept");
+                            let state = adopted.base.lock().unwrap().canonical();
+                            assert_eq!(state, replay(cw).canonical(), "{label}");
                         }
-                        if replaying.stats.flushes > flushes {
-                            let cw = replaying.certified.last().expect("kept");
-                            *replaying.base.lock().unwrap() = replay(cw);
+                        let replayed = replaying.settled();
+                        if replayed.stats.flushes > flushes {
+                            let cw = replayed.certified.last().expect("kept");
+                            *replayed.base.lock().unwrap() = replay(cw);
                         }
-                        assert_eq!(base(&adopting), base(&replaying), "{label}");
+                        assert_eq!(base(&mut adopting), base(&mut replaying), "{label}");
                     }
                     let (v1, s1) = adopting.finish();
                     let (v2, s2) = replaying.finish();
@@ -1588,5 +1862,216 @@ mod tests {
         let window_peak = m.gauge("check.stream.window_peak").get();
         assert!(window_peak >= 1 && window_peak as usize <= stats.peak_resident);
         assert!(m.gauge("check.stream.pending_peak").get() >= 1);
+        let in_flight = m.gauge("check.stream.in_flight_peak").get();
+        assert_eq!(in_flight as usize, stats.peak_in_flight);
+        assert!(stats.peak_in_flight >= 2, "stats: {stats:?}");
+    }
+
+    /// Enqueue/dequeue rounds of one process from time `t`, four events per
+    /// round; returns the time after the last one.
+    fn legal_rounds(c: &mut StreamChecker, rounds: std::ops::Range<i64>, mut t: i64) -> i64 {
+        for round in rounds {
+            op(c, 0, "enqueue", round, (), t, t + 1);
+            op(c, 0, "dequeue", (), round, t + 2, t + 3);
+            t += 4;
+        }
+        t
+    }
+
+    /// Feed a closed FIFO-violating window of four ops from time `t` (with
+    /// a flush window of four it is handed off at its last response) and
+    /// return its ops.
+    fn fifo_violation(c: &mut StreamChecker, t: i64) -> Vec<TimedOp> {
+        let window: Vec<TimedOp> = [
+            OpInstance::new("enqueue", 100, ()),
+            OpInstance::new("enqueue", 101, ()),
+            OpInstance::new("dequeue", (), 101),
+            OpInstance::new("dequeue", (), 100),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, instance)| TimedOp {
+            pid: Pid(0),
+            instance,
+            t_invoke: Time(t + 2 * i as i64),
+            t_respond: Time(t + 2 * i as i64 + 1),
+        })
+        .collect();
+        for o in &window {
+            c.feed_invoke(o.pid, o.t_invoke, o.instance.op, o.instance.arg.clone());
+            c.feed_respond(o.pid, o.t_respond, o.instance.ret.clone());
+        }
+        window
+    }
+
+    /// A window refuted on the decider, still in flight when the feeding
+    /// side degrades, wins: a malformed event or a window overflow right
+    /// after its hand-off ends the stream in `Violation` with that window as
+    /// evidence, as when windows were decided at their cut, and the
+    /// degradation is not counted.
+    #[test]
+    fn refutation_in_flight_precedes_a_later_degradation() {
+        let spec = erase(FifoQueue::new());
+        for overflow in [false, true] {
+            let cfg = StreamConfig::default().with_flush_ops(4).with_max_resident(8);
+            let mut c = StreamChecker::with_config(&spec, cfg);
+            let t = legal_rounds(&mut c, 0..6, 0);
+            let refuted = fifo_violation(&mut c, t);
+            assert_eq!(c.in_flight, DEPTH, "the refuted window must be in flight");
+            if overflow {
+                // Never-consumed values: no canonical cut, the window grows.
+                for i in 0..9 {
+                    op(&mut c, 1, "enqueue", 200 + i, (), t + 10 + 2 * i, t + 11 + 2 * i);
+                }
+            } else {
+                c.feed_respond(Pid(3), Time(t + 10), Value::Unit);
+            }
+            let (verdict, stats) = c.finish();
+            let StreamVerdict::Violation(evidence) = verdict else {
+                panic!("overflow {overflow}: got {verdict:?}");
+            };
+            assert_eq!(evidence.window.ops, refuted, "overflow {overflow}");
+            let counts = (stats.window_overflows, stats.malformed, stats.flushes);
+            assert_eq!(counts, (0, 0, 3), "{stats:?}");
+        }
+    }
+
+    /// A register whose objects panic when they are applied on the decider
+    /// thread.
+    struct DeciderBomb(Arc<dyn ObjectSpec>);
+
+    struct BombState(Box<dyn ObjState>);
+
+    impl BombState {
+        fn arm() {
+            if thread::current().name() == Some(DECIDER_THREAD) {
+                panic!("injected decider panic");
+            }
+        }
+    }
+
+    impl ObjState for BombState {
+        fn apply(&mut self, op: &'static str, arg: &Value) -> Value {
+            BombState::arm();
+            self.0.apply(op, arg)
+        }
+
+        fn apply_if(&mut self, op: &'static str, arg: &Value, expected: &Value) -> bool {
+            BombState::arm();
+            self.0.apply_if(op, arg, expected)
+        }
+
+        fn clone_box(&self) -> Box<dyn ObjState> {
+            Box::new(BombState(self.0.clone_box()))
+        }
+
+        fn canonical(&self) -> Value {
+            self.0.canonical()
+        }
+    }
+
+    impl ObjectSpec for DeciderBomb {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn kind(&self) -> SpecKind {
+            self.0.kind()
+        }
+
+        fn ops(&self) -> &[OpMeta] {
+            self.0.ops()
+        }
+
+        fn op_meta(&self, op: &str) -> Option<&OpMeta> {
+            self.0.op_meta(op)
+        }
+
+        fn new_object(&self) -> Box<dyn ObjState> {
+            Box::new(BombState(self.0.new_object()))
+        }
+
+        fn suggested_args(&self, op: &'static str) -> Vec<Value> {
+            self.0.suggested_args(op)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "injected decider panic")]
+    fn a_panic_on_the_decider_is_raised_by_finish() {
+        let spec: Arc<dyn ObjectSpec> = Arc::new(DeciderBomb(erase(Register::new(0))));
+        let cfg = StreamConfig::default().with_flush_ops(1);
+        let mut c = StreamChecker::with_config(&spec, cfg);
+        op(&mut c, 0, "write", 7, (), 0, 1);
+        assert!(c.decider_spawned());
+        c.finish();
+    }
+
+    /// Dropping a checker with two windows in flight closes the decider's
+    /// channel and joins it.
+    #[test]
+    fn dropping_with_windows_in_flight_returns() {
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let spec = erase(FifoQueue::new());
+            let mut c =
+                StreamChecker::with_config(&spec, StreamConfig::default().with_flush_ops(2));
+            legal_rounds(&mut c, 0..8, 0);
+            let in_flight = c.in_flight;
+            drop(c);
+            done.send(in_flight).unwrap();
+        });
+        let in_flight = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(in_flight, Ok(DEPTH), "drop must return with two windows in flight");
+    }
+
+    /// A stream shorter than one flush window never hands a window off, so
+    /// it never spawns the decider thread; a longer one does.
+    #[test]
+    fn a_short_stream_spawns_no_thread() {
+        let spec = erase(FifoQueue::new());
+        let mut c = StreamChecker::new(&spec);
+        let t = legal_rounds(&mut c, 0..500, 0);
+        assert!(!c.decider_spawned());
+        let (verdict, stats) = c.finish();
+        assert!(verdict.is_ok() && stats.ops == 1000, "{verdict:?} {stats:?}");
+        let mut c = StreamChecker::new(&spec);
+        legal_rounds(&mut c, 0..600, t);
+        assert!(c.decider_spawned());
+    }
+
+    /// The one-pass strict-last-write test equals its definition: the
+    /// last-invoked mutator is a write, and every other mutator responds
+    /// before it is invoked.
+    #[test]
+    fn strict_last_write_matches_its_definition() {
+        use lintime_sim::rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(11);
+        let mut strict = 0;
+        for _ in 0..2_000 {
+            let ms: Vec<(TimedOp, bool)> = (0..rng.gen_range(0usize..6))
+                .map(|_| {
+                    let t = rng.gen_range(0i64..12);
+                    let op = TimedOp {
+                        pid: Pid(0),
+                        instance: OpInstance::new("write", 1, ()),
+                        t_invoke: Time(t),
+                        t_respond: Time(t + rng.gen_range(0i64..4)),
+                    };
+                    (op, rng.gen_range(0u32..4) > 0)
+                })
+                .collect();
+            let last = (0..ms.len()).max_by_key(|&i| ms[i].0.t_invoke);
+            let expected = last.is_none_or(|l| {
+                ms[l].1
+                    && ms
+                        .iter()
+                        .enumerate()
+                        .all(|(i, (o, _))| i == l || o.t_respond < ms[l].0.t_invoke)
+            });
+            assert_eq!(strict_last_write(ms.iter().map(|(o, w)| (o, *w))), expected, "{ms:?}");
+            strict += expected as u32;
+        }
+        assert!(strict > 100 && strict < 1_900, "{strict} strict of 2000");
     }
 }
