@@ -24,10 +24,12 @@ use lintime_adt::prelude::*;
 use lintime_core::prelude::*;
 use lintime_sim::prelude::*;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/runs.txt");
 
-/// Operations per process in every schedule (4 processes: 64 ops a run).
+/// Operations per process in every schedule (64 ops a run at n = 4, 80 at
+/// n = 5).
 const PER_PROCESS: usize = 16;
 
 fn params() -> ModelParams {
@@ -57,24 +59,46 @@ fn arms(p: ModelParams) -> Vec<(&'static str, Algorithm)> {
     ]
 }
 
-/// `PER_PROCESS` random read/write/rmw invocations for `pid`; written
-/// values are distinct so a reordering shows in the returns.
-fn invocations(seed: u64, pid: usize) -> Vec<Invocation> {
+/// Builds the invocation for a draw `r ∈ 0..4` writing the distinct value
+/// `v`.
+type Pick = fn(u32, i64) -> Invocation;
+
+/// The read/write/rmw mix of the Algorithm 1 and baseline arms.
+fn rmw_op(r: u32, v: i64) -> Invocation {
+    match r {
+        0 => Invocation::nullary("read"),
+        1 | 2 => Invocation::new("write", v),
+        _ => Invocation::new("rmw", v),
+    }
+}
+
+/// Half reads, half writes: the quorum register's two operations.
+fn register_op(r: u32, v: i64) -> Invocation {
+    match r {
+        0 | 1 => Invocation::nullary("read"),
+        _ => Invocation::new("write", v),
+    }
+}
+
+/// Half gets, then puts and deletes, over three keys.
+fn kv_op(r: u32, v: i64) -> Invocation {
+    let key = v % 3;
+    match r {
+        0 | 1 => Invocation::new("get", key),
+        2 => Invocation::new("put", Value::pair(key, v)),
+        _ => Invocation::new("del", key),
+    }
+}
+
+/// `PER_PROCESS` random invocations for `pid`, one `pick` draw each;
+/// written values are distinct so a reordering shows in the returns.
+fn invocations(seed: u64, pid: usize, pick: Pick) -> Vec<Invocation> {
     let mut rng = SplitMix64::seed_from_u64(seed ^ ((pid as u64 + 1) * 0x9E37_79B9));
-    (0..PER_PROCESS)
-        .map(|k| {
-            let v = (k * 4 + pid) as i64 + 1;
-            match rng.gen_range(0..4u32) {
-                0 => Invocation::nullary("read"),
-                1 | 2 => Invocation::new("write", v),
-                _ => Invocation::new("rmw", v),
-            }
-        })
-        .collect()
+    (0..PER_PROCESS).map(|k| pick(rng.gen_range(0..4u32), (k * 4 + pid) as i64 + 1)).collect()
 }
 
 /// The three schedule shapes, each on every process of `p`.
-fn schedules(p: ModelParams) -> Vec<(&'static str, Schedule, Option<u64>)> {
+fn schedules(p: ModelParams, pick: Pick) -> Vec<(&'static str, Schedule, Option<u64>)> {
     // Closed loop: every process issues its next operation the instant the
     // previous one responds (staggered starts).
     let mut closed = Schedule::new();
@@ -83,7 +107,7 @@ fn schedules(p: ModelParams) -> Vec<(&'static str, Schedule, Option<u64>)> {
             pid: Pid(pid),
             start: Time(pid as i64 * 7),
             gap: Time::ZERO,
-            invocations: invocations(1, pid),
+            invocations: invocations(1, pid, pick),
         });
     }
     // Open loop, faster than service, behind an admission epoch of 8: the
@@ -92,7 +116,7 @@ fn schedules(p: ModelParams) -> Vec<(&'static str, Schedule, Option<u64>)> {
     let mut epoch = Schedule::new();
     for pid in 0..p.n {
         let mut t = 0;
-        for inv in invocations(2, pid) {
+        for inv in invocations(2, pid, pick) {
             t += rng.gen_range(0..2000i64);
             epoch = epoch.arrival(Pid(pid), Time(t), inv);
         }
@@ -102,7 +126,7 @@ fn schedules(p: ModelParams) -> Vec<(&'static str, Schedule, Option<u64>)> {
     // as responses, as each other, and twice at one process.
     let mut tie = Schedule::new();
     for pid in 0..p.n {
-        for (k, inv) in invocations(3, pid).into_iter().enumerate() {
+        for (k, inv) in invocations(3, pid, pick).into_iter().enumerate() {
             tie = tie.arrival(Pid(pid), Time(600 * (k as i64 / 2) * 3), inv);
         }
     }
@@ -134,36 +158,45 @@ fn digest(run: &Run) -> u64 {
     fxhash::combine(h, fxhash::hash64(&ledger))
 }
 
+/// The three delay models every shape runs under.
+fn delays() -> [(&'static str, DelaySpec); 3] {
+    [
+        ("min", DelaySpec::AllMin),
+        ("max", DelaySpec::AllMax),
+        ("uniform", DelaySpec::UniformRandom { seed: 5 }),
+    ]
+}
+
 /// Every run of the corpus, as `label digest events` lines.
 fn corpus() -> String {
     let p = params();
     let spec = erase(RmwRegister::new(0));
     let mut out = String::new();
-    let mut row = |label: String, run: &Run| {
-        // The victim may return wrong values, but every run finishes clean.
-        assert!(run.complete() && run.errors.is_empty(), "{label}: {:?}", run.errors);
-        assert!(!run.truncated && run.ops.len() == p.n * PER_PROCESS, "{label}");
+    let mut row = |label: String, n: usize, run: &Run| {
+        // The victim may return wrong values, but every run finishes clean:
+        // an operation still pending is one its invoker's crash cut off,
+        // and only a crash stops a process's workload early.
+        let pending = run.pending().count() as u64;
+        assert!(pending == run.crashed_pending && run.errors.is_empty(), "{label}: {run}");
+        let crashed = run.faults.iter().any(|f| matches!(f, InjectedFault::Crashed { .. }));
+        assert!(!run.truncated && (crashed || run.ops.len() == n * PER_PROCESS), "{label}");
         writeln!(out, "{label} {:016x} {}", digest(run), run.events).expect("write to a String");
     };
     for (arm, algo) in arms(p) {
-        for (shape, schedule, epoch) in schedules(p) {
-            for (delay_label, delay) in [
-                ("min", DelaySpec::AllMin),
-                ("max", DelaySpec::AllMax),
-                ("uniform", DelaySpec::UniformRandom { seed: 5 }),
-            ] {
+        for (shape, schedule, epoch) in schedules(p, rmw_op) {
+            for (delay_label, delay) in delays() {
                 let mut cfg = SimConfig::new(p, delay).with_schedule(schedule.clone());
                 if let Some(epoch) = epoch {
                     cfg = cfg.with_admission_epoch(epoch);
                 }
                 let run = run_algorithm(algo, &spec, &cfg);
-                row(format!("{arm}/{shape}/{delay_label}"), &run);
+                row(format!("{arm}/{shape}/{delay_label}"), p.n, &run);
             }
         }
     }
     // The broadcast baseline's FIFO layer under a network that duplicates
     // a third of all messages and holds some back past their successors.
-    let (_, closed, _) = schedules(p).swap_remove(0);
+    let (_, closed, _) = schedules(p, rmw_op).swap_remove(0);
     let mut plan = FaultPlan::new(11).duplicate_all(0.3);
     for k in 0..6 {
         plan = plan.override_delay(Pid(0), Pid(1), 3 * k, p.d).override_delay(
@@ -176,8 +209,43 @@ fn corpus() -> String {
     let cfg = SimConfig::new(p, DelaySpec::AllMin).with_schedule(closed).with_faults(plan);
     row(
         "broadcast/closed/dup-reorder".to_string(),
+        p.n,
         &run_algorithm(Algorithm::Broadcast, &spec, &cfg),
     );
+    // The quorum register over both specs it implements, at n = 5 so that
+    // two crashes are a tolerated minority: every shape and delay model,
+    // then the closed loop with two processes crashing mid-workload and
+    // with a third of all messages duplicated.
+    let p5 = ModelParams::new(5, p.d, p.u, p.epsilon);
+    let quorum: [(&str, Algorithm, Arc<dyn ObjectSpec>, Pick); 2] = [
+        ("mr-register", Algorithm::MrRegister, erase(Register::new(0)), register_op),
+        ("abd-kv", Algorithm::AbdKv, erase(KvStore::new()), kv_op),
+    ];
+    for (arm, algo, spec, pick) in quorum {
+        for (shape, schedule, epoch) in schedules(p5, pick) {
+            for (delay_label, delay) in delays() {
+                let mut cfg = SimConfig::new(p5, delay).with_schedule(schedule.clone());
+                if let Some(epoch) = epoch {
+                    cfg = cfg.with_admission_epoch(epoch);
+                }
+                row(
+                    format!("{arm}/{shape}/{delay_label}"),
+                    p5.n,
+                    &run_algorithm(algo, &spec, &cfg),
+                );
+            }
+        }
+        let (_, closed, _) = schedules(p5, pick).swap_remove(0);
+        for (faults, plan) in [
+            ("crash2", FaultPlan::new(11).crash(Pid(3), Time(30_000)).crash(Pid(4), Time(30_000))),
+            ("dup", FaultPlan::new(11).duplicate_all(0.3)),
+        ] {
+            let cfg = SimConfig::new(p5, DelaySpec::UniformRandom { seed: 5 })
+                .with_schedule(closed.clone())
+                .with_faults(plan);
+            row(format!("{arm}/closed/{faults}"), p5.n, &run_algorithm(algo, &spec, &cfg));
+        }
+    }
     out
 }
 
