@@ -16,7 +16,6 @@
 //! cells *must* stay linearizable: a `NotLinearizable` verdict inside a
 //! claimed-tolerated cell on a non-suspect run is a confirmed violation.
 
-use crate::abd_kv::AbdKvNode;
 use crate::batch::BatchWtlwNode;
 use crate::broadcast::BroadcastNode;
 use crate::centralized::CentralizedNode;
@@ -99,8 +98,8 @@ impl Algorithm {
             }
             // Majority quorums: up to ⌊(n−1)/2⌋ crashes; duplicate replies
             // are idempotent (quorums are sets); message-driven, so stalls
-            // only delay. The per-key composition inherits the register's
-            // envelope wholesale.
+            // only delay. The kv-store is the same node, one register per
+            // key, so it has the same envelope.
             Algorithm::MrRegister | Algorithm::AbdKv => FaultTolerance {
                 crashes: params.n.saturating_sub(1) / 2,
                 duplication: true,
@@ -221,7 +220,9 @@ pub fn run_backend(
         }
         Algorithm::Centralized => simulate(cfg, |pid| CentralizedNode::new(pid, spec_of())),
         Algorithm::Broadcast => simulate(cfg, |pid| BroadcastNode::new(pid, params.n, spec_of())),
-        Algorithm::MrRegister => run_quorum(
+        // One quorum-register node serves both: the register is the
+        // kv-store with a single key.
+        Algorithm::MrRegister | Algorithm::AbdKv => run_quorum(
             cfg,
             &mut quorum,
             |pid| MrNode::new(pid, spec_of(), params.n).with_obs(obs()),
@@ -231,12 +232,6 @@ pub fn run_backend(
             cfg,
             &mut quorum,
             |pid| QsmNode::new(pid, spec_of(), params).with_obs(obs()),
-            |n| [n.round_trips(), n.fast_reads(), n.read_writebacks()],
-        ),
-        Algorithm::AbdKv => run_quorum(
-            cfg,
-            &mut quorum,
-            |pid| AbdKvNode::new(pid, spec_of(), params.n).with_obs(obs()),
             |n| [n.round_trips(), n.fast_reads(), n.read_writebacks()],
         ),
         Algorithm::BatchedWtlw { x, tick } => {
@@ -295,7 +290,7 @@ mod tests {
         let reg = erase(Register::new(0));
         assert!(Algorithm::MrRegister.supports(&reg).is_ok());
         assert!(Algorithm::Centralized.supports(&queue).is_ok());
-        // The state machine supports everything; the composition only kv.
+        // The state machine supports everything; the kv-store only kv.
         assert!(Algorithm::QuorumSm.supports(&queue).is_ok());
         assert!(Algorithm::QuorumSm.supports(&reg).is_ok());
         assert!(Algorithm::AbdKv.supports(&queue).is_err());

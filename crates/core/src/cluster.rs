@@ -32,8 +32,9 @@ pub enum Algorithm {
     /// operation log: crash-tolerant up to `⌊(n−1)/2⌋` failures for
     /// **arbitrary** data types.
     QuorumSm,
-    /// Per-key composition of majority-quorum registers implementing the
-    /// kv-store at register cost; crash-tolerant up to `⌊(n−1)/2⌋` failures.
+    /// The kv-store as one majority-quorum register per key, at register
+    /// cost (the [`MrRegister`](Algorithm::MrRegister) node over
+    /// `KvStore`); crash-tolerant up to `⌊(n−1)/2⌋` failures.
     AbdKv,
     /// Algorithm 1 behind the tick-batching wrapper: mutator announcements
     /// flush once per batch tick, trading `+tick` of accessor/mixed latency

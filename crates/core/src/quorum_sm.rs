@@ -1,8 +1,9 @@
 //! Crash-tolerant majority-quorum replicated state machine for **arbitrary**
 //! data types, generalizing the Mostéfaoui–Raynal register construction
-//! ([`crate::mr_register`], arXiv:1601.04820) from one overwritable value to
-//! a timestamp-ordered operation log, with the communication-cost lens of
-//! Nataf & Moses (arXiv:2604.05862).
+//! ([`crate::mr_register::MrNode`], arXiv:1601.04820) from overwritable
+//! values, one per register or kv-store key, to a timestamp-ordered
+//! operation log, with the communication-cost lens of Nataf & Moses
+//! (arXiv:2604.05862).
 //!
 //! Every process is both a *client* and a *replica* holding a log
 //! `ts → invocation` keyed by the paper's `(local time, pid)` timestamps

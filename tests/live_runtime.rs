@@ -126,8 +126,9 @@ fn live_baselines_work_too() {
 
 #[test]
 fn live_crash_tolerant_backends_work_too() {
-    // The quorum register and the recovery wrapper are plain `Node`s too, so
-    // they run unchanged on threads as well.
+    // The quorum register (over a register and over the kv-store) and the
+    // recovery wrapper are plain `Node`s too, so they run unchanged on
+    // threads as well.
     use lintime_core::mr_register::MrNode;
     use lintime_core::reliable::{RecoveryConfig, ReliableWtlwNode};
     let (p, tick) = live_params();
@@ -135,26 +136,38 @@ fn live_crash_tolerant_backends_work_too() {
     // The recovery wrapper stretches its inner timers by the retransmission
     // backoff budget, so give in-flight operations a longer settle window.
     cfg.settle = p.d * 10;
-    let spec = erase(Register::new(0));
-    let schedule = vec![
-        TimedInvocation { pid: Pid(1), at: Time(10), inv: Invocation::new("write", 6) },
-        TimedInvocation { pid: Pid(2), at: Time(2500), inv: Invocation::nullary("read") },
-    ];
+    let register = erase(Register::new(0));
+    let kv = erase(KvStore::new());
+    let write_then_read = |write: Invocation, read: Invocation| {
+        vec![
+            TimedInvocation { pid: Pid(1), at: Time(10), inv: write },
+            TimedInvocation { pid: Pid(2), at: Time(2500), inv: read },
+        ]
+    };
+    let schedule = write_then_read(Invocation::new("write", 6), Invocation::nullary("read"));
+    let kv_schedule =
+        write_then_read(Invocation::new("put", Value::pair(1, 6)), Invocation::new("get", 1));
     let recovery = RecoveryConfig::standard(p);
     let runs = [
-        ("mr-register", run_live(&cfg, &schedule, |pid| MrNode::new(pid, Arc::clone(&spec), p.n))),
+        (
+            "mr-register",
+            &register,
+            run_live(&cfg, &schedule, |pid| MrNode::new(pid, Arc::clone(&register), p.n)),
+        ),
+        ("abd-kv", &kv, run_live(&cfg, &kv_schedule, |pid| MrNode::new(pid, Arc::clone(&kv), p.n))),
         (
             "reliable-wtlw",
+            &register,
             run_live(&cfg, &schedule, |pid| {
-                ReliableWtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO, recovery)
+                ReliableWtlwNode::new(pid, Arc::clone(&register), p, Time::ZERO, recovery)
             }),
         ),
     ];
-    for (algo, run) in runs {
+    for (algo, spec, run) in runs {
         assert!(run.complete(), "{algo}: {run}");
         assert!(run.errors.is_empty(), "{algo}: {:?}", run.errors);
         assert_eq!(run.ops[1].ret, Some(Value::Int(6)), "{algo}");
         let history = History::from_run(&run).unwrap();
-        assert!(check(&spec, &history).is_linearizable());
+        assert!(check(spec, &history).is_linearizable(), "{algo}");
     }
 }
