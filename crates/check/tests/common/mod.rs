@@ -1,5 +1,10 @@
-//! The legal-by-construction stream generator shared by the streaming
-//! checker's integration tests (`stream_fuzz.rs`, `stream_determinism.rs`).
+//! Helpers shared by the checker's integration tests: the
+//! legal-by-construction stream generator of the streaming checker's tests
+//! (`stream_fuzz.rs`, `stream_determinism.rs`) and the permutation
+//! brute-force oracle of `versus_bruteforce.rs` and `small_scope.rs`.
+
+// Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
 
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
@@ -73,4 +78,39 @@ pub fn legal_history(spec: &Arc<dyn ObjectSpec>, kind: &str, rng: &mut SplitMix6
         tuples.push((k % 4, OpInstance::new(op, arg, ret), t_invoke, t_respond));
     }
     History::from_tuples(tuples)
+}
+
+/// Brute force: try every permutation of the ops; linearizable iff some
+/// permutation is legal and respects real-time precedence.
+pub fn brute_force(spec: &Arc<dyn ObjectSpec>, h: &History) -> bool {
+    let n = h.ops.len();
+    let mut idx: Vec<usize> = (0..n).collect();
+    permute(&mut idx, 0, &mut |perm| {
+        // Real-time order.
+        for (a, &i) in perm.iter().enumerate() {
+            for &j in perm.iter().skip(a + 1) {
+                if h.ops[j].precedes(&h.ops[i]) {
+                    return false;
+                }
+            }
+        }
+        // Legality.
+        let seq: Vec<OpInstance> = perm.iter().map(|&i| h.ops[i].instance.clone()).collect();
+        spec.is_legal(&seq)
+    })
+}
+
+fn permute(idx: &mut Vec<usize>, k: usize, found: &mut impl FnMut(&[usize]) -> bool) -> bool {
+    if k == idx.len() {
+        return found(idx);
+    }
+    for i in k..idx.len() {
+        idx.swap(k, i);
+        if permute(idx, k + 1, found) {
+            idx.swap(k, i);
+            return true;
+        }
+        idx.swap(k, i);
+    }
+    false
 }

@@ -228,7 +228,9 @@ fn rng_for(kind: &str, seed: u64) -> SplitMix64 {
     )
 }
 
-fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
+/// Check `seeds` legal histories of `kind` and their corruptions; `reach`
+/// pins how the monitor step ended on them (see [`monitor_reach`]).
+fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64, reach: [u64; 3]) {
     let obs = Obs::new(TraceHandle::null(), Registry::new());
     for seed in 0..seeds {
         let mut rng = rng_for(kind, seed);
@@ -248,13 +250,15 @@ fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
     let steps = get("check.monitor.witnesses") + get("check.monitor.violations") + deferred;
     assert_eq!(steps, 2 * seeds, "{kind}: monitor outcomes do not account for every history");
     assert_eq!(get("check.fallback.runs"), deferred, "{kind}: fallbacks != deferrals");
+    assert_eq!(monitor_reach(&obs), reach, "{kind}: the monitors' reach moved");
 }
 
 /// The longer corpus for `kind` (queue or priority queue): per seed a
 /// 9–14-op legal history, its corruption and its crash cut, and for the
 /// first [`WIDE_SEEDS`] seeds one legal and one corrupted wide history,
-/// each of a known class.
-fn run_long_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
+/// each of a known class. `reach` pins the monitor outcomes, as in
+/// [`run_kind`].
+fn run_long_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64, reach: [u64; 3]) {
     let obs = Obs::new(TraceHandle::null(), Registry::new());
     for seed in 0..seeds {
         // A stream apart from `run_kind`'s for the same seed.
@@ -283,6 +287,16 @@ fn run_long_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
             }
         }
     }
+    assert_eq!(monitor_reach(&obs), reach, "{kind}: the monitors' reach moved");
+}
+
+/// How the monitor step ended, summed over every history `obs` saw:
+/// `[witnesses, deferred, violations]`. The pinned totals were taken on the
+/// monitors before they read the decision's arena; a rewrite of a monitor
+/// must leave every history in its outcome class, so they must not move.
+fn monitor_reach(obs: &Obs) -> [u64; 3] {
+    ["witnesses", "deferred", "violations"]
+        .map(|outcome| obs.metrics.counter(&format!("check.monitor.{outcome}")).get())
 }
 
 const SEEDS_PER_KIND: u64 = 200;
@@ -291,45 +305,45 @@ const WIDE_SEEDS: u64 = 32;
 
 #[test]
 fn register_differential() {
-    run_kind("register", erase(Register::new(0)), SEEDS_PER_KIND);
+    run_kind("register", erase(Register::new(0)), SEEDS_PER_KIND, [107, 157, 136]);
 }
 
 #[test]
 fn rmw_register_differential() {
-    run_kind("rmw", erase(RmwRegister::new(0)), SEEDS_PER_KIND);
+    run_kind("rmw", erase(RmwRegister::new(0)), SEEDS_PER_KIND, [35, 314, 51]);
 }
 
 #[test]
 fn queue_differential() {
-    run_kind("queue", erase(FifoQueue::new()), SEEDS_PER_KIND);
+    run_kind("queue", erase(FifoQueue::new()), SEEDS_PER_KIND, [89, 192, 119]);
 }
 
 #[test]
 fn queue_long_differential() {
-    run_long_kind("queue", erase(FifoQueue::new()), SEEDS_PER_KIND);
+    run_long_kind("queue", erase(FifoQueue::new()), SEEDS_PER_KIND, [3, 378, 83]);
 }
 
 #[test]
 fn priority_queue_long_differential() {
-    run_long_kind("priority_queue", erase(PriorityQueue::new()), SEEDS_PER_KIND);
+    run_long_kind("priority_queue", erase(PriorityQueue::new()), SEEDS_PER_KIND, [2, 384, 78]);
 }
 
 #[test]
 fn stack_differential() {
-    run_kind("stack", erase(Stack::new()), SEEDS_PER_KIND);
+    run_kind("stack", erase(Stack::new()), SEEDS_PER_KIND, [74, 208, 118]);
 }
 
 #[test]
 fn set_differential() {
-    run_kind("set", erase(GrowSet::new()), SEEDS_PER_KIND);
+    run_kind("set", erase(GrowSet::new()), SEEDS_PER_KIND, [236, 0, 164]);
 }
 
 #[test]
 fn kv_differential() {
-    run_kind("kv", erase(KvStore::new()), SEEDS_PER_KIND);
+    run_kind("kv", erase(KvStore::new()), SEEDS_PER_KIND, [233, 0, 167]);
 }
 
 #[test]
 fn counter_differential() {
-    run_kind("counter", erase(Counter::new()), SEEDS_PER_KIND);
+    run_kind("counter", erase(Counter::new()), SEEDS_PER_KIND, [110, 185, 105]);
 }

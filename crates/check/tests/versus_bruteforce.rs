@@ -2,45 +2,12 @@
 //! enumeration of all permutations on small histories, for random histories
 //! both legal-ish and corrupted.
 
+mod common;
+
+use common::brute_force;
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
 use lintime_sim::rng::SplitMix64;
-use std::sync::Arc;
-
-/// Brute force: try every permutation of the ops; linearizable iff some
-/// permutation is legal and respects real-time precedence.
-fn brute_force(spec: &Arc<dyn ObjectSpec>, h: &History) -> bool {
-    let n = h.ops.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    permute(&mut idx, 0, &mut |perm| {
-        // Real-time order.
-        for (a, &i) in perm.iter().enumerate() {
-            for &j in perm.iter().skip(a + 1) {
-                if h.ops[j].precedes(&h.ops[i]) {
-                    return false;
-                }
-            }
-        }
-        // Legality.
-        let seq: Vec<OpInstance> = perm.iter().map(|&i| h.ops[i].instance.clone()).collect();
-        spec.is_legal(&seq)
-    })
-}
-
-fn permute(idx: &mut Vec<usize>, k: usize, found: &mut impl FnMut(&[usize]) -> bool) -> bool {
-    if k == idx.len() {
-        return found(idx);
-    }
-    for i in k..idx.len() {
-        idx.swap(k, i);
-        if permute(idx, k + 1, found) {
-            idx.swap(k, i);
-            return true;
-        }
-        idx.swap(k, i);
-    }
-    false
-}
 
 /// Generate a small queue history: random instances with random intervals,
 /// values drawn from a tiny domain so collisions (and illegal histories) are
