@@ -8,15 +8,18 @@
 //! search needs (`by_invoke`, `by_respond`) precomputed once. Arguments and
 //! responses are borrowed from the ops the arena was built from, never
 //! copied, so the arena lives no longer than they do. It is built a single
-//! time per decision — by the monitor-first decision ladder behind
-//! [`crate::monitor::check_fast`] when the monitor defers, or by the
-//! [`crate::wing_gong`] entry points themselves — and then read, never
-//! written, by the one search that decides it.
+//! time per decision — first thing in the decision ladder behind
+//! [`crate::monitor::check_fast`], or by the [`crate::wing_gong`] entry
+//! points themselves — and then read, never written: by the type-specialized
+//! monitor, by the replay of its witness and, when the monitor defers, by
+//! the one search that decides the history.
 //!
-//! Timestamp scans (frontier thresholds, predecessor prefixes) thus walk
-//! contiguous `i64` arrays the prefetcher can stream, and the done-set
-//! machinery operates on [`crate::bitset::BitSet`] words instead of per-op
-//! edge lists.
+//! Timestamp scans (frontier thresholds, predecessor prefixes, the
+//! monitors' sweeps) thus walk contiguous `i64` arrays the prefetcher can
+//! stream, the monitors take their invocation and response orders from
+//! `by_invoke` and `by_respond` instead of sorting their own, and the
+//! done-set machinery operates on [`crate::bitset::BitSet`] words instead
+//! of per-op edge lists.
 
 use crate::history::{History, TimedOp};
 use lintime_adt::value::Value;
@@ -66,20 +69,39 @@ impl<'a> HistoryArena<'a> {
         assert!(u32::try_from(n).is_ok(), "history too large for u32 arena indices");
         // One tight pass per column beats one pass pushing to all six.
         let ops = || head.iter().chain(tail);
-        let t_invoke: Vec<i64> = ops().map(|o| o.t_invoke.0).collect();
-        let t_respond: Vec<i64> = ops().map(|o| o.t_respond.0).collect();
-        let by_invoke = sorted_order(&t_invoke);
-        HistoryArena {
+        Self::with_orders(HistoryArena {
             op: ops().map(|o| o.instance.op).collect(),
             arg: ops().map(|o| &o.instance.arg).collect(),
             ret: ops().map(|o| &o.instance.ret).collect(),
             pid: ops().map(|o| o.pid.0 as u32).collect(),
-            invokes_sorted: by_invoke.iter().map(|&i| t_invoke[i as usize]).collect(),
-            by_invoke,
-            by_respond: sorted_order(&t_respond),
-            t_invoke,
-            t_respond,
-        }
+            t_invoke: ops().map(|o| o.t_invoke.0).collect(),
+            t_respond: ops().map(|o| o.t_respond.0).collect(),
+            ..HistoryArena::default()
+        })
+    }
+
+    /// The arena of the ops at `idxs`, in that order: op `k` of the result
+    /// is op `idxs[k]` of `self`. Payloads stay borrowed from the source ops.
+    pub(crate) fn gather(&self, idxs: &[u32]) -> HistoryArena<'a> {
+        let column = |col: &[i64]| idxs.iter().map(|&i| col[i as usize]).collect();
+        Self::with_orders(HistoryArena {
+            op: idxs.iter().map(|&i| self.op[i as usize]).collect(),
+            arg: idxs.iter().map(|&i| self.arg[i as usize]).collect(),
+            ret: idxs.iter().map(|&i| self.ret[i as usize]).collect(),
+            pid: idxs.iter().map(|&i| self.pid[i as usize]).collect(),
+            t_invoke: column(&self.t_invoke),
+            t_respond: column(&self.t_respond),
+            ..HistoryArena::default()
+        })
+    }
+
+    /// Fill in the sort orders of an arena whose columns are set.
+    fn with_orders(mut arena: HistoryArena<'a>) -> HistoryArena<'a> {
+        arena.by_invoke = sorted_order(&arena.t_invoke);
+        arena.invokes_sorted =
+            arena.by_invoke.iter().map(|&i| arena.t_invoke[i as usize]).collect();
+        arena.by_respond = sorted_order(&arena.t_respond);
+        arena
     }
 
     /// Number of operations.
@@ -109,7 +131,7 @@ const INSERTION_SLACK_MOVES: usize = 64;
 /// response times — and gives up after a bounded number of moves; a column
 /// it gives up on is sorted in full as packed `(time, index)` integers.
 /// Both routes order by `(time, index)`, so they yield the same order.
-fn sorted_order(times: &[i64]) -> Vec<u32> {
+pub(crate) fn sorted_order(times: &[i64]) -> Vec<u32> {
     if times.is_sorted() {
         return (0..times.len() as u32).collect();
     }

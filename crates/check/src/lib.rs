@@ -13,7 +13,8 @@
 //!   state memoization);
 //! * [`monitor`] — type-specialized fast-path monitors (register, queue,
 //!   stack, set/kv, counter) and the one decision ladder every history goes
-//!   through: monitor, witness replay, then Wing–Gong fallback. Entry points
+//!   through: monitor, witness replay, then Wing–Gong fallback, all reading
+//!   the one arena the ladder builds first. Entry points
 //!   are [`monitor::check_fast`] and [`monitor::check_fast_with`] (explicit
 //!   configuration and observability), plus [`monitor::check_fast_pending`]
 //!   and [`monitor::check_fast_pending_with`] for histories with pending

@@ -19,26 +19,21 @@
 //! defers on a stall or an overshoot — uniform workloads (the common case)
 //! always schedule. `fetch_inc` (an OOP) and negative `add` arguments defer
 //! outright.
+//!
+//! Contributions and reads come out of the decision arena's `by_invoke` and
+//! `by_respond` orders already sorted; only the reads' value order is
+//! sorted here.
 
-use super::{Frontier, MonitorOutcome};
-use crate::history::History;
+use super::{MonitorOutcome, Sweep, View};
 use lintime_adt::spec::ObjectSpec;
 use lintime_adt::value::Value;
-use lintime_sim::time::Time;
 use std::sync::Arc;
 
-struct Contribution {
-    idx: usize,
-    invoke: Time,
-    respond: Time,
-    delta: i64,
-}
-
-struct ReadOp {
-    idx: usize,
-    invoke: Time,
-    respond: Time,
-    ret: i64,
+/// What an op contributes: an `increment`/`add` delta, or a read's value.
+#[derive(Clone, Copy)]
+enum Role {
+    Add(i64),
+    Read(i64),
 }
 
 /// Monitor a counter history (`increment`/`add`/`read`; `fetch_inc` defers).
@@ -46,91 +41,89 @@ struct ReadOp {
 /// The base value is probed from the spec (a fresh object's `read`) rather
 /// than assumed zero, so seeded specs — e.g. the streaming checker's carried
 /// window state — are monitored against the correct initial sum.
-pub fn monitor(spec: &Arc<dyn ObjectSpec>, history: &History) -> MonitorOutcome {
+pub(crate) fn monitor(spec: &Arc<dyn ObjectSpec>, view: View) -> MonitorOutcome {
     let Some(base) = spec.new_object().apply("read", &Value::Unit).as_int() else {
         return MonitorOutcome::Deferred; // not a counter-shaped spec
     };
-    let mut adds: Vec<Contribution> = Vec::new();
-    let mut reads: Vec<ReadOp> = Vec::new();
-    for (idx, op) in history.ops.iter().enumerate() {
-        let (invoke, respond) = (op.t_invoke, op.t_respond);
-        match op.instance.op {
+    let a = view.arena;
+    let mut role = Vec::with_capacity(view.len);
+    for i in 0..view.len {
+        role.push(match a.op[i] {
             "increment" | "add" => {
-                if op.instance.ret != Value::Unit {
+                if *a.ret[i] != Value::Unit {
                     return MonitorOutcome::Violation; // mutators ack with Unit
                 }
-                let delta = if op.instance.op == "increment" {
-                    1
+                if a.op[i] == "increment" {
+                    Role::Add(1)
                 } else {
-                    match op.instance.arg.as_int() {
-                        Some(k) if k >= 0 => k,
+                    match a.arg[i].as_int() {
+                        Some(k) if k >= 0 => Role::Add(k),
                         // Negative deltas break monotonicity; non-int args
                         // are not this monitor's problem.
                         _ => return MonitorOutcome::Deferred,
                     }
-                };
-                adds.push(Contribution { idx, invoke, respond, delta });
+                }
             }
-            "read" => match op.instance.ret.as_int() {
-                Some(ret) => reads.push(ReadOp { idx, invoke, respond, ret }),
+            "read" => match a.ret[i].as_int() {
+                Some(ret) => Role::Read(ret),
                 None => return MonitorOutcome::Violation, // reads return ints
             },
             _ => return MonitorOutcome::Deferred, // fetch_inc or unknown
-        }
+        });
     }
+    let (by_invoke, by_respond) = (view.invoke_order(), view.respond_order());
+    let of = |order: &[u32], read: bool| -> Vec<(usize, i64)> {
+        let pick = |i: u32| match role[i as usize] {
+            Role::Add(d) if !read => Some((i as usize, d)),
+            Role::Read(r) if read => Some((i as usize, r)),
+            _ => None,
+        };
+        order.iter().filter_map(|&i| pick(i)).collect()
+    };
+    // Contributions and reads as (arena index, delta or value), by invoke
+    // and by respond.
+    let (adds_by_invoke, adds_by_respond) = (of(&by_invoke, false), of(&by_respond, false));
+    let (reads_by_invoke, reads_by_respond) = (of(&by_invoke, true), of(&by_respond, true));
     // Guard the arithmetic: totals beyond i64 would make the sequential
     // spec's wrapping arithmetic diverge from these non-wrapping bounds.
-    let total: i128 = adds.iter().map(|a| i128::from(a.delta)).sum();
+    let total: i128 = adds_by_invoke.iter().map(|&(_, d)| i128::from(d)).sum();
     if i128::from(base) + total > i128::from(i64::MAX) {
         return MonitorOutcome::Deferred;
     }
 
-    // lo(r): prefix sums over respond-sorted contributions.
-    let mut by_respond: Vec<usize> = (0..adds.len()).collect();
-    by_respond.sort_unstable_by_key(|&a| adds[a].respond);
-    let mut prefix_lo = vec![0i128; adds.len() + 1];
-    for (k, &a) in by_respond.iter().enumerate() {
-        prefix_lo[k + 1] = prefix_lo[k] + i128::from(adds[a].delta);
-    }
-    // hi(r): suffix sums over invoke-sorted contributions.
-    let mut by_invoke: Vec<usize> = (0..adds.len()).collect();
-    by_invoke.sort_unstable_by_key(|&a| adds[a].invoke);
-    let mut prefix_inv = vec![0i128; adds.len() + 1];
-    for (k, &a) in by_invoke.iter().enumerate() {
-        prefix_inv[k + 1] = prefix_inv[k] + i128::from(adds[a].delta);
-    }
-    for r in &reads {
-        let cut_lo = by_respond.partition_point(|&a| adds[a].respond < r.invoke);
+    // lo(r): prefix sums over respond-sorted contributions; hi(r): suffix
+    // sums over invoke-sorted contributions.
+    let prefix = |adds: &[(usize, i64)]| {
+        let mut sums = vec![0i128; adds.len() + 1];
+        for (k, &(_, d)) in adds.iter().enumerate() {
+            sums[k + 1] = sums[k] + i128::from(d);
+        }
+        sums
+    };
+    let (prefix_lo, prefix_inv) = (prefix(&adds_by_respond), prefix(&adds_by_invoke));
+    for &(r, ret) in &reads_by_invoke {
+        let cut_lo = adds_by_respond.partition_point(|&(x, _)| a.t_respond[x] < a.t_invoke[r]);
         let lo = prefix_lo[cut_lo];
-        let cut_hi = by_invoke.partition_point(|&a| adds[a].invoke <= r.respond);
-        let hi = total - (prefix_inv[adds.len()] - prefix_inv[cut_hi]);
-        let ret = i128::from(r.ret);
+        let cut_hi = adds_by_invoke.partition_point(|&(x, _)| a.t_invoke[x] <= a.t_respond[r]);
+        let hi = total - (prefix_inv[adds_by_invoke.len()] - prefix_inv[cut_hi]);
+        let ret = i128::from(ret);
         if ret < i128::from(base) + lo || ret > i128::from(base) + hi {
             return MonitorOutcome::Violation;
         }
     }
     // Monotonicity of real-time-ordered reads.
-    let mut reads_by_invoke: Vec<usize> = (0..reads.len()).collect();
-    reads_by_invoke.sort_unstable_by_key(|&r| reads[r].invoke);
-    let mut reads_by_respond: Vec<usize> = (0..reads.len()).collect();
-    reads_by_respond.sort_unstable_by_key(|&r| reads[r].respond);
-    let mut admit = 0;
+    let mut admit = reads_by_respond.iter().peekable();
     let mut max_prior_ret = i64::MIN;
-    for &r in &reads_by_invoke {
-        while admit < reads_by_respond.len() {
-            let q = reads_by_respond[admit];
-            if reads[q].respond >= reads[r].invoke {
-                break;
-            }
-            max_prior_ret = max_prior_ret.max(reads[q].ret);
-            admit += 1;
+    for &(r, ret) in &reads_by_invoke {
+        while let Some(&(_, q_ret)) = admit.next_if(|&&(q, _)| a.t_respond[q] < a.t_invoke[r]) {
+            max_prior_ret = max_prior_ret.max(q_ret);
         }
-        if max_prior_ret > reads[r].ret {
+        if max_prior_ret > ret {
             return MonitorOutcome::Violation;
         }
     }
 
-    match greedy_witness(history, base, &adds, &reads) {
+    match greedy_witness(view, base, &adds_by_respond, reads_by_invoke) {
         Some(order) => MonitorOutcome::Witness(order),
         None => MonitorOutcome::Deferred,
     }
@@ -139,77 +132,71 @@ pub fn monitor(spec: &Arc<dyn ObjectSpec>, history: &History) -> MonitorOutcome 
 /// Greedy schedule: reads in ascending returned value, contributions woven
 /// in to hit each read's value exactly. `None` on stall or overshoot.
 fn greedy_witness(
-    history: &History,
+    view: View,
     base: i64,
-    adds: &[Contribution],
-    reads: &[ReadOp],
+    adds_by_respond: &[(usize, i64)],
+    mut reads: Vec<(usize, i64)>,
 ) -> Option<Vec<usize>> {
-    let mut frontier = Frontier::new(history);
-    let ready = |frontier: &mut Frontier, invoke: Time| -> bool {
-        frontier.threshold().is_some_and(|t| invoke <= t)
-    };
-
+    let (t_invoke, t_respond) = (&view.arena.t_invoke, &view.arena.t_respond);
+    let mut sweep = Sweep::new(view);
     // Contributions are emitted in respond order (which always respects
-    // their pairwise real-time order), skipping already-emitted ones.
-    let mut adds_by_respond: Vec<usize> = (0..adds.len()).collect();
-    adds_by_respond.sort_unstable_by_key(|&a| (adds[a].respond, a));
-    let mut add_emitted = vec![false; adds.len()];
-    let mut reads_sorted: Vec<usize> = (0..reads.len()).collect();
-    reads_sorted.sort_unstable_by_key(|&r| (reads[r].ret, reads[r].invoke, r));
+    // their pairwise real-time order), skipping already-emitted ones. Reads
+    // go by (value, invoke, index): stable on the invocation order.
+    let mut add_emitted = vec![false; adds_by_respond.len()];
+    reads.sort_by_key(|&(_, ret)| ret);
 
-    let mut order = Vec::with_capacity(history.len());
+    let mut order = Vec::with_capacity(view.len);
     let mut sum: i64 = base;
     let mut forced_ptr = 0;
-    for &r in &reads_sorted {
+    for (r, ret) in reads {
         // Contributions responding before this read invokes are forced
         // before it.
-        while forced_ptr < adds_by_respond.len() {
-            let a = adds_by_respond[forced_ptr];
-            if adds[a].respond >= reads[r].invoke {
+        while let Some(&(x, delta)) = adds_by_respond.get(forced_ptr) {
+            if t_respond[x] >= t_invoke[r] {
                 break;
             }
+            if !add_emitted[forced_ptr] {
+                if !sweep.ready(x) {
+                    return None;
+                }
+                add_emitted[forced_ptr] = true;
+                sum += delta;
+                sweep.emit(x);
+                order.push(x);
+            }
             forced_ptr += 1;
-            if add_emitted[a] {
-                continue;
-            }
-            if !ready(&mut frontier, adds[a].invoke) {
-                return None;
-            }
-            add_emitted[a] = true;
-            sum += adds[a].delta;
-            frontier.emit(adds[a].idx);
-            order.push(adds[a].idx);
         }
         // Top up to the read's value with ready unforced contributions,
         // most urgent (earliest respond) first.
-        while sum < reads[r].ret {
-            let need = reads[r].ret - sum;
-            let pick = adds_by_respond[forced_ptr..].iter().copied().find(|&a| {
-                !add_emitted[a] && adds[a].delta <= need && ready(&mut frontier, adds[a].invoke)
+        while sum < ret {
+            let need = ret - sum;
+            let k = (forced_ptr..adds_by_respond.len()).find(|&k| {
+                let (x, delta) = adds_by_respond[k];
+                !add_emitted[k] && delta <= need && sweep.ready(x)
             })?;
-            add_emitted[pick] = true;
-            sum += adds[pick].delta;
-            frontier.emit(adds[pick].idx);
-            order.push(adds[pick].idx);
+            let (x, delta) = adds_by_respond[k];
+            add_emitted[k] = true;
+            sum += delta;
+            sweep.emit(x);
+            order.push(x);
         }
-        if sum != reads[r].ret || !ready(&mut frontier, reads[r].invoke) {
+        if sum != ret || !sweep.ready(r) {
             return None; // overshoot or read not schedulable yet
         }
-        frontier.emit(reads[r].idx);
-        order.push(reads[r].idx);
+        sweep.emit(r);
+        order.push(r);
     }
     // Remaining contributions, in respond order (each is ready when it is
     // the earliest-responding unemitted op).
-    for &a in &adds_by_respond {
-        if add_emitted[a] {
+    for (k, &(x, _)) in adds_by_respond.iter().enumerate() {
+        if add_emitted[k] {
             continue;
         }
-        if !ready(&mut frontier, adds[a].invoke) {
+        if !sweep.ready(x) {
             return None;
         }
-        add_emitted[a] = true;
-        frontier.emit(adds[a].idx);
-        order.push(adds[a].idx);
+        sweep.emit(x);
+        order.push(x);
     }
     Some(order)
 }

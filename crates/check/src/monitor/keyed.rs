@@ -16,90 +16,126 @@
 //! 3. merges the per-key witnesses with a Kahn scheduler over chain order +
 //!    real-time order, which the locality theorem guarantees is acyclic.
 //!
+//! Keys are borrowed from the decision's arena, never cloned; one counting
+//! pass over the arena's `by_invoke` order lays out every key's ops in
+//! invocation order, and a per-key search reads a sub-arena gathered from
+//! the decision's arena.
+//!
 //! A per-key violation is sound for the whole history by locality; a per-key
 //! `Unknown` (budget) defers to the general search.
 
-use super::register::{cluster_check, RwKind, RwOp};
-use super::{Frontier, MonitorOutcome};
-use crate::history::History;
+use super::register::{order_clusters, Instance, INITIAL};
+use super::{MonitorOutcome, Sweep, ValueIds, View};
+use crate::arena::HistoryArena;
 use crate::wing_gong::{self, CheckConfig, Verdict};
 use lintime_adt::spec::{ObjectSpec, SpecKind};
 use lintime_adt::value::Value;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Monitor a set or kv-store history by per-key decomposition.
-pub fn monitor(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: CheckConfig) -> MonitorOutcome {
-    // Partition by key (BTreeMap: deterministic key order, hence
-    // deterministic witnesses).
-    let mut groups: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
-    for (i, op) in history.ops.iter().enumerate() {
-        let key = match (spec.kind(), op.instance.op) {
-            (SpecKind::GrowSet, "add" | "remove" | "contains") => op.instance.arg.clone(),
-            (SpecKind::KvStore, "put") => match op.instance.arg.as_pair() {
-                Some((k, _)) => k.clone(),
-                None => return MonitorOutcome::Deferred,
-            },
-            (SpecKind::KvStore, "get" | "del") => op.instance.arg.clone(),
-            _ => return MonitorOutcome::Deferred,
-        };
-        groups.entry(key).or_default().push(i);
-    }
-
-    let mut chains: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
-    for (key, idxs) in &groups {
-        match check_key(spec, key, history, idxs, cfg) {
-            Ok(chain) => chains.push(chain),
-            Err(out) => return out,
-        }
-    }
-    match merge_chains(history, &chains) {
-        Some(order) => MonitorOutcome::Witness(order),
-        None => MonitorOutcome::Deferred,
-    }
-}
-
-/// Decide one key's sub-history; `Ok` is its linearization (global indices).
-fn check_key(
-    spec: &Arc<dyn ObjectSpec>,
-    key: &Value,
-    history: &History,
-    idxs: &[usize],
-    cfg: CheckConfig,
-) -> Result<Vec<usize>, MonitorOutcome> {
-    // Fast path: the key as a register instance.
-    if let Some((rw, init)) = as_register_instance(spec, key, history, idxs)? {
-        match cluster_check(&rw, &init) {
-            MonitorOutcome::Witness(chain) => return Ok(chain),
-            MonitorOutcome::Violation => return Err(MonitorOutcome::Violation),
-            MonitorOutcome::Deferred => {} // ambiguous key: search it below
-        }
-    }
-    // Per-key general search. The sub-history is a valid history of the full
-    // type (ops on other keys cannot affect this key's returns).
-    let sub = History { ops: idxs.iter().map(|&i| history.ops[i].clone()).collect() };
-    match wing_gong::check_with(spec, &sub, cfg) {
-        Verdict::Linearizable(local) => Ok(local.into_iter().map(|l| idxs[l]).collect()),
-        Verdict::NotLinearizable => Err(MonitorOutcome::Violation),
-        Verdict::Unknown => Err(MonitorOutcome::Deferred),
-    }
-}
 
 /// The values the set and kv writes store: `add`, `remove` and `del`.
 static PRESENT: Value = Value::Bool(true);
 static ABSENT: Value = Value::Bool(false);
 static MISSING: Value = Value::Unit;
 
-/// Reduce one key's ops to register reads/writes. `Ok(None)` is impossible
-/// structurally (kept for symmetry); `Err` short-circuits: a mutator with a
-/// non-ack return can be legal in no sequence.
-#[allow(clippy::type_complexity)]
-fn as_register_instance<'a>(
+/// Monitor a set or kv-store history by per-key decomposition.
+pub(crate) fn monitor(spec: &Arc<dyn ObjectSpec>, view: View, cfg: CheckConfig) -> MonitorOutcome {
+    let (a, n, kind) = (view.arena, view.len, spec.kind());
+    // Each op's key, and the register write it is (the value it stores) or
+    // a read (`None`).
+    let mut key_of: Vec<&Value> = Vec::with_capacity(n);
+    let mut stored: Vec<Option<&Value>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let (key, writes) = match (kind, a.op[i]) {
+            (SpecKind::GrowSet, "add") => (a.arg[i], Some(&PRESENT)),
+            (SpecKind::GrowSet, "remove") => (a.arg[i], Some(&ABSENT)),
+            (SpecKind::GrowSet, "contains") => (a.arg[i], None),
+            (SpecKind::KvStore, "put") => match a.arg[i].as_pair() {
+                Some((k, v)) => (k, Some(v)),
+                None => return MonitorOutcome::Deferred,
+            },
+            // del: write "missing"
+            (SpecKind::KvStore, "del") => (a.arg[i], Some(&MISSING)),
+            (SpecKind::KvStore, "get") => (a.arg[i], None),
+            _ => return MonitorOutcome::Deferred,
+        };
+        key_of.push(key);
+        stored.push(writes);
+    }
+    // Partition by key: each op's key group, numbered by first appearance.
+    let (keys, group) = ValueIds::number(&key_of);
+    let mut key_values: Vec<&Value> = Vec::with_capacity(keys.len());
+    // Keys with a mutator whose return is not the ack.
+    let mut bad_ack = vec![false; keys.len()];
+    for (i, &g) in group.iter().enumerate() {
+        if g as usize == key_values.len() {
+            key_values.push(key_of[i]);
+        }
+        bad_ack[g as usize] |= stored[i].is_some() && *a.ret[i] != Value::Unit;
+    }
+    // Every key's ops in invocation order.
+    let mut start = vec![0u32; key_values.len() + 1];
+    for &g in &group {
+        start[g as usize + 1] += 1;
+    }
+    for g in 0..key_values.len() {
+        start[g + 1] += start[g];
+    }
+    let mut by_invoke = vec![0u32; n];
+    let mut next = start.clone();
+    for &i in view.invoke_order().iter() {
+        let g = group[i as usize] as usize;
+        by_invoke[next[g] as usize] = i;
+        next[g] += 1;
+    }
+
+    // Keys in value order: the first key that fails decides the outcome.
+    let mut key_order: Vec<usize> = (0..key_values.len()).collect();
+    key_order.sort_unstable_by(|&x, &y| key_values[x].cmp(key_values[y]));
+    let is_write = stored.iter().map(Option::is_some).collect();
+    let mut reduced = Reduced { stored: &stored, is_write, cluster: vec![INITIAL; n] };
+    let mut next_in_chain = vec![u32::MAX; n];
+    let mut is_head = vec![false; n];
+    for g in key_order {
+        // A mutator with a non-ack return can be legal in no sequence.
+        if bad_ack[g] {
+            return MonitorOutcome::Violation;
+        }
+        let ops = &by_invoke[start[g] as usize..start[g + 1] as usize];
+        let chain = match check_key(spec, key_values[g], a, ops, &mut reduced, cfg) {
+            Ok(chain) => chain,
+            Err(out) => return out,
+        };
+        for w in chain.windows(2) {
+            next_in_chain[w[0]] = w[1] as u32;
+        }
+        if let Some(&h) = chain.first() {
+            is_head[h] = true;
+        }
+    }
+    match merge_chains(view, &next_in_chain, is_head) {
+        Some(order) => MonitorOutcome::Witness(order),
+        None => MonitorOutcome::Deferred,
+    }
+}
+
+/// Every op as a register op of its key: the value a write stores (`None`
+/// for a read), and the cluster [`check_key`] puts it in.
+struct Reduced<'x, 'a> {
+    stored: &'x [Option<&'a Value>],
+    is_write: Vec<bool>,
+    cluster: Vec<u32>,
+}
+
+/// Decide one key's sub-history; `Ok` is its linearization (arena indices).
+fn check_key(
     spec: &Arc<dyn ObjectSpec>,
     key: &Value,
-    history: &'a History,
-    idxs: &[usize],
-) -> Result<Option<(Vec<RwOp<'a>>, Value)>, MonitorOutcome> {
+    a: &HistoryArena,
+    ops: &[u32],
+    reduced: &mut Reduced,
+    cfg: CheckConfig,
+) -> Result<Vec<usize>, MonitorOutcome> {
     // Probe the key's initial value from a fresh object instead of assuming
     // an empty structure, so seeded specs (e.g. the streaming checker's
     // carried window state) reduce against the correct baseline.
@@ -107,74 +143,138 @@ fn as_register_instance<'a>(
         SpecKind::GrowSet => spec.new_object().apply("contains", key),
         _ => spec.new_object().apply("get", key), // kv: current value or Unit
     };
-    let mut rw = Vec::with_capacity(idxs.len());
-    for &i in idxs {
-        let op = &history.ops[i];
-        let kind = match op.instance.op {
-            "add" | "remove" | "put" | "del" => {
-                if op.instance.ret != Value::Unit {
-                    return Err(MonitorOutcome::Violation);
-                }
-                RwKind::Write(match op.instance.op {
-                    "add" => &PRESENT,
-                    "remove" => &ABSENT,
-                    "put" => match op.instance.arg.as_pair() {
-                        Some((_, v)) => v,
-                        None => return Err(MonitorOutcome::Deferred),
-                    },
-                    _ => &MISSING, // del: write "missing"
-                })
-            }
-            _ => RwKind::Read(&op.instance.ret), // contains / get
-        };
-        rw.push(RwOp { idx: i, invoke: op.t_invoke, respond: op.t_respond, kind });
+    // The key's writes in invocation order; a write's cluster is its rank
+    // there. With every stored value distinct and none the initial value,
+    // the key is an unambiguous register instance, and a stored value's id
+    // is its write's rank.
+    let writers: Vec<u32> = ops.iter().copied().filter(|&i| reduced.is_write[i as usize]).collect();
+    let written: Vec<&Value> =
+        writers.iter().map(|&w| reduced.stored[w as usize].expect("a write")).collect();
+    let (values, value) = ValueIds::number(&written);
+    for (k, &w) in writers.iter().enumerate() {
+        reduced.cluster[w as usize] = k as u32;
     }
-    Ok(Some((rw, init)))
+    let ambiguous = values.len() < writers.len() || values.get(&init).is_some();
+    let order = |reduced: &Reduced| {
+        let instance = Instance {
+            by_invoke: ops,
+            cluster: &reduced.cluster,
+            is_write: &reduced.is_write,
+            clusters: writers.len(),
+        };
+        order_clusters(a, instance)
+    };
+    if !ambiguous {
+        for &r in ops {
+            let r = r as usize;
+            if !reduced.is_write[r] && *a.ret[r] != init {
+                match values.get(a.ret[r]) {
+                    Some(c) => reduced.cluster[r] = c,
+                    // A read of a value never written and not initial.
+                    None => return Err(MonitorOutcome::Violation),
+                }
+            }
+        }
+        return match order(reduced) {
+            MonitorOutcome::Witness(chain) => Ok(chain),
+            out => Err(out),
+        };
+    }
+    if latest_writers(a, &init, ops, reduced, &writers, &values, &value) {
+        if let MonitorOutcome::Witness(chain) = order(reduced) {
+            return Ok(chain);
+        }
+    }
+    // Per-key general search over the key's ops, gathered from the arena.
+    // The sub-history is a valid history of the full type (ops on other keys
+    // cannot affect this key's returns).
+    let sub = a.gather(ops);
+    match wing_gong::decide::<false>(spec, &sub, None, sub.len(), cfg).0 {
+        Verdict::Linearizable(local) => Ok(local.into_iter().map(|l| ops[l] as usize).collect()),
+        Verdict::NotLinearizable => Err(MonitorOutcome::Violation),
+        Verdict::Unknown => Err(MonitorOutcome::Deferred),
+    }
+}
+
+/// For a key whose writes store some value twice (every `del` stores
+/// "missing", which is also what a fresh key reads) or store its initial
+/// value: a guess at the reads-from relation, so that the cluster check can
+/// find a witness without search. Each read reads from the latest-invoked
+/// write of its value that is invoked before the read responds, or from the
+/// initial value if there is none; `false` if a read has neither. A guess
+/// can be wrong, so only a witness counts: anything else leaves the key to
+/// the search. On check-offline's recorded kv-store histories the guess
+/// certifies every key.
+fn latest_writers(
+    a: &HistoryArena,
+    init: &Value,
+    ops: &[u32],
+    reduced: &mut Reduced,
+    writers: &[u32],
+    values: &ValueIds,
+    value: &[u32],
+) -> bool {
+    // Each value's writes, in invocation order.
+    let mut start = vec![0u32; values.len() + 1];
+    for &id in value {
+        start[id as usize + 1] += 1;
+    }
+    for v in 0..values.len() {
+        start[v + 1] += start[v];
+    }
+    let mut same_value = vec![0u32; writers.len()];
+    let mut next = start.clone();
+    for (k, &id) in value.iter().enumerate() {
+        same_value[next[id as usize] as usize] = k as u32;
+        next[id as usize] += 1;
+    }
+    for &r in ops {
+        let r = r as usize;
+        if reduced.is_write[r] {
+            continue;
+        }
+        let latest = values.get(a.ret[r]).and_then(|id| {
+            let same = &same_value[start[id as usize] as usize..start[id as usize + 1] as usize];
+            let invoked = same
+                .partition_point(|&k| a.t_invoke[writers[k as usize] as usize] <= a.t_respond[r]);
+            invoked.checked_sub(1).map(|last| same[last])
+        });
+        reduced.cluster[r] = match latest {
+            Some(k) => k,
+            None if a.ret[r] == init => INITIAL,
+            None => return false,
+        };
+    }
+    true
 }
 
 /// Merge per-key linearizations into one global witness: Kahn's algorithm
 /// over the union of chain edges and real-time edges, which locality
 /// guarantees is acyclic. An op is a source exactly when it heads its chain
 /// and is invoked no later than the earliest unemitted response.
-fn merge_chains(history: &History, chains: &[Vec<usize>]) -> Option<Vec<usize>> {
-    let n = history.len();
-    let mut next_in_chain: Vec<Option<usize>> = vec![None; n];
-    let mut is_head = vec![false; n];
-    for chain in chains {
-        for w in chain.windows(2) {
-            next_in_chain[w[0]] = Some(w[1]);
-        }
-        if let Some(&h) = chain.first() {
-            is_head[h] = true;
-        }
-    }
-    let mut frontier = Frontier::new(history);
-    let mut by_invoke: Vec<usize> = (0..n).collect();
-    by_invoke.sort_unstable_by_key(|&i| (history.ops[i].t_invoke, i));
-    let mut admit = 0;
+fn merge_chains(view: View, next_in_chain: &[u32], mut is_head: Vec<bool>) -> Option<Vec<usize>> {
+    let n = view.len;
+    let mut sweep = Sweep::new(view);
     let mut admitted = vec![false; n];
     let mut ready: VecDeque<usize> = VecDeque::new();
     let mut order = Vec::with_capacity(n);
     while order.len() < n {
-        let threshold = frontier.threshold().expect("unemitted ops remain");
-        while admit < n && history.ops[by_invoke[admit]].t_invoke <= threshold {
-            let i = by_invoke[admit];
-            admit += 1;
+        sweep.admit(|i| {
             admitted[i] = true;
             if is_head[i] {
                 ready.push_back(i);
             }
-        }
-        let Some(i) = ready.pop_front() else {
-            return None; // cannot happen if the chains came from real
-                         // linearizations; defensive stall
-        };
+        });
+        // Empty only if the chains did not come from real linearizations:
+        // a defensive stall.
+        let i = ready.pop_front()?;
         order.push(i);
-        frontier.emit(i);
-        if let Some(j) = next_in_chain[i] {
-            is_head[j] = true;
-            if admitted[j] {
-                ready.push_back(j);
+        sweep.emit(i);
+        let j = next_in_chain[i];
+        if j != u32::MAX {
+            is_head[j as usize] = true;
+            if admitted[j as usize] {
+                ready.push_back(j as usize);
             }
         }
     }

@@ -27,22 +27,35 @@
 //!   witness construction — yields [`MonitorOutcome::Deferred`] and the
 //!   history is handed to the general search.
 //!
+//! Every decision reads one [`HistoryArena`]: the ladder transposes the
+//! history first, and the monitor, the replay of its witness and the
+//! fallback search all read that arena. A monitor takes its timestamps from
+//! the `t_invoke`/`t_respond` columns and its sweep orders from `by_invoke`
+//! and `by_respond` (through a view that hides the ladder's optional
+//! ops), so no monitor re-sorts the ops by time or copies them.
+//!
 //! Agreement between the two paths is enforced by the differential fuzz
-//! suite (`tests/differential_fuzz.rs`).
+//! suite (`tests/differential_fuzz.rs`), the exhaustive small-scope check
+//! (`tests/small_scope.rs`) and, for how far the monitors reach, the pinned
+//! monitor-outcome totals in both.
 
-pub mod counter;
-pub mod keyed;
-pub mod queue_like;
-pub mod register;
+mod counter;
+mod keyed;
+mod queue_like;
+mod register;
+mod values;
 
 use crate::arena::HistoryArena;
 use crate::history::{History, PendingHistory, TimedOp};
 use crate::wing_gong::{self, CheckConfig, SearchStats, Verdict, FRONTIER_BUCKETS};
 use lintime_adt::spec::{ObjState, ObjectSpec, OpClass, OpInstance, SpecKind};
+use lintime_adt::value::Value;
 use lintime_obs::{EventCategory, Obs};
 use lintime_sim::time::Time;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
+use values::ValueIds;
 
 /// What a specialized monitor concluded about a history.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,15 +110,16 @@ pub(crate) struct Decision {
 }
 
 /// The decision ladder behind every monitor-first entry point, the streaming
-/// checker's windows and pending histories included: the specialized
-/// monitor, then a replay of its witness, then — when the monitor defers or
-/// its witness fails replay — the Wing–Gong search over one
-/// [`HistoryArena`] borrowed from `history` and `optional`.
+/// checker's windows and pending histories included. It transposes
+/// `history` and `optional` into one [`HistoryArena`] first; the
+/// specialized monitor, the replay of its witness and — when the monitor
+/// defers or its witness fails replay — the Wing–Gong search all read that
+/// arena.
 ///
 /// `optional` ops (with their `free` marks, covering `history` too) join the
 /// search only, after `history`'s ops: it may leave them out (see
-/// `wing_gong::decide`). The monitor sees `history` alone, so with optional
-/// ops only its witness decides; its violation sends the search on.
+/// `wing_gong::decide`). The monitor sees `history`'s ops alone, so with
+/// optional ops only its witness decides; its violation sends the search on.
 pub(crate) fn ladder(
     spec: &Arc<dyn ObjectSpec>,
     history: &History,
@@ -126,10 +140,12 @@ pub(crate) fn ladder(
         let state = Some(spec.new_object());
         return Decision { verdict: Verdict::Linearizable(Vec::new()), state, searched: false };
     }
-    match dispatch_monitor(spec, history, cfg) {
+    let arena = HistoryArena::from_ops(&history.ops, optional);
+    let view = View { arena: &arena, len: history.len() };
+    match dispatch_monitor(spec, view, cfg) {
         MonitorOutcome::Witness(order) => {
             let t0 = active.then(Instant::now);
-            let replayed = replay(spec, history, &order);
+            let replayed = view.replay(spec, &order);
             let replay_us = t0.map_or(0, |t0| t0.elapsed().as_micros() as u64);
             if active {
                 obs.metrics
@@ -173,8 +189,6 @@ pub(crate) fn ladder(
             });
         }
     }
-    // Transpose once and hand the arena straight to the search.
-    let arena = HistoryArena::from_ops(&history.ops, optional);
     let (verdict, state) = if active {
         let (verdict, stats, state) =
             wing_gong::decide::<true>(spec, &arena, free, history.len(), cfg);
@@ -225,21 +239,17 @@ fn record_fallback(obs: &Obs, t_end: i64, verdict: &Verdict, stats: &SearchStats
 }
 
 /// Route a history to the specialized monitor for its [`SpecKind`], if any.
-fn dispatch_monitor(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    cfg: CheckConfig,
-) -> MonitorOutcome {
+fn dispatch_monitor(spec: &Arc<dyn ObjectSpec>, view: View, cfg: CheckConfig) -> MonitorOutcome {
     match spec.kind() {
-        SpecKind::Register => register::monitor(spec, history),
+        SpecKind::Register => register::monitor(spec, view),
         // An RMW-register history without actual `rmw` instances is a plain
         // register history; the monitor defers on any other operation name.
-        SpecKind::RmwRegister => register::monitor(spec, history),
-        SpecKind::FifoQueue => queue_like::monitor_queue(history),
-        SpecKind::Stack => queue_like::monitor_stack(history),
-        SpecKind::PriorityQueue => queue_like::monitor_pq(history),
-        SpecKind::GrowSet | SpecKind::KvStore => keyed::monitor(spec, history, cfg),
-        SpecKind::Counter => counter::monitor(spec, history),
+        SpecKind::RmwRegister => register::monitor(spec, view),
+        SpecKind::FifoQueue => queue_like::monitor_queue(view),
+        SpecKind::Stack => queue_like::monitor_stack(view),
+        SpecKind::PriorityQueue => queue_like::monitor_pq(view),
+        SpecKind::GrowSet | SpecKind::KvStore => keyed::monitor(spec, view, cfg),
+        SpecKind::Counter => counter::monitor(spec, view),
         // Rooted trees, products, and unknown types have no specialized
         // monitor (yet): general search.
         _ => MonitorOutcome::Deferred,
@@ -348,81 +358,170 @@ pub fn check_fast_pending_with(
 }
 
 /// True iff `order` is a permutation of the history that respects real-time
-/// precedence and replays legally against `spec`. O(n) after the permutation
-/// check.
+/// precedence and replays legally against `spec`. O(n), in one pass over
+/// `order`.
 pub fn verify_witness(spec: &Arc<dyn ObjectSpec>, history: &History, order: &[usize]) -> bool {
-    replay(spec, history, order).is_some()
+    let ops = &history.ops;
+    replay(
+        spec,
+        order,
+        ops.len(),
+        |i| (ops[i].t_invoke.0, ops[i].t_respond.0),
+        |i| {
+            let inst = &ops[i].instance;
+            (inst.op, &inst.arg, &inst.ret)
+        },
+    )
+    .is_some()
 }
 
-/// The check behind [`verify_witness`], keeping what the replay produced:
-/// the object `order` leaves a fresh object of `spec` in, or `None` when
-/// `order` is not a valid witness.
-pub(crate) fn replay(
+/// The check behind [`verify_witness`], over `n` ops read through `times`
+/// (invocation and response) and `call` (name, argument, recorded
+/// response), keeping what the replay produced: the object `order` leaves a
+/// fresh object of `spec` in, or `None` when `order` is not a valid witness.
+fn replay<'v>(
     spec: &Arc<dyn ObjectSpec>,
-    history: &History,
     order: &[usize],
+    n: usize,
+    times: impl Fn(usize) -> (i64, i64),
+    call: impl Fn(usize) -> (&'static str, &'v Value, &'v Value),
 ) -> Option<Box<dyn ObjState>> {
-    let n = history.len();
     if order.len() != n {
         return None;
     }
+    // One pass: `order` must be a permutation; no op may appear after one it
+    // strictly precedes, i.e. each op's response is no earlier than the
+    // running max invocation; and the replay through the erased object
+    // (mutated in place, no per-step state clones) must return every
+    // recorded response.
     let mut seen = vec![false; n];
+    let mut max_invoke = i64::MIN;
+    let mut obj = spec.new_object();
     for &i in order {
         if i >= n || seen[i] {
             return None;
         }
         seen[i] = true;
-    }
-    // Real-time: no op may appear after one it strictly precedes. Equivalent
-    // to: each op's response is no earlier than the running max invocation.
-    let mut max_invoke = Time(i64::MIN);
-    for &i in order {
-        let op = &history.ops[i];
-        if op.t_respond < max_invoke {
+        let (t_invoke, t_respond) = times(i);
+        if t_respond < max_invoke {
             return None;
         }
-        max_invoke = max_invoke.max(op.t_invoke);
+        max_invoke = max_invoke.max(t_invoke);
+        let (op, arg, ret) = call(i);
+        if obj.apply(op, arg) != *ret {
+            return None;
+        }
     }
-    // Legality: replay through the erased object (mutates in place; no
-    // per-step state clones).
-    let mut obj = spec.new_object();
-    let legal = order.iter().all(|&i| {
-        let inst = &history.ops[i].instance;
-        obj.apply(inst.op, &inst.arg) == inst.ret
-    });
-    legal.then_some(obj)
+    Some(obj)
 }
 
-/// The scheduling frontier shared by the greedy witness builders: an op may
-/// be emitted next iff it is invoked no later than the earliest response
-/// among unemitted ops (otherwise it would be ordered after an op that
-/// strictly precedes it). The threshold is monotone non-decreasing as ops
-/// are emitted, so each builder admits candidates with a single
-/// invoke-sorted pointer sweep.
-pub(crate) struct Frontier {
-    /// Indices sorted by (t_respond, idx).
-    by_respond: Vec<usize>,
-    /// First position in `by_respond` not yet emitted.
-    ptr: usize,
+/// What a monitor reads: the first `len` ops of the decision's arena. The
+/// ladder's optional ops, when it has any, follow them; they are the
+/// search's alone, so every walk over the arena's sort orders skips them.
+#[derive(Clone, Copy)]
+pub(crate) struct View<'x, 'a> {
+    pub arena: &'x HistoryArena<'a>,
+    pub len: usize,
+}
+
+impl<'x> View<'x, '_> {
+    /// The monitor's ops (arena indices) by `(t_invoke, index)`.
+    pub(crate) fn invoke_order(self) -> Cow<'x, [u32]> {
+        self.own(&self.arena.by_invoke)
+    }
+
+    /// The monitor's ops (arena indices) by `(t_respond, index)`.
+    pub(crate) fn respond_order(self) -> Cow<'x, [u32]> {
+        self.own(&self.arena.by_respond)
+    }
+
+    /// `order` without the ops that are not the monitor's.
+    fn own(self, order: &'x [u32]) -> Cow<'x, [u32]> {
+        if self.len == self.arena.len() {
+            Cow::Borrowed(order)
+        } else {
+            Cow::Owned(order.iter().copied().filter(|&i| (i as usize) < self.len).collect())
+        }
+    }
+
+    /// [`verify_witness`] over the arena's columns.
+    fn replay(self, spec: &Arc<dyn ObjectSpec>, order: &[usize]) -> Option<Box<dyn ObjState>> {
+        let a = self.arena;
+        replay(
+            spec,
+            order,
+            self.len,
+            |i| (a.t_invoke[i], a.t_respond[i]),
+            |i| (a.op[i], a.arg[i], a.ret[i]),
+        )
+    }
+}
+
+/// The real-time frontier the greedy witness builders schedule against: an
+/// op may be emitted next iff it is invoked no later than the earliest
+/// response among unemitted ops (otherwise it would be ordered after an op
+/// that strictly precedes it). That threshold never decreases as ops are
+/// emitted, so admitting ops is one pointer walk over the arena's
+/// `by_invoke` order, and finding the threshold one over `by_respond`.
+pub(crate) struct Sweep<'x> {
+    t_invoke: &'x [i64],
+    t_respond: &'x [i64],
+    by_invoke: &'x [u32],
+    by_respond: &'x [u32],
+    len: usize,
+    /// Next position in `by_invoke` to admit.
+    admit: usize,
+    /// First position in `by_respond` that may not be emitted yet.
+    respond: usize,
     emitted: Vec<bool>,
-    responds: Vec<Time>,
 }
 
-impl Frontier {
-    pub(crate) fn new(history: &History) -> Self {
-        let n = history.len();
-        let mut by_respond: Vec<usize> = (0..n).collect();
-        by_respond.sort_unstable_by_key(|&i| (history.ops[i].t_respond, i));
-        let responds = history.ops.iter().map(|o| o.t_respond).collect();
-        Frontier { by_respond, ptr: 0, emitted: vec![false; n], responds }
+impl<'x> Sweep<'x> {
+    pub(crate) fn new(view: View<'x, '_>) -> Self {
+        let a = view.arena;
+        Sweep {
+            t_invoke: &a.t_invoke,
+            t_respond: &a.t_respond,
+            by_invoke: &a.by_invoke,
+            by_respond: &a.by_respond,
+            len: view.len,
+            admit: 0,
+            respond: 0,
+            emitted: vec![false; view.len],
+        }
     }
 
     /// The earliest response among unemitted ops; `None` once all emitted.
-    pub(crate) fn threshold(&mut self) -> Option<Time> {
-        while self.ptr < self.by_respond.len() && self.emitted[self.by_respond[self.ptr]] {
-            self.ptr += 1;
+    pub(crate) fn threshold(&mut self) -> Option<i64> {
+        while let Some(&i) = self.by_respond.get(self.respond) {
+            let i = i as usize;
+            if i < self.len && !self.emitted[i] {
+                return Some(self.t_respond[i]);
+            }
+            self.respond += 1;
         }
-        self.by_respond.get(self.ptr).map(|&i| self.responds[i])
+        None
+    }
+
+    /// Hand every op that has become schedulable since the last call to
+    /// `admit`, in `(t_invoke, index)` order.
+    pub(crate) fn admit(&mut self, mut admit: impl FnMut(usize)) {
+        let Some(threshold) = self.threshold() else { return };
+        while let Some(&i) = self.by_invoke.get(self.admit) {
+            let i = i as usize;
+            if i < self.len {
+                if self.t_invoke[i] > threshold {
+                    break;
+                }
+                admit(i);
+            }
+            self.admit += 1;
+        }
+    }
+
+    /// Whether op `i` may be emitted now.
+    pub(crate) fn ready(&mut self, i: usize) -> bool {
+        self.threshold().is_some_and(|t| self.t_invoke[i] <= t)
     }
 
     pub(crate) fn emit(&mut self, i: usize) {
@@ -442,6 +541,12 @@ mod tests {
         History::from_tuples(tuples)
     }
 
+    /// Run a monitor over `hist`'s arena, as the ladder does.
+    fn monitored(hist: &History, monitor: impl Fn(View) -> MonitorOutcome) -> MonitorOutcome {
+        let arena = HistoryArena::from_history(hist);
+        monitor(View { arena: &arena, len: hist.len() })
+    }
+
     #[test]
     fn register_monitor_produces_verified_witness() {
         let spec = erase(Register::new(0));
@@ -451,7 +556,7 @@ mod tests {
             (1, OpInstance::new("read", (), 0), 1, 4),
             (2, OpInstance::new("read", (), 1), 5, 12),
         ]);
-        let out = register::monitor(&spec, &hist);
+        let out = monitored(&hist, |v| register::monitor(&spec, v));
         let MonitorOutcome::Witness(order) = out else {
             panic!("expected witness, got {out:?}");
         };
@@ -469,7 +574,7 @@ mod tests {
             (0, OpInstance::new("write", 2, ()), 2, 3),
             (1, OpInstance::new("read", (), 1), 4, 5),
         ]);
-        assert_eq!(register::monitor(&spec, &hist), MonitorOutcome::Violation);
+        assert_eq!(monitored(&hist, |v| register::monitor(&spec, v)), MonitorOutcome::Violation);
         assert_eq!(check_fast(&spec, &hist), Verdict::NotLinearizable);
     }
 
@@ -480,7 +585,7 @@ mod tests {
             (0, OpInstance::new("write", 1, ()), 0, 1),
             (1, OpInstance::new("write", 1, ()), 2, 3),
         ]);
-        assert_eq!(register::monitor(&spec, &hist), MonitorOutcome::Deferred);
+        assert_eq!(monitored(&hist, |v| register::monitor(&spec, v)), MonitorOutcome::Deferred);
         // The fallback still decides it.
         assert!(check_fast(&spec, &hist).is_linearizable());
     }
@@ -494,7 +599,7 @@ mod tests {
             (2, OpInstance::new("dequeue", (), 1), 20, 30),
             (3, OpInstance::new("dequeue", (), 2), 35, 40),
         ]);
-        let out = queue_like::monitor_queue(&legal);
+        let out = monitored(&legal, queue_like::monitor_queue);
         assert!(matches!(out, MonitorOutcome::Witness(_)), "got {out:?}");
 
         // FIFO violation: enqueue(1) wholly before enqueue(2), but 2 is
@@ -505,7 +610,7 @@ mod tests {
             (1, OpInstance::new("dequeue", (), 2), 4, 5),
             (1, OpInstance::new("dequeue", (), 1), 6, 7),
         ]);
-        assert_eq!(queue_like::monitor_queue(&bad), MonitorOutcome::Violation);
+        assert_eq!(monitored(&bad, queue_like::monitor_queue), MonitorOutcome::Violation);
         let spec = erase(FifoQueue::new());
         assert_eq!(check_fast(&spec, &bad), Verdict::NotLinearizable);
     }
@@ -519,7 +624,7 @@ mod tests {
             (1, OpInstance::new("pop", (), 2), 4, 5),
             (1, OpInstance::new("pop", (), 1), 6, 7),
         ]);
-        let out = queue_like::monitor_stack(&legal);
+        let out = monitored(&legal, queue_like::monitor_stack);
         assert!(matches!(out, MonitorOutcome::Witness(_)), "got {out:?}");
 
         // LIFO violation: the same history popped in FIFO order.
@@ -529,7 +634,7 @@ mod tests {
             (1, OpInstance::new("pop", (), 1), 4, 5),
             (1, OpInstance::new("pop", (), 2), 6, 7),
         ]);
-        assert_eq!(queue_like::monitor_stack(&bad), MonitorOutcome::Violation);
+        assert_eq!(monitored(&bad, queue_like::monitor_stack), MonitorOutcome::Violation);
         let spec = erase(Stack::new());
         assert_eq!(check_fast(&spec, &bad), Verdict::NotLinearizable);
     }
@@ -543,7 +648,7 @@ mod tests {
             (2, OpInstance::new("extract_min", (), 3), 12, 14),
             (3, OpInstance::new("extract_min", (), 5), 16, 18),
         ]);
-        let out = queue_like::monitor_pq(&legal);
+        let out = monitored(&legal, queue_like::monitor_pq);
         let MonitorOutcome::Witness(order) = out else {
             panic!("expected witness, got {out:?}");
         };
@@ -559,7 +664,7 @@ mod tests {
             (1, OpInstance::new("extract_min", (), 5), 4, 5),
             (1, OpInstance::new("extract_min", (), 3), 6, 7),
         ]);
-        assert_eq!(queue_like::monitor_pq(&bad), MonitorOutcome::Violation);
+        assert_eq!(monitored(&bad, queue_like::monitor_pq), MonitorOutcome::Violation);
         assert_eq!(check_fast(&spec, &bad), Verdict::NotLinearizable);
 
         // A never-extracted smaller value blocks the extract just the same.
@@ -568,14 +673,14 @@ mod tests {
             (0, OpInstance::new("insert", 2, ()), 2, 3),
             (1, OpInstance::new("extract_min", (), 2), 4, 5),
         ]);
-        assert_eq!(queue_like::monitor_pq(&blocked), MonitorOutcome::Violation);
+        assert_eq!(monitored(&blocked, queue_like::monitor_pq), MonitorOutcome::Violation);
 
         // `min` defers to the general search.
         let peeked = h(vec![
             (0, OpInstance::new("insert", 1, ()), 0, 1),
             (1, OpInstance::new("min", (), 1), 2, 3),
         ]);
-        assert_eq!(queue_like::monitor_pq(&peeked), MonitorOutcome::Deferred);
+        assert_eq!(monitored(&peeked, queue_like::monitor_pq), MonitorOutcome::Deferred);
         assert!(check_fast(&spec, &peeked).is_linearizable());
     }
 
@@ -585,7 +690,7 @@ mod tests {
             (0, OpInstance::new("enqueue", 1, ()), 0, 1),
             (1, OpInstance::new("peek", (), 1), 2, 3),
         ]);
-        assert_eq!(queue_like::monitor_queue(&hist), MonitorOutcome::Deferred);
+        assert_eq!(monitored(&hist, queue_like::monitor_queue), MonitorOutcome::Deferred);
         let spec = erase(FifoQueue::new());
         assert!(check_fast(&spec, &hist).is_linearizable());
     }
@@ -600,7 +705,7 @@ mod tests {
             (2, OpInstance::new("contains", 1, true), 12, 14),
             (3, OpInstance::new("contains", 2, false), 0, 1),
         ]);
-        let out = keyed::monitor(&spec, &hist, CheckConfig::default());
+        let out = monitored(&hist, |v| keyed::monitor(&spec, v, CheckConfig::default()));
         let MonitorOutcome::Witness(order) = out else {
             panic!("expected witness, got {out:?}");
         };
@@ -611,7 +716,10 @@ mod tests {
             (0, OpInstance::new("contains", 1, true), 0, 1),
             (1, OpInstance::new("add", 1, ()), 2, 3),
         ]);
-        assert_eq!(keyed::monitor(&spec, &bad, CheckConfig::default()), MonitorOutcome::Violation);
+        assert_eq!(
+            monitored(&bad, |v| keyed::monitor(&spec, v, CheckConfig::default())),
+            MonitorOutcome::Violation
+        );
     }
 
     #[test]
@@ -623,7 +731,7 @@ mod tests {
             (1, OpInstance::new("increment", (), ()), 2, 12),
             (2, OpInstance::new("read", (), 1), 4, 6),
         ]);
-        let out = counter::monitor(&spec, &legal);
+        let out = monitored(&legal, |v| counter::monitor(&spec, v));
         let MonitorOutcome::Witness(order) = out else {
             panic!("expected witness, got {out:?}");
         };
@@ -635,7 +743,7 @@ mod tests {
             (1, OpInstance::new("increment", (), ()), 2, 3),
             (1, OpInstance::new("increment", (), ()), 4, 5),
         ]);
-        assert_eq!(counter::monitor(&spec, &bad), MonitorOutcome::Violation);
+        assert_eq!(monitored(&bad, |v| counter::monitor(&spec, v)), MonitorOutcome::Violation);
         assert_eq!(check_fast(&spec, &bad), Verdict::NotLinearizable);
     }
 

@@ -32,120 +32,180 @@
 //! ready producer — earliest consumer deadline first for queues (FIFO:
 //! urgent values in front), latest deadline first for stacks (LIFO: urgent
 //! values on top, never-popped values at the bottom). "Ready" is the
-//! real-time frontier of the monitor module's `Frontier`. A stalled schedule is *not* a
-//! verdict — the monitor defers; the dispatcher replay-verifies any witness.
+//! real-time frontier of the monitor module's `Sweep`. A stalled schedule is
+//! *not* a verdict — the monitor defers; the dispatcher replay-verifies any
+//! witness.
+//!
+//! Every sweep walks the decision arena's `by_invoke` and `by_respond`
+//! orders, picking out the producers or consumers it needs, instead of
+//! sorting its own index arrays; only the priority ranks are sorted.
 
-use super::{Frontier, MonitorOutcome};
-use crate::history::History;
-use lintime_adt::fxhash::FxBuildHasher;
+use super::{MonitorOutcome, Sweep, ValueIds, View};
 use lintime_adt::value::Value;
-use lintime_sim::time::Time;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// A produced value's lifecycle: its producer op and matching consumer.
+/// A pair's consumer before one is matched.
+const UNCONSUMED: u32 = u32::MAX;
+
+/// A produced value's lifecycle: its producer op and matching consumer
+/// (arena indices).
 struct Pair {
-    /// History index of the producer (`enqueue`/`push`).
-    prod: usize,
-    /// History index of the matching consumer (`dequeue`/`pop`), if any.
-    cons: Option<usize>,
+    /// The producer (`enqueue`/`push`/`insert`).
+    prod: u32,
+    /// The matching consumer (`dequeue`/`pop`/`extract_min`), or
+    /// [`UNCONSUMED`].
+    cons: u32,
 }
 
-/// What a history index is, in producer/consumer terms.
+impl Pair {
+    fn consumed(&self) -> Option<usize> {
+        (self.cons != UNCONSUMED).then_some(self.cons as usize)
+    }
+}
+
+/// What an op is, in producer/consumer terms.
 #[derive(Clone, Copy)]
 enum Role {
     /// Producer of pair `.0`.
-    Prod(usize),
+    Prod(u32),
     /// Consumer of pair `.0`.
-    Cons(usize),
+    Cons(u32),
     /// Consumer that returned "empty".
     Empty,
 }
 
-struct Parsed {
+struct Parsed<'x> {
     pairs: Vec<Pair>,
-    /// History indices of empty-returning consumers.
-    empties: Vec<usize>,
+    /// Produced value → its pair.
+    values: ValueIds<'x>,
+    /// Whether some consumer returned "empty".
+    empties: bool,
     role: Vec<Role>,
+    t_invoke: &'x [i64],
+    t_respond: &'x [i64],
+    by_invoke: Cow<'x, [u32]>,
+    by_respond: Cow<'x, [u32]>,
+}
+
+impl Parsed<'_> {
+    fn prod_invoke(&self, p: usize) -> i64 {
+        self.t_invoke[self.pairs[p].prod as usize]
+    }
+
+    fn prod_respond(&self, p: usize) -> i64 {
+        self.t_respond[self.pairs[p].prod as usize]
+    }
+
+    /// The pairs of the producers in `order`, `consumed` ones only if asked.
+    fn producers<'o>(
+        &'o self,
+        order: &'o [u32],
+        consumed_only: bool,
+    ) -> impl Iterator<Item = usize> + 'o {
+        order.iter().filter_map(move |&i| match self.role[i as usize] {
+            Role::Prod(p) if !consumed_only || self.pairs[p as usize].cons != UNCONSUMED => {
+                Some(p as usize)
+            }
+            _ => None,
+        })
+    }
+
+    /// The pairs of the (non-empty) consumers in `order`.
+    fn consumers<'o>(&'o self, order: &'o [u32]) -> impl Iterator<Item = usize> + 'o {
+        order.iter().filter_map(move |&i| match self.role[i as usize] {
+            Role::Cons(p) => Some(p as usize),
+            _ => None,
+        })
+    }
 }
 
 /// Match producers to consumers. `Err` carries the short-circuit outcome
 /// (Deferred for unknown/ambiguous structure, Violation for sound
 /// impossibilities).
-fn parse(history: &History, prod_name: &str, cons_name: &str) -> Result<Parsed, MonitorOutcome> {
-    let mut pairs: Vec<Pair> = Vec::new();
-    // Value matching is the hottest map in the fast path; trusted inputs, so
-    // the vendored FxHash beats SipHash here.
-    let mut by_value: HashMap<&Value, usize, FxBuildHasher> = HashMap::default();
-    let mut role = vec![Role::Empty; history.len()];
-    let mut empties = Vec::new();
+fn parse<'x>(
+    view: View<'x, '_>,
+    prod_name: &str,
+    cons_name: &str,
+) -> Result<Parsed<'x>, MonitorOutcome> {
+    let (a, n) = (view.arena, view.len);
+    let mut pairs: Vec<Pair> = Vec::with_capacity(n);
+    // Produced value → its pair.
+    let mut values = ValueIds::default();
+    let mut role = vec![Role::Empty; n];
+    let mut empties = false;
     // Producers first so consumers can match in one pass each.
-    for (i, op) in history.ops.iter().enumerate() {
-        if op.instance.op == prod_name {
-            if op.instance.ret != Value::Unit {
+    for (i, role) in role.iter_mut().enumerate() {
+        if a.op[i] == prod_name {
+            if *a.ret[i] != Value::Unit {
                 return Err(MonitorOutcome::Violation); // producers ack with Unit
             }
-            if by_value.insert(&op.instance.arg, pairs.len()).is_some() {
+            let (p, new) = values.intern(a.arg[i]);
+            if !new {
                 return Err(MonitorOutcome::Deferred); // ambiguous: duplicate value
             }
-            role[i] = Role::Prod(pairs.len());
-            pairs.push(Pair { prod: i, cons: None });
+            *role = Role::Prod(p);
+            pairs.push(Pair { prod: i as u32, cons: UNCONSUMED });
         }
     }
-    for (i, op) in history.ops.iter().enumerate() {
-        if op.instance.op == prod_name {
+    for (i, role) in role.iter_mut().enumerate() {
+        if a.op[i] == prod_name {
             continue;
         }
-        if op.instance.op != cons_name {
+        if a.op[i] != cons_name {
             return Err(MonitorOutcome::Deferred); // peek or unknown op
         }
-        if op.instance.ret == Value::Unit {
-            role[i] = Role::Empty;
-            empties.push(i);
+        if *a.ret[i] == Value::Unit {
+            empties = true;
             continue;
         }
-        let Some(&p) = by_value.get(&op.instance.ret) else {
+        let Some(p) = values.get(a.ret[i]) else {
             return Err(MonitorOutcome::Violation); // consumed a never-produced value
         };
-        if pairs[p].cons.replace(i).is_some() {
+        let pair = &mut pairs[p as usize];
+        if pair.cons != UNCONSUMED {
             return Err(MonitorOutcome::Violation); // value consumed twice
         }
-        if op.t_respond < history.ops[pairs[p].prod].t_invoke {
+        pair.cons = i as u32;
+        if a.t_respond[i] < a.t_invoke[pair.prod as usize] {
             return Err(MonitorOutcome::Violation); // consumed before produced
         }
-        role[i] = Role::Cons(p);
+        *role = Role::Cons(p);
     }
-    Ok(Parsed { pairs, empties, role })
+    Ok(Parsed {
+        pairs,
+        values,
+        empties,
+        role,
+        t_invoke: &a.t_invoke,
+        t_respond: &a.t_respond,
+        by_invoke: view.invoke_order(),
+        by_respond: view.respond_order(),
+    })
 }
 
-/// Sound "non-empty emptiness" sweep, shared by queue and stack: an
+/// Sound "non-empty emptiness" sweep, shared by all three: an
 /// empty-returning consumer `e` is impossible if some value was provably in
 /// the structure across `e`'s whole interval — produced before `e` invokes,
 /// and consumed only after `e` responds (or never).
-fn empties_feasible(history: &History, parsed: &Parsed) -> bool {
-    if parsed.empties.is_empty() {
+fn empties_feasible(parsed: &Parsed) -> bool {
+    if !parsed.empties {
         return true;
     }
-    let mut empties = parsed.empties.clone();
-    empties.sort_unstable_by_key(|&e| history.ops[e].t_invoke);
-    let mut by_prod_respond: Vec<usize> = (0..parsed.pairs.len()).collect();
-    by_prod_respond.sort_unstable_by_key(|&p| history.ops[parsed.pairs[p].prod].t_respond);
-    let mut admit = 0;
+    let mut admit = parsed.producers(&parsed.by_respond, false).peekable();
     let mut unconsumed_admitted = false;
-    let mut max_cons_invoke = Time(i64::MIN);
-    for &e in &empties {
-        let e_invoke = history.ops[e].t_invoke;
-        while admit < by_prod_respond.len() {
-            let p = by_prod_respond[admit];
-            if history.ops[parsed.pairs[p].prod].t_respond >= e_invoke {
-                break;
-            }
-            match parsed.pairs[p].cons {
+    let mut max_cons_invoke = i64::MIN;
+    let empties = parsed.by_invoke.iter().map(|&e| e as usize);
+    for e in empties.filter(|&e| matches!(parsed.role[e], Role::Empty)) {
+        let e_invoke = parsed.t_invoke[e];
+        while let Some(p) = admit.next_if(|&p| parsed.prod_respond(p) < e_invoke) {
+            match parsed.pairs[p].consumed() {
                 None => unconsumed_admitted = true,
-                Some(c) => max_cons_invoke = max_cons_invoke.max(history.ops[c].t_invoke),
+                Some(c) => max_cons_invoke = max_cons_invoke.max(parsed.t_invoke[c]),
             }
-            admit += 1;
         }
-        if unconsumed_admitted || max_cons_invoke > history.ops[e].t_respond {
+        if unconsumed_admitted || max_cons_invoke > parsed.t_respond[e] {
             return false;
         }
     }
@@ -153,33 +213,30 @@ fn empties_feasible(history: &History, parsed: &Parsed) -> bool {
 }
 
 /// Monitor a FIFO-queue history (`enqueue`/`dequeue`; any `peek` defers).
-pub fn monitor_queue(history: &History) -> MonitorOutcome {
-    let parsed = match parse(history, "enqueue", "dequeue") {
+pub(crate) fn monitor_queue(view: View) -> MonitorOutcome {
+    let parsed = match parse(view, "enqueue", "dequeue") {
         Ok(p) => p,
         Err(out) => return out,
     };
-    if !empties_feasible(history, &parsed) {
+    if !empties_feasible(&parsed) {
         return MonitorOutcome::Violation;
     }
 
-    // FIFO order patterns over matched pairs.
-    let consumed: Vec<usize> =
-        (0..parsed.pairs.len()).filter(|&p| parsed.pairs[p].cons.is_some()).collect();
-    let unconsumed: Vec<usize> =
-        (0..parsed.pairs.len()).filter(|&p| parsed.pairs[p].cons.is_none()).collect();
-
     // A never-dequeued value provably enqueued before a dequeued one blocks
     // that dequeue forever.
-    let min_unconsumed_prod_respond = unconsumed
-        .iter()
-        .map(|&p| history.ops[parsed.pairs[p].prod].t_respond)
-        .min()
-        .unwrap_or(Time(i64::MAX));
-    let max_consumed_prod_invoke = consumed
-        .iter()
-        .map(|&p| history.ops[parsed.pairs[p].prod].t_invoke)
-        .max()
-        .unwrap_or(Time(i64::MIN));
+    let mut min_unconsumed_prod_respond = i64::MAX;
+    let mut max_consumed_prod_invoke = i64::MIN;
+    for (p, pair) in parsed.pairs.iter().enumerate() {
+        match pair.consumed() {
+            None => {
+                min_unconsumed_prod_respond =
+                    min_unconsumed_prod_respond.min(parsed.prod_respond(p))
+            }
+            Some(_) => {
+                max_consumed_prod_invoke = max_consumed_prod_invoke.max(parsed.prod_invoke(p))
+            }
+        }
+    }
     if min_unconsumed_prod_respond < max_consumed_prod_invoke {
         return MonitorOutcome::Violation;
     }
@@ -187,48 +244,38 @@ pub fn monitor_queue(history: &History) -> MonitorOutcome {
     // Pairwise FIFO: v provably enqueued before w, but w provably dequeued
     // before v. Sweep w by enqueue-invoke; admit v by enqueue-respond;
     // compare w's dequeue-respond against the running max dequeue-invoke.
-    let mut by_prod_invoke = consumed.clone();
-    by_prod_invoke.sort_unstable_by_key(|&p| history.ops[parsed.pairs[p].prod].t_invoke);
-    let mut by_prod_respond = consumed.clone();
-    by_prod_respond.sort_unstable_by_key(|&p| history.ops[parsed.pairs[p].prod].t_respond);
-    let mut admit = 0;
-    let mut max_cons_invoke = Time(i64::MIN);
-    for &w in &by_prod_invoke {
-        let w_prod_invoke = history.ops[parsed.pairs[w].prod].t_invoke;
-        while admit < by_prod_respond.len() {
-            let v = by_prod_respond[admit];
-            if history.ops[parsed.pairs[v].prod].t_respond >= w_prod_invoke {
-                break;
-            }
-            let cv = parsed.pairs[v].cons.expect("consumed pair");
-            max_cons_invoke = max_cons_invoke.max(history.ops[cv].t_invoke);
-            admit += 1;
+    let mut admit = parsed.producers(&parsed.by_respond, true).peekable();
+    let mut max_cons_invoke = i64::MIN;
+    for w in parsed.producers(&parsed.by_invoke, true) {
+        let w_prod_invoke = parsed.prod_invoke(w);
+        while let Some(v) = admit.next_if(|&v| parsed.prod_respond(v) < w_prod_invoke) {
+            let cv = parsed.pairs[v].cons as usize;
+            max_cons_invoke = max_cons_invoke.max(parsed.t_invoke[cv]);
         }
-        let cw = parsed.pairs[w].cons.expect("consumed pair");
-        if max_cons_invoke > history.ops[cw].t_respond {
+        if max_cons_invoke > parsed.t_respond[parsed.pairs[w].cons as usize] {
             return MonitorOutcome::Violation;
         }
     }
 
-    match greedy_witness(history, &parsed, false) {
+    match greedy_witness(view, &parsed, false) {
         Some(order) => MonitorOutcome::Witness(order),
         None => MonitorOutcome::Deferred,
     }
 }
 
 /// Monitor a stack history (`push`/`pop`; any `peek` defers).
-pub fn monitor_stack(history: &History) -> MonitorOutcome {
-    let parsed = match parse(history, "push", "pop") {
+pub(crate) fn monitor_stack(view: View) -> MonitorOutcome {
+    let parsed = match parse(view, "push", "pop") {
         Ok(p) => p,
         Err(out) => return out,
     };
-    if !empties_feasible(history, &parsed) {
+    if !empties_feasible(&parsed) {
         return MonitorOutcome::Violation;
     }
-    if stack_cover_violation(history, &parsed) {
+    if stack_cover_violation(&parsed) {
         return MonitorOutcome::Violation;
     }
-    match greedy_witness(history, &parsed, true) {
+    match greedy_witness(view, &parsed, true) {
         Some(order) => MonitorOutcome::Witness(order),
         None => MonitorOutcome::Deferred,
     }
@@ -236,26 +283,26 @@ pub fn monitor_stack(history: &History) -> MonitorOutcome {
 
 /// Monitor a priority-queue history (`insert`/`extract_min`; any `min`
 /// defers, as does a non-integer priority).
-pub fn monitor_pq(history: &History) -> MonitorOutcome {
-    let parsed = match parse(history, "insert", "extract_min") {
+pub(crate) fn monitor_pq(view: View) -> MonitorOutcome {
+    let parsed = match parse(view, "insert", "extract_min") {
         Ok(p) => p,
         Err(out) => return out,
     };
     // "Smaller" needs a priority order: defer unless every value is an Int.
     let mut vals = Vec::with_capacity(parsed.pairs.len());
     for pair in &parsed.pairs {
-        match history.ops[pair.prod].instance.arg.as_int() {
+        match view.arena.arg[pair.prod as usize].as_int() {
             Some(v) => vals.push(v),
             None => return MonitorOutcome::Deferred,
         }
     }
-    if !empties_feasible(history, &parsed) {
+    if !empties_feasible(&parsed) {
         return MonitorOutcome::Violation;
     }
-    if pq_priority_violation(history, &parsed, &vals) {
+    if pq_priority_violation(&parsed, &vals) {
         return MonitorOutcome::Violation;
     }
-    match greedy_witness_pq(history, &parsed, &vals) {
+    match greedy_witness_pq(view, &parsed, &vals) {
         Some(order) => MonitorOutcome::Witness(order),
         None => MonitorOutcome::Deferred,
     }
@@ -274,44 +321,30 @@ pub fn monitor_pq(history: &History) -> MonitorOutcome {
 /// keyed by ascending value rank, holding the matching extract's invoke
 /// (`i64::MAX` for never-extracted values); the query is a prefix max over
 /// the ranks strictly below `v`'s.
-fn pq_priority_violation(history: &History, parsed: &Parsed, vals: &[i64]) -> bool {
-    let consumed: Vec<usize> =
-        (0..parsed.pairs.len()).filter(|&p| parsed.pairs[p].cons.is_some()).collect();
-    if consumed.is_empty() {
-        return false;
-    }
-    let prod_respond = |p: usize| history.ops[parsed.pairs[p].prod].t_respond;
-    let cons_invoke = |p: usize| history.ops[parsed.pairs[p].cons.expect("consumed")].t_invoke;
-    let cons_respond = |p: usize| history.ops[parsed.pairs[p].cons.expect("consumed")].t_respond;
-
+fn pq_priority_violation(parsed: &Parsed, vals: &[i64]) -> bool {
+    let m = parsed.pairs.len();
     // Rank every pair by priority (values are distinct after `parse`).
-    let mut by_val: Vec<usize> = (0..parsed.pairs.len()).collect();
-    by_val.sort_unstable_by_key(|&p| vals[p]);
-    let mut rank = vec![0usize; parsed.pairs.len()];
-    for (r, &p) in by_val.iter().enumerate() {
-        rank[p] = r;
-    }
-    let mut fen = FenwickMax::new(parsed.pairs.len());
-
-    let mut vs = consumed;
-    vs.sort_unstable_by_key(|&p| cons_invoke(p));
-    let mut all_by_prod_respond: Vec<usize> = (0..parsed.pairs.len()).collect();
-    all_by_prod_respond.sort_unstable_by_key(|&p| prod_respond(p));
-    let mut admit = 0;
-    for &v in &vs {
-        while admit < all_by_prod_respond.len() {
-            let u = all_by_prod_respond[admit];
-            if prod_respond(u) >= cons_invoke(v) {
-                break;
-            }
-            let extracted_at = match parsed.pairs[u].cons {
-                None => i64::MAX,
-                Some(c) => history.ops[c].t_invoke.0,
-            };
-            fen.update(rank[u], extracted_at);
-            admit += 1;
+    let mut rank = vec![0usize; m];
+    let by_val: Vec<u32> = match parsed.values.ascending_ints() {
+        Some(ascending) => ascending.collect(),
+        None => {
+            let mut by_val: Vec<u32> = (0..m as u32).collect();
+            by_val.sort_unstable_by_key(|&p| vals[p as usize]);
+            by_val
         }
-        if fen.prefix_max(rank[v]) > cons_respond(v).0 {
+    };
+    for (r, &p) in by_val.iter().enumerate() {
+        rank[p as usize] = r;
+    }
+    let mut fen = FenwickMax::new(m);
+    let mut admit = parsed.producers(&parsed.by_respond, false).peekable();
+    for v in parsed.consumers(&parsed.by_invoke) {
+        let cv = parsed.pairs[v].cons as usize;
+        while let Some(u) = admit.next_if(|&u| parsed.prod_respond(u) < parsed.t_invoke[cv]) {
+            let extracted_at = parsed.pairs[u].consumed().map_or(i64::MAX, |c| parsed.t_invoke[c]);
+            fen.update(rank[u], extracted_at);
+        }
+        if fen.prefix_max(rank[v]) > parsed.t_respond[cv] {
             return true; // a smaller value provably sits in the queue
         }
     }
@@ -319,44 +352,34 @@ fn pq_priority_violation(history: &History, parsed: &Parsed, vals: &[i64]) -> bo
 }
 
 /// Greedy priority-queue witness. Mirrors [`greedy_witness`] with the
-/// structure head replaced by the minimum of a [`BTreeMap`]: emit the
-/// minimum's extract when ready, empty extracts while the queue is empty,
-/// and otherwise the ready insert with the earliest extract deadline. A
-/// stall is not a verdict — the caller defers.
-fn greedy_witness_pq(history: &History, parsed: &Parsed, vals: &[i64]) -> Option<Vec<usize>> {
-    let n = history.len();
-    let mut frontier = Frontier::new(history);
-    let mut by_invoke: Vec<usize> = (0..n).collect();
-    by_invoke.sort_unstable_by_key(|&i| (history.ops[i].t_invoke, i));
-    let mut admit = 0;
-
-    let deadline = |p: usize| -> Time {
-        parsed.pairs[p].cons.map_or(Time(i64::MAX), |c| history.ops[c].t_invoke)
-    };
-    let mut prod_pool: BinaryHeap<(i64, usize)> = BinaryHeap::new(); // max-heap on -deadline
+/// structure head replaced by the minimum of a min-heap: emit the minimum's
+/// extract when ready, empty extracts while the queue is empty, and
+/// otherwise the ready insert with the earliest extract deadline. A stall is
+/// not a verdict — the caller defers.
+fn greedy_witness_pq(view: View, parsed: &Parsed, vals: &[i64]) -> Option<Vec<usize>> {
+    let n = view.len;
+    let mut sweep = Sweep::new(view);
+    let deadline = |p: usize| parsed.pairs[p].consumed().map_or(i64::MAX, |c| parsed.t_invoke[c]);
+    let mut prod_pool: BinaryHeap<(i64, u32)> = BinaryHeap::new(); // max-heap on -deadline
     let mut empty_pool: VecDeque<usize> = VecDeque::new();
     let mut cons_ready = vec![false; parsed.pairs.len()];
-    let mut structure: BTreeMap<i64, usize> = BTreeMap::new(); // priority -> pair
+    // (priority, pair), minimum on top.
+    let mut structure: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
     let mut order: Vec<usize> = Vec::with_capacity(n);
 
     while order.len() < n {
-        let threshold = frontier.threshold().expect("unemitted ops remain");
-        while admit < n && history.ops[by_invoke[admit]].t_invoke <= threshold {
-            let i = by_invoke[admit];
-            admit += 1;
-            match parsed.role[i] {
-                Role::Prod(p) => prod_pool.push((-deadline(p).0, p)),
-                Role::Cons(p) => cons_ready[p] = true,
-                Role::Empty => empty_pool.push_back(i),
-            }
-        }
+        sweep.admit(|i| match parsed.role[i] {
+            Role::Prod(p) => prod_pool.push((-deadline(p as usize), p)),
+            Role::Cons(p) => cons_ready[p as usize] = true,
+            Role::Empty => empty_pool.push_back(i),
+        });
         // 1. Extract the minimum if its consumer is ready.
-        if let Some((&min_val, &p)) = structure.iter().next() {
-            if cons_ready[p] {
-                let c = parsed.pairs[p].cons.expect("ready consumer");
-                structure.remove(&min_val);
+        if let Some(&Reverse((_, p))) = structure.peek() {
+            if cons_ready[p as usize] {
+                structure.pop();
+                let c = parsed.pairs[p as usize].cons as usize;
                 order.push(c);
-                frontier.emit(c);
+                sweep.emit(c);
                 continue;
             }
         }
@@ -364,15 +387,16 @@ fn greedy_witness_pq(history: &History, parsed: &Parsed, vals: &[i64]) -> Option
         if structure.is_empty() {
             if let Some(e) = empty_pool.pop_front() {
                 order.push(e);
-                frontier.emit(e);
+                sweep.emit(e);
                 continue;
             }
         }
         // 3. Insert the most urgent ready value.
         if let Some((_, p)) = prod_pool.pop() {
-            structure.insert(vals[p], p);
-            order.push(parsed.pairs[p].prod);
-            frontier.emit(parsed.pairs[p].prod);
+            structure.push(Reverse((vals[p as usize], p)));
+            let i = parsed.pairs[p as usize].prod as usize;
+            order.push(i);
+            sweep.emit(i);
             continue;
         }
         return None; // stall: no rule applies, defer to the general search
@@ -389,57 +413,56 @@ fn greedy_witness_pq(history: &History, parsed: &Parsed, vals: &[i64]) -> Option
 /// remaining two conditions are a max query over push-invoke suffixes,
 /// answered by a running max for never-popped `w`s and a Fenwick max (pop
 /// invoke keyed by descending push-invoke rank) for popped ones.
-fn stack_cover_violation(history: &History, parsed: &Parsed) -> bool {
-    let consumed: Vec<usize> =
-        (0..parsed.pairs.len()).filter(|&p| parsed.pairs[p].cons.is_some()).collect();
-    if consumed.is_empty() {
+fn stack_cover_violation(parsed: &Parsed) -> bool {
+    // Popped pairs by push-invoke; descending rank turns the suffix query
+    // into a prefix query on the Fenwick tree.
+    let by_push_invoke: Vec<usize> = parsed.producers(&parsed.by_invoke, true).collect();
+    if by_push_invoke.is_empty() {
         return false;
     }
-    let prod_invoke = |p: usize| history.ops[parsed.pairs[p].prod].t_invoke;
-    let prod_respond = |p: usize| history.ops[parsed.pairs[p].prod].t_respond;
-    let cons_invoke = |p: usize| history.ops[parsed.pairs[p].cons.expect("consumed")].t_invoke;
-    let cons_respond = |p: usize| history.ops[parsed.pairs[p].cons.expect("consumed")].t_respond;
-
-    // Rank popped pairs by push-invoke (descending rank = suffix query
-    // becomes a prefix query on the Fenwick tree).
-    let mut by_push_invoke = consumed.clone();
-    by_push_invoke.sort_unstable_by_key(|&p| prod_invoke(p));
+    let push_invokes: Vec<i64> = by_push_invoke.iter().map(|&p| parsed.prod_invoke(p)).collect();
     let mut rank = vec![0usize; parsed.pairs.len()];
     for (r, &p) in by_push_invoke.iter().enumerate() {
         rank[p] = by_push_invoke.len() - 1 - r;
     }
     let mut fen = FenwickMax::new(by_push_invoke.len());
 
-    let mut vs = consumed.clone();
-    vs.sort_unstable_by_key(|&p| cons_invoke(p));
-    let mut all_by_push_respond: Vec<usize> = (0..parsed.pairs.len()).collect();
-    all_by_push_respond.sort_unstable_by_key(|&p| prod_respond(p));
-    let mut admit = 0;
-    let mut max_unpopped_push_invoke = Time(i64::MIN);
-    for &v in &vs {
-        while admit < all_by_push_respond.len() {
-            let w = all_by_push_respond[admit];
-            if prod_respond(w) >= cons_invoke(v) {
-                break;
+    let mut admit = parsed.producers(&parsed.by_respond, false).peekable();
+    let mut max_unpopped_push_invoke = i64::MIN;
+    for v in parsed.consumers(&parsed.by_invoke) {
+        let cv = parsed.pairs[v].cons as usize;
+        while let Some(w) = admit.next_if(|&w| parsed.prod_respond(w) < parsed.t_invoke[cv]) {
+            match parsed.pairs[w].consumed() {
+                None => {
+                    max_unpopped_push_invoke = max_unpopped_push_invoke.max(parsed.prod_invoke(w))
+                }
+                Some(cw) => fen.update(rank[w], parsed.t_invoke[cw]),
             }
-            match parsed.pairs[w].cons {
-                None => max_unpopped_push_invoke = max_unpopped_push_invoke.max(prod_invoke(w)),
-                Some(_) => fen.update(rank[w], cons_invoke(w).0),
-            }
-            admit += 1;
         }
-        if max_unpopped_push_invoke > prod_respond(v) {
+        let v_push_respond = parsed.prod_respond(v);
+        if max_unpopped_push_invoke > v_push_respond {
             return true; // never-popped w provably above v at v's pop
         }
         // Popped w with push-invoke > prodR(v): suffix of the ascending
         // push-invoke order, i.e. prefix of the descending rank order.
-        let cut = by_push_invoke.partition_point(|&w| prod_invoke(w) <= prod_respond(v));
-        let suffix_len = by_push_invoke.len() - cut;
-        if fen.prefix_max(suffix_len) > cons_respond(v).0 {
+        let cut = gallop(&push_invokes, by_push_invoke.len() - rank[v], |t| t <= v_push_respond);
+        if fen.prefix_max(push_invokes.len() - cut) > parsed.t_respond[cv] {
             return true; // w popped provably after v
         }
     }
     false
+}
+
+/// `slice.partition_point(pred)` for a `pred` known to hold before `from`,
+/// found by doubling steps from there: O(log d) for a cut `d` past `from`.
+fn gallop(slice: &[i64], from: usize, pred: impl Fn(i64) -> bool) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= slice.len() && pred(slice[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(slice.len() + 1) - 1;
+    lo + slice[lo..hi].partition_point(|&t| pred(t))
 }
 
 /// Fenwick tree over `max`, for offline dominance sweeps.
@@ -475,77 +498,64 @@ impl FenwickMax {
 
 /// Greedy witness construction shared by queue (`lifo = false`) and stack
 /// (`lifo = true`). Returns `None` on a stall (the caller defers).
-fn greedy_witness(history: &History, parsed: &Parsed, lifo: bool) -> Option<Vec<usize>> {
-    let n = history.len();
-    let mut frontier = Frontier::new(history);
-    let mut by_invoke: Vec<usize> = (0..n).collect();
-    by_invoke.sort_unstable_by_key(|&i| (history.ops[i].t_invoke, i));
-    let mut admit = 0;
-
+fn greedy_witness(view: View, parsed: &Parsed, lifo: bool) -> Option<Vec<usize>> {
+    let n = view.len;
+    let mut sweep = Sweep::new(view);
     // Producer deadline: its consumer's invoke (a value must be in position
     // by the time its consumer can linearize); never-consumed values have no
     // deadline. Queues emit earliest deadline first, stacks latest first.
-    let deadline = |p: usize| -> Time {
-        parsed.pairs[p].cons.map_or(Time(i64::MAX), |c| history.ops[c].t_invoke)
-    };
     // Max-heap on (key, pair): queues negate the deadline so the earliest
     // deadline has the largest key.
-    let prod_key = |p: usize| -> (i64, usize) {
+    let prod_key = |p: usize| {
+        let deadline = parsed.pairs[p].consumed().map_or(i64::MAX, |c| parsed.t_invoke[c]);
         if lifo {
-            (deadline(p).0, p)
+            deadline
         } else {
-            (-deadline(p).0, p)
+            -deadline
         }
     };
-    let mut prod_pool: BinaryHeap<(i64, usize)> = BinaryHeap::new();
+    let mut prod_pool: BinaryHeap<(i64, u32)> = BinaryHeap::new();
     let mut empty_pool: VecDeque<usize> = VecDeque::new();
     let mut cons_ready = vec![false; parsed.pairs.len()];
 
-    // Queue of pair indices in structure order (front = index 0 for FIFO,
-    // top = last for LIFO).
-    let mut structure: VecDeque<usize> = VecDeque::new();
+    // Pair indices in structure order (front = index 0 for FIFO, top = last
+    // for LIFO).
+    let mut structure: VecDeque<u32> = VecDeque::new();
     let mut order: Vec<usize> = Vec::with_capacity(n);
 
     while order.len() < n {
-        let threshold = frontier.threshold().expect("unemitted ops remain");
-        while admit < n && history.ops[by_invoke[admit]].t_invoke <= threshold {
-            let i = by_invoke[admit];
-            admit += 1;
-            match parsed.role[i] {
-                Role::Prod(p) => prod_pool.push((prod_key(p).0, p)),
-                Role::Cons(p) => cons_ready[p] = true,
-                Role::Empty => empty_pool.push_back(i),
-            }
-        }
-        let emit = |i: usize, order: &mut Vec<usize>, frontier: &mut Frontier| {
-            order.push(i);
-            frontier.emit(i);
-        };
+        sweep.admit(|i| match parsed.role[i] {
+            Role::Prod(p) => prod_pool.push((prod_key(p as usize), p)),
+            Role::Cons(p) => cons_ready[p as usize] = true,
+            Role::Empty => empty_pool.push_back(i),
+        });
         // 1. Consume the structure head if its consumer is ready.
         let head = if lifo { structure.back() } else { structure.front() }.copied();
-        if let Some(p) = head {
-            if cons_ready[p] {
-                let c = parsed.pairs[p].cons.expect("ready consumer");
-                if lifo {
-                    structure.pop_back();
-                } else {
-                    structure.pop_front();
-                }
-                emit(c, &mut order, &mut frontier);
-                continue;
+        if let Some(p) = head.filter(|&p| cons_ready[p as usize]) {
+            if lifo {
+                structure.pop_back();
+            } else {
+                structure.pop_front();
             }
+            let c = parsed.pairs[p as usize].cons as usize;
+            order.push(c);
+            sweep.emit(c);
+            continue;
         }
         // 2. Empty consumers linearize while the structure is empty.
         if structure.is_empty() {
             if let Some(e) = empty_pool.pop_front() {
-                emit(e, &mut order, &mut frontier);
+                order.push(e);
+                sweep.emit(e);
                 continue;
             }
         }
         // 3. Produce the most urgent ready value.
         if let Some((_, p)) = prod_pool.pop() {
             structure.push_back(p);
-            emit(parsed.pairs[p].prod, &mut order, &mut frontier);
+            let i = parsed.pairs[p as usize].prod as usize;
+            order.push(i);
+            sweep.emit(i);
             continue;
         }
         return None; // stall: no rule applies, defer to the general search

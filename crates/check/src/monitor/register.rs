@@ -14,6 +14,12 @@
 //! * a linearization exists iff that digraph is acyclic, which Kahn-style
 //!   source extraction decides while simultaneously producing the witness.
 //!
+//! One walk of the decision arena's `by_invoke` order gives every cluster
+//! its `fr` and `li` and, by a counting pass, its reads in invocation order.
+//! The clusters are then sorted by `fr` and by `li` with the arena's
+//! near-linear sort for nearly ordered times, and each extraction round
+//! reads the two front clusters of each order, skipping extracted ones.
+//!
 //! Soundness of each `Violation` below: a read of a never-written value can
 //! be legal in no sequence; a read that responds before its write invokes
 //! would have to be ordered before it; an op of a non-initial cluster that
@@ -23,231 +29,201 @@
 //! written value equal to the initial value) and non-read/write operations
 //! defer to the general search.
 
-use super::MonitorOutcome;
-use crate::history::History;
-use lintime_adt::fxhash::FxBuildHasher;
+use super::{MonitorOutcome, ValueIds, View};
+use crate::arena::{sorted_order, HistoryArena};
 use lintime_adt::spec::ObjectSpec;
 use lintime_adt::value::Value;
-use lintime_sim::time::Time;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-/// A parsed read or write, in history-index space.
-pub(crate) struct RwOp<'a> {
-    /// Index into `history.ops`.
-    pub idx: usize,
-    pub invoke: Time,
-    pub respond: Time,
-    /// `Read(returned value)` or `Write(written value)`.
-    pub kind: RwKind<'a>,
-}
-
-/// Read (with returned value) or write (with written value), borrowed from
-/// the history.
-pub(crate) enum RwKind<'a> {
-    Read(&'a Value),
-    Write(&'a Value),
-}
-
-/// Written value → its cluster: the ordinal of its write among the ops'
-/// writes. Keys are op values, which can come from outside (a crafted trace
-/// can slow only its own check).
-type WriteIndex<'a> = HashMap<&'a Value, usize, FxBuildHasher>;
+/// The cluster of the reads that return the initial value.
+pub(crate) const INITIAL: u32 = u32::MAX;
 
 /// Monitor a register history. Defers on any operation other than
 /// `read`/`write`.
-pub fn monitor(spec: &Arc<dyn ObjectSpec>, history: &History) -> MonitorOutcome {
-    // One pass classifies the ops and indexes the written values, so an
-    // ambiguous history defers before any per-op record is built.
-    let mut writes = WriteIndex::default();
+pub(crate) fn monitor(spec: &Arc<dyn ObjectSpec>, view: View) -> MonitorOutcome {
+    let (a, n) = (view.arena, view.len);
+    // One pass classifies the ops and numbers the written values, so an
+    // ambiguous history defers before the reads are looked at. A write's
+    // cluster is the ordinal of its value.
+    let mut writes = ValueIds::default();
+    let mut cluster = vec![INITIAL; n];
+    let mut is_write = vec![false; n];
     let mut duplicate = false;
-    for op in &history.ops {
-        match op.instance.op {
+    for i in 0..n {
+        match a.op[i] {
             "read" => {}
             "write" => {
-                if op.instance.ret != Value::Unit {
+                if *a.ret[i] != Value::Unit {
                     // A write acks with Unit in every legal sequence.
                     return MonitorOutcome::Violation;
                 }
                 if !duplicate {
-                    duplicate = writes.insert(&op.instance.arg, writes.len()).is_some();
+                    let (c, new) = writes.intern(a.arg[i]);
+                    (cluster[i], duplicate) = (c, !new);
                 }
+                is_write[i] = true;
             }
             _ => return MonitorOutcome::Deferred,
         }
     }
     // The initial value is whatever a fresh object reads.
     let init = spec.new_object().apply("read", &Value::Unit);
-    if duplicate || writes.contains_key(&init) {
+    if duplicate || writes.get(&init).is_some() {
         return MonitorOutcome::Deferred;
     }
-    let rw: Vec<RwOp<'_>> = history
-        .ops
+    for i in 0..n {
+        if !is_write[i] && *a.ret[i] != init {
+            match writes.get(a.ret[i]) {
+                Some(c) => cluster[i] = c,
+                // Read of a value never written and not initial.
+                None => return MonitorOutcome::Violation,
+            }
+        }
+    }
+    let instance = Instance {
+        by_invoke: &view.invoke_order(),
+        cluster: &cluster,
+        is_write: &is_write,
+        clusters: writes.len(),
+    };
+    order_clusters(a, instance)
+}
+
+/// One register instance, as [`order_clusters`] reads it: the whole history
+/// for the register monitor, one key's ops for the set/kv monitor
+/// ([`super::keyed`]).
+pub(crate) struct Instance<'x> {
+    /// The instance's ops (arena indices) by `(t_invoke, index)`.
+    pub by_invoke: &'x [u32],
+    /// Per arena index: a write's own cluster, the cluster of the value a
+    /// read returns, or [`INITIAL`].
+    pub cluster: &'x [u32],
+    /// Per arena index: whether the op is a write.
+    pub is_write: &'x [bool],
+    /// Number of write clusters, `0..clusters`; every one has its write
+    /// among the instance's ops, and no write is in [`INITIAL`].
+    pub clusters: usize,
+}
+
+/// The cluster-order decision procedure. The witness lists arena indices.
+pub(crate) fn order_clusters(a: &HistoryArena, inst: Instance) -> MonitorOutcome {
+    let m = inst.clusters;
+    // Each op's slot, in invocation order: its cluster (`m` for the initial
+    // one), with WRITE set for a write.
+    const WRITE: u32 = 1 << 31;
+    let slots: Vec<u32> = inst
+        .by_invoke
         .iter()
-        .enumerate()
-        .map(|(idx, op)| {
-            let kind = match op.instance.op {
-                "read" => RwKind::Read(&op.instance.ret),
-                _ => RwKind::Write(&op.instance.arg),
+        .map(|&i| {
+            let c = match inst.cluster[i as usize] {
+                INITIAL => m as u32,
+                c => c,
             };
-            RwOp { idx, invoke: op.t_invoke, respond: op.t_respond, kind }
+            if inst.is_write[i as usize] {
+                c | WRITE
+            } else {
+                c
+            }
         })
         .collect();
-    order_clusters(&rw, &init, &writes)
-}
-
-/// A reads-from cluster: one write (none for the initial cluster) plus the
-/// reads returning its value.
-struct Cluster {
-    /// Position in the caller's `ops` slice; `None` for the initial cluster.
-    write: Option<usize>,
-    reads: Vec<usize>,
-    /// Last invocation over members.
-    li: Time,
-    /// First response over members.
-    fr: Time,
-}
-
-impl Cluster {
-    fn empty(write: Option<usize>) -> Self {
-        Cluster { write, reads: Vec::new(), li: Time(i64::MIN), fr: Time(i64::MAX) }
-    }
-
-    fn absorb(&mut self, invoke: Time, respond: Time) {
-        self.li = self.li.max(invoke);
-        self.fr = self.fr.min(respond);
-    }
-}
-
-/// The cluster-order decision procedure over parsed read/write ops. `init`
-/// is the register's initial value. Used per key by the set/kv monitor
-/// ([`super::keyed`]), which reduces each key to a register instance.
-pub(crate) fn cluster_check(ops: &[RwOp<'_>], init: &Value) -> MonitorOutcome {
-    // One cluster per write, keyed by written value; ambiguity defers.
-    let mut by_value = WriteIndex::default();
-    for op in ops {
-        if let RwKind::Write(v) = op.kind {
-            if v == init || by_value.insert(v, by_value.len()).is_some() {
-                return MonitorOutcome::Deferred;
-            }
+    let mut li = vec![i64::MIN; m + 1];
+    let mut fr = vec![i64::MAX; m + 1];
+    let mut write = vec![0u32; m];
+    // Reads per cluster, turned into the start of each cluster's run in
+    // `reads` below.
+    let mut start = vec![0u32; m + 2];
+    for (&i, &s) in inst.by_invoke.iter().zip(&slots) {
+        let (i, c) = (i as usize, (s & !WRITE) as usize);
+        li[c] = a.t_invoke[i];
+        fr[c] = fr[c].min(a.t_respond[i]);
+        if s & WRITE != 0 {
+            write[c] = i as u32;
+        } else {
+            start[c + 1] += 1;
         }
     }
-    order_clusters(ops, init, &by_value)
-}
-
-/// [`cluster_check`] past its ambiguity test: `by_value` indexes the
-/// pairwise distinct written values of `ops`, none equal to `init`.
-fn order_clusters(ops: &[RwOp<'_>], init: &Value, by_value: &WriteIndex<'_>) -> MonitorOutcome {
-    let mut clusters: Vec<Cluster> = Vec::with_capacity(by_value.len());
-    for (pos, op) in ops.iter().enumerate() {
-        if let RwKind::Write(_) = op.kind {
-            let mut c = Cluster::empty(Some(pos));
-            c.absorb(op.invoke, op.respond);
-            clusters.push(c);
-        }
+    for c in 0..=m {
+        start[c + 1] += start[c];
     }
-    let mut initial = Cluster::empty(None);
-    for (pos, op) in ops.iter().enumerate() {
-        if let RwKind::Read(v) = op.kind {
-            if v == init {
-                initial.reads.push(pos);
-                initial.absorb(op.invoke, op.respond);
-            } else if let Some(&c) = by_value.get(v) {
-                // A read must not wholly precede the write it reads from.
-                let w = clusters[c].write.expect("non-initial cluster has a write");
-                if op.respond < ops[w].invoke {
-                    return MonitorOutcome::Violation;
-                }
-                clusters[c].reads.push(pos);
-                clusters[c].absorb(op.invoke, op.respond);
-            } else {
-                // Read of a value never written and not initial.
-                return MonitorOutcome::Violation;
-            }
+    let mut reads = vec![0u32; start[m + 1] as usize];
+    let mut next = start.clone();
+    for (&i, &c) in inst.by_invoke.iter().zip(&slots) {
+        if c & WRITE != 0 {
+            continue;
         }
-    }
-
-    let mut order: Vec<usize> = Vec::with_capacity(ops.len());
-    let emit_cluster = |c: &mut Cluster, order: &mut Vec<usize>| {
-        if let Some(w) = c.write {
-            order.push(w);
-        }
-        c.reads.sort_unstable_by_key(|&p| (ops[p].invoke, p));
-        order.extend(c.reads.iter().copied());
-    };
-
-    // The initial block must come first: any other cluster forced before it
-    // is a contradiction.
-    if !initial.reads.is_empty() {
-        if clusters.iter().any(|c| c.fr < initial.li) {
+        let c = c as usize;
+        // A read must not wholly precede the write it reads from.
+        if c < m && a.t_respond[i as usize] < a.t_invoke[write[c] as usize] {
             return MonitorOutcome::Violation;
         }
-        emit_cluster(&mut initial, &mut order);
+        reads[next[c] as usize] = i;
+        next[c] += 1;
+    }
+    let cluster_reads = |c: usize| reads[start[c] as usize..start[c + 1] as usize].iter();
+
+    let mut order: Vec<usize> = Vec::with_capacity(inst.by_invoke.len());
+    // The initial block must come first: any other cluster forced before it
+    // is a contradiction.
+    if start[m + 1] > start[m] {
+        if fr[..m].iter().any(|&f| f < li[m]) {
+            return MonitorOutcome::Violation;
+        }
+        order.extend(cluster_reads(m).map(|&i| i as usize));
     }
 
     // Kahn source extraction on the threshold digraph (edge A -> B iff
     // fr(A) < li(B)): cluster A is a source among the remaining clusters iff
-    // li(A) <= min fr over the *other* remaining clusters. Two lazy min-heaps
-    // find, per round, the min-fr holder and the min-li candidates; only the
-    // min-li cluster (or, when that is the min-fr holder itself, the
-    // runner-up of either heap) can be a source, so each round is O(log m).
-    let m = clusters.len();
-    let mut alive = vec![true; m];
-    let mut fr_heap: BinaryHeap<Reverse<(Time, usize)>> =
-        clusters.iter().enumerate().map(|(c, cl)| Reverse((cl.fr, c))).collect();
-    let mut li_heap: BinaryHeap<Reverse<(Time, usize)>> =
-        clusters.iter().enumerate().map(|(c, cl)| Reverse((cl.li, c))).collect();
-
-    fn peek_alive(
-        heap: &mut BinaryHeap<Reverse<(Time, usize)>>,
-        alive: &[bool],
-    ) -> Option<(Time, usize)> {
-        while let Some(&Reverse((t, c))) = heap.peek() {
-            if alive[c] {
-                return Some((t, c));
-            }
-            heap.pop();
-        }
-        None
-    }
-    type Entry = Option<(Time, usize)>;
-    fn top_two(heap: &mut BinaryHeap<Reverse<(Time, usize)>>, alive: &[bool]) -> (Entry, Entry) {
-        let Some(first) = peek_alive(heap, alive) else { return (None, None) };
-        heap.pop();
-        let second = peek_alive(heap, alive);
-        heap.push(Reverse(first));
-        (Some(first), second)
-    }
-
+    // li(A) <= min fr over the *other* remaining clusters. Only the min-li
+    // cluster (or, when that is the min-fr holder itself, the runner-up of
+    // either order) can be a source, so each round reads the first two
+    // unextracted clusters of the fr order and of the li order.
+    let (by_fr, by_li) = (sorted_order(&fr[..m]), sorted_order(&li[..m]));
+    let mut extracted = vec![false; m];
+    let (mut fr_front, mut li_front) = (Front::default(), Front::default());
     for _ in 0..m {
-        let ((_, c1), m2) = match top_two(&mut fr_heap, &alive) {
-            (Some(first), second) => (first, second.map(|(t, _)| t).unwrap_or(Time(i64::MAX))),
-            (None, _) => unreachable!("alive clusters remain"),
-        };
-        let m1 = clusters[c1].fr;
-        let (l1, l2) = top_two(&mut li_heap, &alive);
-        let (la, a) = l1.expect("alive clusters remain");
+        let (c1, runner_up) = fr_front.first_two(&by_fr, &extracted);
+        let c1 = c1.expect("unextracted clusters remain");
+        let (m1, m2) = (fr[c1], runner_up.map_or(i64::MAX, |c| fr[c]));
+        let (l1, l2) = li_front.first_two(&by_li, &extracted);
         // A cluster X != c1 is a source iff li(X) <= m1, so a non-c1 source
         // exists iff the smallest li among non-c1 clusters passes; c1 itself
-        // is a source iff li(c1) <= m2. (When the min-li cluster is c1, the
-        // runner-up of the li heap is the non-c1 minimum.)
-        let non_c1_min_li = if a == c1 { l2 } else { Some((la, a)) };
-        let chosen = match non_c1_min_li {
-            Some((l, x)) if l <= m1 => Some(x),
-            _ if clusters[c1].li <= m2 => Some(c1),
-            _ => None,
-        };
-        let Some(c) = chosen else {
+        // is a source iff li(c1) <= m2.
+        let non_c1_min_li = if l1 == Some(c1) { l2 } else { l1 };
+        let c = match non_c1_min_li {
+            Some(x) if li[x] <= m1 => x,
+            _ if li[c1] <= m2 => c1,
             // Every remaining cluster has a forced predecessor: a cycle of
             // forced block orderings, hence no linearization.
-            return MonitorOutcome::Violation;
+            _ => return MonitorOutcome::Violation,
         };
-        alive[c] = false;
-        let mut cl = std::mem::replace(&mut clusters[c], Cluster::empty(None));
-        emit_cluster(&mut cl, &mut order);
+        extracted[c] = true;
+        order.push(write[c] as usize);
+        order.extend(cluster_reads(c).map(|&i| i as usize));
     }
+    MonitorOutcome::Witness(order)
+}
 
-    // Map positions in `ops` back to history indices.
-    MonitorOutcome::Witness(order.into_iter().map(|p| ops[p].idx).collect())
+/// The first two unextracted clusters of one sort order. Clusters are only
+/// ever extracted, so both positions only move forward: reading them costs
+/// amortized constant time however the extraction order interleaves with
+/// this one.
+#[derive(Default)]
+struct Front {
+    first: usize,
+    second: usize,
+}
+
+impl Front {
+    fn first_two(&mut self, order: &[u32], extracted: &[bool]) -> (Option<usize>, Option<usize>) {
+        let live = |p: usize| order.get(p).map(|&c| c as usize).filter(|&c| !extracted[c]);
+        let skip = |mut p: usize| {
+            while p < order.len() && extracted[order[p] as usize] {
+                p += 1;
+            }
+            p
+        };
+        self.first = skip(self.first);
+        self.second = skip(self.second.max(self.first + 1));
+        (live(self.first), live(self.second))
+    }
 }

@@ -44,8 +44,9 @@
 //!    of the window when the monitor defers (counted in
 //!    `check.stream.fallbacks`; a budget-exhausted fallback degrades to
 //!    [`StreamVerdict::Unknown`], never a false refutation). The decision
-//!    builds its search arena over the window's ops without copying their
-//!    values, and a certified prefix hands on the state its witness ended
+//!    builds one arena over the window's ops without copying their values,
+//!    which the monitor and then the search read, and a certified prefix
+//!    hands on the state its witness ended
 //!    in — the monitor witness's verifying replay, or the search's live
 //!    object — as the new carried base state, so the witness is replayed
 //!    once; the window is then dropped. A refuted prefix is a **sound
