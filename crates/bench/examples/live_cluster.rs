@@ -1,5 +1,5 @@
 //! The same Algorithm 1 code, on real OS threads: one thread per process,
-//! std `mpsc` channels as the network, a router injecting WAN-shaped delays
+//! std `mpsc` channels as the network, WAN-shaped delays drawn by each sender
 //! and deliberate clock skew. Latencies are measured in wall-clock time and
 //! the recorded history is machine-checked for linearizability.
 //!

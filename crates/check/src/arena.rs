@@ -3,7 +3,7 @@
 //! [`crate::history::History`] stores one `TimedOp` per operation — an
 //! array-of-structs whose `Value` payloads sit between the timestamps the
 //! checker actually scans. The arena transposes that layout: operation name,
-//! argument, response, process, and the two timestamps live in separate
+//! argument, response and the two timestamps live in separate
 //! dense vectors indexed by `u32`, with the two sort orders the Wing–Gong
 //! search needs (`by_invoke`, `by_respond`) precomputed once. Arguments and
 //! responses are borrowed from the ops the arena was built from, never
@@ -36,8 +36,6 @@ pub struct HistoryArena<'a> {
     pub arg: Vec<&'a Value>,
     /// Recorded responses, borrowed from the source ops.
     pub ret: Vec<&'a Value>,
-    /// Invoking processes.
-    pub pid: Vec<u32>,
     /// Invocation times.
     pub t_invoke: Vec<i64>,
     /// Response times.
@@ -54,7 +52,7 @@ pub struct HistoryArena<'a> {
 }
 
 impl<'a> HistoryArena<'a> {
-    /// Transpose a history into arena form. Names, pids and timestamps are
+    /// Transpose a history into arena form. Names and timestamps are
     /// copied into their columns; arguments and responses are borrowed, not
     /// copied. The two sort orders cost O(n) for columns that are in order
     /// or nearly so, and O(n log n) otherwise (see `sorted_order`).
@@ -67,13 +65,12 @@ impl<'a> HistoryArena<'a> {
     pub(crate) fn from_ops(head: &'a [TimedOp], tail: &'a [TimedOp]) -> HistoryArena<'a> {
         let n = head.len() + tail.len();
         assert!(u32::try_from(n).is_ok(), "history too large for u32 arena indices");
-        // One tight pass per column beats one pass pushing to all six.
+        // One tight pass per column beats one pass pushing to all five.
         let ops = || head.iter().chain(tail);
         Self::with_orders(HistoryArena {
             op: ops().map(|o| o.instance.op).collect(),
             arg: ops().map(|o| &o.instance.arg).collect(),
             ret: ops().map(|o| &o.instance.ret).collect(),
-            pid: ops().map(|o| o.pid.0 as u32).collect(),
             t_invoke: ops().map(|o| o.t_invoke.0).collect(),
             t_respond: ops().map(|o| o.t_respond.0).collect(),
             ..HistoryArena::default()
@@ -88,7 +85,6 @@ impl<'a> HistoryArena<'a> {
             op: idxs.iter().map(|&i| self.op[i as usize]).collect(),
             arg: idxs.iter().map(|&i| self.arg[i as usize]).collect(),
             ret: idxs.iter().map(|&i| self.ret[i as usize]).collect(),
-            pid: idxs.iter().map(|&i| self.pid[i as usize]).collect(),
             t_invoke: column(&self.t_invoke),
             t_respond: column(&self.t_respond),
             ..HistoryArena::default()
@@ -185,7 +181,6 @@ mod tests {
         let a = HistoryArena::from_history(&h);
         assert_eq!(a.len(), 3);
         assert_eq!(a.op, vec!["b", "a", "c"]);
-        assert_eq!(a.pid, vec![2, 0, 1]);
         assert_eq!(a.by_invoke, vec![1, 0, 2], "invoke ties break by index");
         assert_eq!(a.invokes_sorted, vec![0, 10, 10]);
         assert_eq!(a.by_respond, vec![1, 2, 0]);

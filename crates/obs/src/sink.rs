@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A destination for trace events. Implementations must be safe to call from
-/// multiple threads (the live runtime's router and node threads share one).
+/// multiple threads (the live runtime's harness and node threads share one).
 pub trait TraceSink: Send + Sync {
     /// Record one event. Must not panic; sinks that lose an event (full
     /// buffer, I/O error) should account for it internally.

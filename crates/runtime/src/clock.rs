@@ -48,9 +48,9 @@ impl LiveClock {
         }
     }
 
-    /// The `Instant` at which the given *local* clock value occurs.
-    pub fn instant_at_local(&self, local: Time) -> Instant {
-        self.instant_at_real(local - self.offset)
+    /// This process's offset: local = real + offset.
+    pub fn offset(&self) -> Time {
+        self.offset
     }
 
     /// Convert a tick count to a real duration, computed in `u128`

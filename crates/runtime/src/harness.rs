@@ -1,16 +1,24 @@
-//! The live-cluster harness: spawn router + node threads, drive a timed
+//! The live-cluster harness: spawn one thread per process, drive a timed
 //! invocation schedule in wall-clock time, and collect a recorded
 //! [`Run`] that the linearizability checker can verify.
 //!
 //! A run takes as long as its work, not a fixed window. Tick 0 is fixed by
-//! a readiness handshake once the router and every node thread are up, and
-//! after the last invocation the harness waits on a shared [`WorkCount`]
-//! for quiescence: every invocation, message and timer handled, so nothing
-//! can happen any more and every message sent has been routed or dropped.
+//! a readiness handshake once every node thread is up, and after the last
+//! invocation the harness waits on the cluster's shared [`WorkCount`] for
+//! quiescence: every invocation, message and timer handled, so nothing can
+//! happen any more and every message sent has been handled or dropped.
 //! [`LiveConfig::settle`] is only the upper bound for a cluster that never
-//! goes quiet; hitting it shuts the cluster down exactly as a drained stop
-//! does, and is reported as a [`EventCategory::Watchdog`] event and the
-//! `harness.settle_cutoffs` counter.
+//! goes quiet, counted from the later of the last scheduled invocation and
+//! the instant the harness actually issued it; hitting it shuts the cluster
+//! down exactly as a drained stop does, and is reported as a
+//! [`EventCategory::Watchdog`] event and the `harness.settle_cutoffs`
+//! counter.
+//!
+//! The recorded [`Run`] carries what the node threads counted: messages
+//! handled ([`Run::events`], also [`Run::msgs_sent`]), injected faults
+//! (grouped by sending process, each group in injection order), and the
+//! [`Run::delay_violations`] of messages handled outside `[d − u, d]` of
+//! their logical send (see [`crate::platform`]).
 //!
 //! The harness never hangs on a sick cluster: configurations are validated
 //! up front (undersized delay matrices are a clear error, not a panic), and
@@ -20,8 +28,7 @@
 //! runs are refused by the checker, so they can never be certified.
 
 use crate::clock::LiveClock;
-use crate::platform::{spawn_node, Command, NodeInput, NodeOutput};
-use crate::router::Router;
+use crate::platform::{spawn_node, Command, Network, NodeInput, NodeOutput};
 use crate::work::WorkCount;
 use lintime_adt::spec::ObjectSpec;
 use lintime_check::stream::{self, StreamConfig, StreamStats, StreamVerdict};
@@ -33,7 +40,7 @@ use lintime_sim::node::Node;
 use lintime_sim::run::Run;
 use lintime_sim::schedule::TimedInvocation;
 use lintime_sim::time::{ModelParams, Pid, Time};
-use std::sync::mpsc::{channel, sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -49,19 +56,20 @@ pub struct LiveConfig {
     pub offsets: Vec<Time>,
     /// Message-delay model (same specs as the simulator).
     pub delay: DelaySpec,
-    /// Upper bound (in ticks after the last scheduled invocation) on how
-    /// long the cluster may keep working. The harness stops as soon as the
-    /// cluster is quiescent — every invocation, message and timer handled —
-    /// and only waits this long for one that never goes quiet (a stalled or
-    /// panicked node, a timer chain that never ends), which it reports
-    /// through [`LiveConfig::obs`]. Also sizes the watchdog deadline for
-    /// node-thread shutdown.
+    /// Upper bound (in ticks after the last invocation, scheduled or
+    /// actually issued, whichever is later) on how long the cluster may keep
+    /// working. The harness stops as soon as the cluster is quiescent —
+    /// every invocation, message and timer handled — and only waits this
+    /// long for one that never goes quiet (a stalled or panicked node, a
+    /// timer chain that never ends), which it reports through
+    /// [`LiveConfig::obs`]. Also sizes the watchdog deadline for node-thread
+    /// shutdown.
     pub settle: Time,
-    /// Optional deterministic fault plan, mirrored onto the live router
-    /// (drops, duplicates, delay overrides per link).
+    /// Optional deterministic fault plan, applied by each node to its own
+    /// sends (drops, duplicates, delay overrides per link).
     pub faults: Option<FaultPlan>,
-    /// Observability bundle, shared with the router thread. [`Obs::off`]
-    /// (the default) keeps the harness and router uninstrumented.
+    /// Observability bundle, shared with the node threads. [`Obs::off`]
+    /// (the default) keeps the harness and nodes uninstrumented.
     pub obs: Obs,
     /// Online-checker configuration for [`run_live_checked`]; `None` (the
     /// default) skips streaming verification entirely.
@@ -106,7 +114,7 @@ impl LiveConfig {
         self
     }
 
-    /// Inject `plan` into the router (builder style).
+    /// Inject `plan` into the nodes' sends (builder style).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -206,7 +214,7 @@ pub fn run_live_checked<N: Node + 'static>(
 /// result. Invocation and response times are measured in virtual ticks from
 /// the cluster epoch, so the returned [`Run`] is directly comparable to a
 /// simulator run (modulo scheduling jitter). Returns once the cluster is
-/// quiescent after the last invocation, or at `last + settle` at the latest.
+/// quiescent after the last invocation, or `settle` after it at the latest.
 ///
 /// Never hangs: an invalid configuration or a crashed/stalled node thread
 /// produces a truncated run with a diagnosis in [`Run::errors`].
@@ -240,57 +248,42 @@ pub fn run_live<N: Node + 'static>(
         };
     }
 
-    // One merged input channel per node: router deliveries + harness
-    // commands share it, so the node loop is a single recv.
-    let mut input_txs: Vec<SyncSender<NodeInput<N::Msg>>> = Vec::with_capacity(n);
-    let mut input_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = sync_channel::<NodeInput<N::Msg>>(4096);
-        input_txs.push(tx);
-        input_rxs.push(rx);
-    }
-    let obs = &cfg.obs;
+    // One input channel per node: messages from the other nodes and
+    // harness commands share it, so the node loop is a single recv.
+    let (inboxes, inputs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+    let net = Arc::new(Network {
+        params: cfg.params,
+        delay: cfg.delay.clone(),
+        faults: cfg.faults.clone(),
+        inboxes,
+        op_sink: cfg.op_sink.clone(),
+        obs: cfg.obs.clone(),
+        work: WorkCount::new(),
+    });
+    let (obs, work) = (&net.obs, &net.work);
     // Build every node before spawning a thread, so a panicking constructor
     // cannot leave threads waiting in the start handshake.
     let nodes: Vec<N> = (0..n).map(|i| make_node(Pid(i))).collect();
     let gate = Arc::new(StartGate::default());
-    let work = Arc::new(WorkCount::new());
-    let bind = |offset: Time| {
-        let (gate, tick) = (Arc::clone(&gate), cfg.tick);
-        move || LiveClock::new(gate.check_in(), offset, tick)
-    };
-    let router = Router::spawn(
-        cfg.params,
-        cfg.delay.clone(),
-        bind(Time::ZERO),
-        input_txs.clone(),
-        cfg.faults.clone(),
-        obs.clone(),
-        Arc::clone(&work),
-    );
-
     let (results_tx, results_rx) = channel::<(Pid, NodeOutput)>();
     let mut handles = Vec::with_capacity(n);
-    for (i, (node, inputs)) in nodes.into_iter().zip(input_rxs).enumerate() {
+    for (i, (node, inputs)) in nodes.into_iter().zip(inputs).enumerate() {
+        let (gate, offset, tick) = (Arc::clone(&gate), cfg.offsets[i], cfg.tick);
         handles.push(spawn_node(
             Pid(i),
-            n,
-            bind(cfg.offsets[i]),
+            move || LiveClock::new(gate.check_in(), offset, tick),
             node,
             inputs,
-            router.tx.clone(),
+            Arc::clone(&net),
             results_tx.clone(),
-            cfg.op_sink.clone(),
-            Arc::clone(&work),
         ));
     }
     drop(results_tx);
 
-    // Tick 0 is when the router and every node thread are up.
-    let base_clock = LiveClock::new(gate.open(n + 1), Time::ZERO, cfg.tick);
+    // Tick 0 is when every node thread is up.
+    let base_clock = LiveClock::new(gate.open(n), Time::ZERO, cfg.tick);
 
-    // Drive the schedule in wall-clock time. try_send keeps the harness
-    // immune to a wedged node whose inbox filled up.
+    // Drive the schedule in wall-clock time.
     let mut timed: Vec<TimedInvocation> = schedule.to_vec();
     timed.sort_by_key(|t| t.at);
     let mut last = Time::ZERO;
@@ -303,16 +296,12 @@ pub fn run_live<N: Node + 'static>(
         let pid = inv.pid;
         obs.emit(inv.at.0, Some(pid.0), EventCategory::OpInvoke, || format!("{:?}", inv.inv));
         work.add(1);
-        if let Err(e) = input_txs[pid.0].try_send(NodeInput::Command(Command::Invoke(inv.inv))) {
+        if net.inboxes[pid.0].send(NodeInput::Command(Command::Invoke(inv.inv))).is_err() {
             work.done(1);
-            let why = match e {
-                TrySendError::Full(_) => "its inbox is full (node wedged?)",
-                TrySendError::Disconnected(_) => "its thread is dead",
-            };
-            errors.push(format!("process {pid}: invocation not delivered — {why}"));
+            errors.push(format!("process {pid}: invocation not delivered — its thread is dead"));
             truncated = true;
             obs.emit(inv.at.0, Some(pid.0), EventCategory::Watchdog, || {
-                format!("invocation undeliverable: {why}")
+                "invocation undeliverable: its thread is dead".to_string()
             });
             if obs.is_active() {
                 obs.metrics.counter("harness.undeliverable_invocations").inc();
@@ -321,9 +310,15 @@ pub fn run_live<N: Node + 'static>(
         last = last.max(inv.at);
     }
 
-    // Stop once the cluster is quiescent, or at `last + settle` if it never
-    // goes quiet; the run is recorded the same way either way.
-    if !work.wait_idle_until(base_clock.instant_at_real(last + cfg.settle)) {
+    // Stop once the cluster is quiescent, or `settle` after the last
+    // invocation if it never goes quiet: counted from when that invocation
+    // was due or from when it was actually issued, whichever is later, so a
+    // harness thread held off the CPU cannot eat the cluster's time. The run
+    // is recorded the same way either way.
+    let deadline = base_clock
+        .instant_at_real(last + cfg.settle)
+        .max(Instant::now() + base_clock.to_duration(cfg.settle));
+    if !work.wait_idle_until(deadline) {
         let outstanding = work.get();
         obs.emit(base_clock.real_now().0, None, EventCategory::Watchdog, || {
             format!("cluster still busy at last invocation + settle: {outstanding} work units")
@@ -332,8 +327,8 @@ pub fn run_live<N: Node + 'static>(
             obs.metrics.counter("harness.settle_cutoffs").inc();
         }
     }
-    for tx in &input_txs {
-        let _ = tx.try_send(NodeInput::Command(Command::Shutdown));
+    for tx in &net.inboxes {
+        let _ = tx.send(NodeInput::Command(Command::Shutdown));
     }
 
     // Watchdog: collect node outputs with a settle-derived wall-clock
@@ -353,7 +348,7 @@ pub fn run_live<N: Node + 'static>(
         }
     }
 
-    let mut ops = Vec::new();
+    let (mut ops, mut events, mut delay_violations, mut faults) = (Vec::new(), 0, 0, Vec::new());
     for (i, slot) in outputs.into_iter().enumerate() {
         match slot {
             Some(out) => {
@@ -362,6 +357,9 @@ pub fn run_live<N: Node + 'static>(
                 }
                 ops.extend(out.records);
                 errors.extend(out.errors);
+                events += out.delivered;
+                delay_violations += out.delay_violations;
+                faults.extend(out.faults);
             }
             None => {
                 truncated = true;
@@ -378,18 +376,12 @@ pub fn run_live<N: Node + 'static>(
             }
         }
     }
-
-    // Only settle accounts with the router when every node exited; a stuck
-    // node still holds a router handle and joining would hang.
-    let (events, injected) = if received == n {
+    // A stuck node thread is left behind; joining it would hang.
+    if received == n {
         for h in handles {
             let _ = h.join();
         }
-        let report = router.join();
-        (report.routed, report.faults)
-    } else {
-        (0, Vec::new())
-    };
+    }
 
     ops.sort_by_key(|o| (o.t_invoke, o.pid));
     let last_time = ops
@@ -407,15 +399,15 @@ pub fn run_live<N: Node + 'static>(
         last_time,
         events,
         errors,
-        delay_violations: 0,
+        delay_violations,
         truncated,
         crashed_pending: 0,
         unadmitted: 0,
-        // The router counts routed messages; byte-level wire accounting is a
-        // simulator-only refinement (the live router never inspects payloads).
+        // The nodes count the messages they handle; byte-level wire
+        // accounting is a simulator-only refinement.
         msgs_sent: events,
         bytes_sent: 0,
-        faults: injected,
+        faults,
         suspect: Vec::new(),
     }
 }
@@ -740,6 +732,215 @@ mod tests {
         assert!(duplicated > 0, "the plan must duplicate something: {:?}", run.faults);
         let sent = wtlw_sends(&spec, p.n, &schedule);
         assert_eq!(run.events, sent - dropped + duplicated, "{:?}", run.faults);
+    }
+
+    /// Algorithm 1, except that one process's invocation handler stalls
+    /// first: a node thread held off the CPU while work piles up behind it.
+    struct StallingInvoke {
+        inner: WtlwNode,
+        stall: Option<Duration>,
+    }
+    impl Node for StallingInvoke {
+        type Msg = <WtlwNode as Node>::Msg;
+        type Timer = <WtlwNode as Node>::Timer;
+        fn on_invoke(&mut self, inv: Invocation, fx: &mut Effects<Self::Msg, Self::Timer>) {
+            if let Some(stall) = self.stall {
+                std::thread::sleep(stall);
+            }
+            self.inner.on_invoke(inv, fx);
+        }
+        fn on_deliver(
+            &mut self,
+            from: Pid,
+            msg: Self::Msg,
+            fx: &mut Effects<Self::Msg, Self::Timer>,
+        ) {
+            self.inner.on_deliver(from, msg, fx);
+        }
+        fn on_timer(&mut self, timer: Self::Timer, fx: &mut Effects<Self::Msg, Self::Timer>) {
+            self.inner.on_timer(timer, fx);
+        }
+    }
+
+    #[test]
+    fn a_stalled_node_handles_what_arrived_before_its_overdue_timers() {
+        let cfg = cfg();
+        let p = cfg.params;
+        let spec = erase(FifoQueue::new());
+        // p1's peek starts just after the enqueue answers, then its handler
+        // stalls for 2d. The enqueue's announcement reaches p1's inbox at
+        // d − u, long before the peek's timer is due at d; when p1 wakes,
+        // both are overdue and the announcement must be handled first.
+        let schedule = vec![
+            TimedInvocation { pid: Pid(0), at: Time(0), inv: Invocation::new("enqueue", 1) },
+            TimedInvocation {
+                pid: Pid(1),
+                at: p.epsilon + Time(10),
+                inv: Invocation::nullary("peek"),
+            },
+        ];
+        let stall = cfg.tick * (p.d * 2).as_ticks() as u32;
+        let run = run_live(&cfg, &schedule, |pid| StallingInvoke {
+            inner: WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO),
+            stall: (pid == Pid(1)).then_some(stall),
+        });
+        assert!(run.complete() && !run.truncated, "{run}");
+        assert_eq!(run.ops[1].ret, Some(Value::Int(1)), "the peek missed the enqueue: {run}");
+        let history = lintime_check::history::History::from_run(&run).unwrap();
+        assert!(lintime_check::monitor::check_fast(&spec, &history).is_linearizable(), "{run}");
+        assert_eq!(run.delay_violations, 0, "{run}");
+    }
+
+    #[test]
+    fn an_overridden_delay_past_d_counts_as_a_delay_violation() {
+        let p = cfg().params;
+        let plan = FaultPlan::new(1).override_delay(Pid(0), Pid(1), 0, p.d + Time(60));
+        let cfg = cfg().with_faults(plan.clone());
+        let spec = erase(FifoQueue::new());
+        let schedule =
+            vec![TimedInvocation { pid: Pid(0), at: Time(50), inv: Invocation::new("enqueue", 1) }];
+        let run =
+            run_live(&cfg, &schedule, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO));
+        assert!(run.complete() && !run.truncated, "{run}");
+        assert!(
+            run.faults.iter().any(|f| matches!(f, InjectedFault::DelayOverridden { k: 0, .. })),
+            "{:?}",
+            run.faults
+        );
+        let sim = lintime_sim::engine::simulate(
+            &lintime_sim::engine::SimConfig::new(p, cfg.delay.clone())
+                .with_schedule(lintime_sim::schedule::Schedule::new().at(
+                    Pid(0),
+                    Time(50),
+                    Invocation::new("enqueue", 1),
+                ))
+                .with_faults(plan),
+            |pid| WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO),
+        );
+        assert_eq!(sim.delay_violations, 1);
+        assert_eq!(run.delay_violations, sim.delay_violations, "{run}");
+        assert!(!run.is_admissible());
+    }
+
+    /// A trace sink that holds up the first `OpInvoke` it records: the
+    /// harness thread descheduled just before it issues the schedule.
+    struct LateFirstInvoke {
+        nap: Duration,
+        napped: std::sync::atomic::AtomicBool,
+    }
+    impl lintime_obs::TraceSink for LateFirstInvoke {
+        fn record(&self, event: lintime_obs::TraceEvent) {
+            if event.category == EventCategory::OpInvoke
+                && !self.napped.swap(true, std::sync::atomic::Ordering::SeqCst)
+            {
+                std::thread::sleep(self.nap);
+            }
+        }
+    }
+
+    #[test]
+    fn the_settle_bound_counts_from_the_last_invocation_issued() {
+        let mut cfg = cfg();
+        let p = cfg.params;
+        cfg.settle = p.d * 2; // 120 ms: the run drains in d + ε
+        let nap = cfg.tick * (cfg.settle * 2).as_ticks() as u32;
+        let sink = Arc::new(LateFirstInvoke { nap, napped: Default::default() });
+        let obs = Obs::new(lintime_obs::TraceHandle::to_sink(sink), lintime_obs::Registry::new());
+        cfg = cfg.with_obs(obs.clone());
+        let spec = erase(FifoQueue::new());
+        // All three are issued together, 2 × settle after the first is due.
+        let schedule = vec![
+            TimedInvocation { pid: Pid(0), at: Time(50), inv: Invocation::new("enqueue", 1) },
+            TimedInvocation { pid: Pid(1), at: Time(55), inv: Invocation::new("enqueue", 2) },
+            TimedInvocation { pid: Pid(2), at: Time(60), inv: Invocation::new("enqueue", 3) },
+        ];
+        let run =
+            run_live(&cfg, &schedule, |pid| WtlwNode::new(pid, Arc::clone(&spec), p, Time::ZERO));
+        assert!(run.complete() && !run.truncated, "{run}");
+        assert_eq!(obs.metrics.counter("harness.settle_cutoffs").get(), 0);
+    }
+
+    /// Sends `count` numbered messages to p1 when invoked; p1 logs each one
+    /// it handles with its delay in logical ticks and in wall-clock time.
+    struct Probe {
+        count: u32,
+        log: Arc<Mutex<Vec<(u32, Time, Duration)>>>,
+    }
+    impl Node for Probe {
+        type Msg = (u32, Time, Instant);
+        type Timer = ();
+        fn on_invoke(&mut self, _inv: Invocation, fx: &mut Effects<Self::Msg, ()>) {
+            for i in 0..self.count {
+                fx.send(Pid(1), (i, fx.local_time(), Instant::now()));
+            }
+            fx.respond(Value::Unit);
+        }
+        fn on_deliver(&mut self, _from: Pid, msg: Self::Msg, fx: &mut Effects<Self::Msg, ()>) {
+            let (i, sent, wall) = msg;
+            self.log.lock().unwrap().push((i, fx.local_time() - sent, wall.elapsed()));
+        }
+        fn on_timer(&mut self, _t: (), _fx: &mut Effects<Self::Msg, ()>) {}
+    }
+
+    /// Run one `send` invocation at p0 of a two-process cluster of probes.
+    fn probe_run(
+        delay: DelaySpec,
+        faults: Option<FaultPlan>,
+        count: u32,
+    ) -> (Run, Vec<(u32, Time, Duration)>) {
+        let params = ModelParams::new(2, Time(300), Time(120), Time(90));
+        let mut cfg = LiveConfig::new(params, Duration::from_micros(200), delay);
+        cfg.faults = faults;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let schedule =
+            vec![TimedInvocation { pid: Pid(0), at: Time(10), inv: Invocation::nullary("send") }];
+        let run = run_live(&cfg, &schedule, |_| Probe { count, log: Arc::clone(&log) });
+        assert!(run.complete() && !run.truncated, "{run}");
+        let log = log.lock().unwrap().clone();
+        (run, log)
+    }
+
+    #[test]
+    fn all_min_delivers_at_d_minus_u_and_not_earlier() {
+        let (run, log) = probe_run(DelaySpec::AllMin, None, 1);
+        let p = run.params;
+        assert_eq!(log.len(), 1);
+        let (_, logical, wall) = log[0];
+        assert_eq!(logical, p.min_delay());
+        // d − u = 180 ticks = 36 ms; a tick or two goes to flooring the
+        // send instant to the tick it falls in.
+        let floor = Duration::from_micros(200) * (p.min_delay().as_ticks() as u32 - 2);
+        assert!(wall >= floor, "{wall:?} too fast");
+        assert!(wall < Duration::from_millis(200), "{wall:?} too slow");
+        assert_eq!(run.events, 1);
+        assert_eq!(run.delay_violations, 0);
+    }
+
+    #[test]
+    fn equal_delays_on_one_link_keep_send_order() {
+        let (run, log) = probe_run(DelaySpec::Constant(Time(200)), None, 10);
+        let order: Vec<u32> = log.iter().map(|(i, _, _)| *i).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        assert!(log.iter().all(|(_, logical, _)| *logical == Time(200)), "{log:?}");
+        assert_eq!(run.events, 10);
+    }
+
+    #[test]
+    fn a_lossy_plan_drops_exactly_its_messages_and_records_them() {
+        let plan = FaultPlan::new(11).drop_exact(Pid(0), Pid(1), 0).drop_exact(Pid(0), Pid(1), 2);
+        let (run, log) = probe_run(DelaySpec::Constant(Time(200)), Some(plan), 5);
+        let got: Vec<u32> = log.iter().map(|(i, _, _)| *i).collect();
+        assert_eq!(got, vec![1, 3, 4], "messages 0 and 2 must be dropped");
+        assert_eq!(run.events, 3);
+        let dropped: Vec<u64> = run
+            .faults
+            .iter()
+            .map(|f| match f {
+                InjectedFault::Dropped { from: Pid(0), to: Pid(1), k, .. } => *k,
+                other => panic!("unexpected fault {other:?}"),
+            })
+            .collect();
+        assert_eq!(dropped, vec![0, 2]);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! still cause an effect:
 //!
 //! * an invocation handed to a node (released when the node has handled it);
-//! * a message a node sends (carried through the router into the inbox and
-//!   released when the receiver has handled it, or when the router drops it
-//!   or finds the inbox closed); a duplicate the router injects is one more;
+//! * a message a node sends (released when the receiver has handled it, or
+//!   when the sender's fault plan drops it or the receiver's inbox is
+//!   closed); a duplicate the fault plan injects is one more;
 //! * a timer a node arms (released when it has fired and been handled, or
 //!   when it is cancelled).
 //!
