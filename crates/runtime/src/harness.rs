@@ -28,7 +28,7 @@
 //! runs are refused by the checker, so they can never be certified.
 
 use crate::clock::LiveClock;
-use crate::platform::{spawn_node, Command, Network, NodeInput, NodeOutput};
+use crate::platform::{spawn_node, Network, NodeInput, NodeOutput};
 use crate::work::WorkCount;
 use lintime_adt::spec::ObjectSpec;
 use lintime_check::stream::{self, StreamConfig, StreamStats, StreamVerdict};
@@ -296,7 +296,7 @@ pub fn run_live<N: Node + 'static>(
         let pid = inv.pid;
         obs.emit(inv.at.0, Some(pid.0), EventCategory::OpInvoke, || format!("{:?}", inv.inv));
         work.add(1);
-        if net.inboxes[pid.0].send(NodeInput::Command(Command::Invoke(inv.inv))).is_err() {
+        if net.inboxes[pid.0].send(NodeInput::Invoke(inv.inv)).is_err() {
             work.done(1);
             errors.push(format!("process {pid}: invocation not delivered — its thread is dead"));
             truncated = true;
@@ -328,7 +328,7 @@ pub fn run_live<N: Node + 'static>(
         }
     }
     for tx in &net.inboxes {
-        let _ = tx.send(NodeInput::Command(Command::Shutdown));
+        let _ = tx.send(NodeInput::Shutdown);
     }
 
     // Watchdog: collect node outputs with a settle-derived wall-clock

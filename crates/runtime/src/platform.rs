@@ -49,17 +49,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Commands from the harness to a node thread.
-pub(crate) enum Command {
-    /// Invoke an operation at this process.
-    Invoke(Invocation),
-    /// Stop the event loop and report the records.
-    Shutdown,
-}
-
 /// Everything a node thread can receive: a message from another node or a
-/// harness command, merged into one channel so a plain `recv_timeout`
-/// drives the loop.
+/// command from the harness, merged into one channel so a plain
+/// `recv_timeout` drives the loop.
 pub(crate) enum NodeInput<M> {
     /// A message from another process.
     Deliver {
@@ -72,8 +64,10 @@ pub(crate) enum NodeInput<M> {
         /// The payload.
         msg: M,
     },
-    /// A command from the harness.
-    Command(Command),
+    /// Invoke an operation at this process.
+    Invoke(Invocation),
+    /// Stop the event loop and report the records.
+    Shutdown,
 }
 
 /// What the node threads of one cluster share: the network's model, delays
@@ -238,10 +232,8 @@ fn node_loop<N: Node>(
                 NodeInput::Deliver { from, sent, due, msg } => {
                     st.push(due, DELIVER, Event::Deliver { from, sent, msg })
                 }
-                NodeInput::Command(Command::Invoke(inv)) => {
-                    st.push(now, INVOKE, Event::Invoke(inv))
-                }
-                NodeInput::Command(Command::Shutdown) => {
+                NodeInput::Invoke(inv) => st.push(now, INVOKE, Event::Invoke(inv)),
+                NodeInput::Shutdown => {
                     shutdown = true;
                     break;
                 }
