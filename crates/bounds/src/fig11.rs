@@ -7,6 +7,10 @@ use lintime_adt::spec::{DataType, OpClass};
 use lintime_adt::universe::{ExploreLimits, Universe};
 use std::fmt::Write as _;
 
+/// The exploration bound of every classification the reports print: this
+/// figure and the bound tables derived from it.
+pub const LIMITS: ExploreLimits = ExploreLimits { max_depth: 3, max_states: 120 };
+
 /// The classification report for one data type.
 #[derive(Clone, Debug)]
 pub struct TypeReport {
@@ -113,20 +117,16 @@ pub fn render(reports: &[TypeReport]) -> String {
 mod tests {
     use super::*;
 
-    fn limits() -> ExploreLimits {
-        ExploreLimits { max_depth: 3, max_states: 120 }
-    }
-
     #[test]
     fn all_relationships_hold() {
-        let reports = classify_all(limits(), 4);
+        let reports = classify_all(LIMITS, 4);
         let violations = check_relationships(&reports);
         assert!(violations.is_empty(), "{violations:#?}");
     }
 
     #[test]
     fn expected_flag_pattern_for_queue() {
-        let reports = classify_all(limits(), 4);
+        let reports = classify_all(LIMITS, 4);
         let q = reports.iter().find(|r| r.type_name == "fifo-queue").unwrap();
         let enq = q.ops.iter().find(|o| o.op == "enqueue").unwrap();
         assert!(enq.transposable && enq.last_sensitive_k == 4 && !enq.pair_free);

@@ -5,8 +5,9 @@
 //!
 //! * [`formulas`] — every bound expression (Theorems 2–5, Lemma 4, previous
 //!   work) as a function of the model parameters;
-//! * [`tables`] — generators for Tables 1–5, with a "measured" column filled
-//!   by running Algorithm 1 on the simulator;
+//! * [`tables`] — Tables 1–5 and any type's table, derived from the
+//!   operation classification, with a "measured" column filled by running
+//!   Algorithm 1 on the simulator;
 //! * [`fig11`] — Figure 11 (operation-class relationships) computed from the
 //!   executable classification of every built-in data type;
 //! * [`adversary`] — the lower-bound proof constructions as attacks that
@@ -32,6 +33,7 @@ pub mod prelude {
     pub use crate::fig11::{check_relationships, classify_all, render as render_fig11};
     pub use crate::formulas;
     pub use crate::tables::{
-        measure_into, measure_worst_case, table1, table2, table3, table4, table5, Table, TableRow,
+        derive, full_table, measure_into, measure_worst_case, op_theorem, table1, table2, table3,
+        table4, table5, RowOps, Table, TableRow, Theorem,
     };
 }
