@@ -953,4 +953,17 @@ mod tests {
         assert!(!verify_witness(&spec, &hist, &[0, 0])); // not a permutation
         assert!(!verify_witness(&spec, &hist, &[0])); // wrong length
     }
+
+    /// An order that is legal step by step but breaks real time: the read
+    /// returns 1, which only the increment invoked after it responded can
+    /// explain.
+    #[test]
+    fn witness_verifier_rejects_an_order_against_real_time() {
+        let spec = erase(Counter::new());
+        let hist = h(vec![
+            (0, OpInstance::new("read", (), 1), 0, 1),
+            (1, OpInstance::new("increment", (), ()), 2, 3),
+        ]);
+        assert!(!verify_witness(&spec, &hist, &[1, 0]));
+    }
 }

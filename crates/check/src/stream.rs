@@ -19,12 +19,15 @@
 //! pending table. Periodically the checker attempts a **flush**:
 //!
 //! 1. **Settled prefix.** An operation is *settled* once it responded before
-//!    every currently-pending invocation (`t_respond < min t_invoke` over
-//!    pending ops). Because event times are monotone, every settled op also
-//!    real-time-precedes every operation that can still arrive, so the
-//!    history decomposes exactly at the cut: the full history is
-//!    linearizable iff the settled prefix is linearizable *and* the residual
-//!    suffix is linearizable from the prefix's final state.
+//!    every currently-pending invocation and before the latest event time
+//!    seen (`t_respond < min(t_invoke over pending ops, latest time)`). Event
+//!    times are monotone, so an operation still to arrive is invoked at the
+//!    latest time or after, and an invocation at an op's response instant is
+//!    concurrent with it. So every settled op real-time-precedes every
+//!    operation that can still arrive, and the history decomposes exactly at
+//!    the cut: the full history is linearizable iff the settled prefix is
+//!    linearizable *and* the residual suffix is linearizable from the
+//!    prefix's final state.
 //! 2. **Canonical cut.** The decomposition needs that final state to be
 //!    unique across all linearizations of the prefix. The checker only
 //!    garbage-collects at cuts where uniqueness is structural: matched-pair
@@ -710,6 +713,14 @@ impl StreamChecker {
     /// Feed a response: `pid`'s outstanding invocation returned `ret` at `t`.
     pub fn feed_respond(&mut self, pid: Pid, t: Time, ret: Value) -> &StreamVerdict {
         self.count_event(t);
+        if self.window.len() >= self.next_flush {
+            // Try the cut before this op joins the window. Still pending, it
+            // bounds the cut by its invocation. In the window it responds at
+            // the latest instant, so a cut tried then leaves it out, and a
+            // lock-step stream, whose every cut needs the op that closes its
+            // round, would never close one.
+            self.maybe_flush();
+        }
         if self.dead {
             return &self.verdict;
         }
@@ -736,9 +747,6 @@ impl StreamChecker {
         // The op moved from pending to the window: residency is unchanged.
         if let Some(m) = &self.metrics {
             m.window_peak.set_max(self.window.len() as i64);
-        }
-        if self.window.len() >= self.next_flush {
-            self.maybe_flush();
         }
         &self.verdict
     }
@@ -910,10 +918,13 @@ impl StreamChecker {
         }
         self.sort_window();
         // Largest k such that every op in `window[..k]` responds before every
-        // later invocation — pending ops AND completed ops after the cut
+        // later invocation — pending ops, completed ops after the cut
         // (respond-sorted order does not bound suffix *invoke* times, so walk
-        // a suffix-minimum of invokes from the right).
-        let mut suffix_min_invoke = self.min_pending_invoke().unwrap_or(Time(i64::MAX));
+        // a suffix-minimum of invokes from the right), and ops not yet
+        // invoked: those can still arrive at the latest instant seen, since
+        // the engine emits a same-instant response before an invocation.
+        let mut suffix_min_invoke =
+            self.min_pending_invoke().map_or(self.max_t, |t| t.min(self.max_t));
         let mut k = self.window.len();
         while k > 0 {
             let op = &self.window[k - 1];
@@ -1389,6 +1400,17 @@ mod tests {
         let (verdict, stats) = c.finish();
         assert!(matches!(verdict, StreamVerdict::Unknown(UnknownReason::MalformedStream)));
         assert_eq!(stats.malformed, 1);
+        // A stray response at the instant a read returning 1 responded: a
+        // write invoked at that instant could still explain the read, so
+        // the read is not settled (and refuted) before the stream degrades.
+        let mut c = StreamChecker::with_config(&spec, StreamConfig::default().with_flush_ops(1));
+        op(&mut c, 0, "read", (), 1, 0, 5);
+        c.feed_respond(Pid(1), Time(5), Value::Unit);
+        let (verdict, _) = c.finish();
+        assert!(
+            matches!(verdict, StreamVerdict::Unknown(UnknownReason::MalformedStream)),
+            "{verdict:?}"
+        );
     }
 
     #[test]
@@ -1554,6 +1576,37 @@ mod tests {
         op(&mut c, 0, "contains", 0, true, 14, 15);
         let (verdict, _) = c.finish();
         assert!(verdict.is_ok(), "got {verdict:?}");
+    }
+
+    /// An increment responds at 5, the instant a read returning 0 is
+    /// invoked: touching intervals are concurrent, so the read linearizes
+    /// first. Fed with the response first, as the engine emits same-instant
+    /// events, the increment must not be settled before the read arrives.
+    #[test]
+    fn a_response_at_the_latest_instant_waits_for_a_touching_invocation() {
+        let spec = erase(lintime_adt::types::Counter::new());
+        for flush in [1, 2] {
+            for response_first in [true, false] {
+                let mut c = StreamChecker::with_config(
+                    &spec,
+                    StreamConfig::default().with_flush_ops(flush),
+                );
+                c.feed_invoke(Pid(0), Time(0), "increment", Value::Unit);
+                if response_first {
+                    c.feed_respond(Pid(0), Time(5), Value::Unit);
+                    c.feed_invoke(Pid(1), Time(5), "read", Value::Unit);
+                } else {
+                    c.feed_invoke(Pid(1), Time(5), "read", Value::Unit);
+                    c.feed_respond(Pid(0), Time(5), Value::Unit);
+                }
+                c.feed_respond(Pid(1), Time(6), Value::Int(0));
+                let (verdict, _) = c.finish();
+                assert!(
+                    verdict.is_ok(),
+                    "flush {flush}, response first {response_first}: {verdict:?}"
+                );
+            }
+        }
     }
 
     impl StreamChecker {
@@ -2004,6 +2057,8 @@ mod tests {
         let cfg = StreamConfig::default().with_flush_ops(1);
         let mut c = StreamChecker::with_config(&spec, cfg);
         op(&mut c, 0, "write", 7, (), 0, 1);
+        // A later response closes the write's cut.
+        op(&mut c, 1, "read", (), 7, 2, 3);
         assert!(c.decider_spawned());
         c.finish();
     }

@@ -323,6 +323,38 @@ fn stream_certifies_recorded_fallback_windows() {
     assert!(certified >= 10, "only {certified} certified windows");
 }
 
+/// The engine emits same-instant events with responses before invocations.
+/// Here p1's `write(1)` responds at 3800, the instant p0's read is invoked.
+/// The read's timestamp ties `write(7)`'s and wins on pid, so it returns 7:
+/// linearizable only with the read before `write(1)`, which the touching
+/// intervals allow. The streaming checker must not settle `write(1)` before
+/// the read arrives, at any flush size.
+#[test]
+fn stream_waits_for_an_invocation_touching_the_last_response() {
+    let p = params();
+    let spec = erase(Register::new(0));
+    let schedule = Schedule::new()
+        .at(Pid(2), Time::ZERO, Invocation::new("write", 7))
+        .at(Pid(1), Time(2000), Invocation::new("write", 1))
+        .at(Pid(0), Time(3800), Invocation::nullary("read"));
+    let cfg = SimConfig::new(p, DelaySpec::AllMax)
+        .with_offsets(vec![Time::ZERO, p.epsilon, Time::ZERO, Time::ZERO])
+        .with_schedule(schedule);
+    let run = run_algorithm(Algorithm::Wtlw { x: Time::ZERO }, &spec, &cfg);
+    assert!(run.is_admissible(), "{run}");
+    let read = run.ops.iter().find(|r| r.invocation.op == "read").unwrap();
+    assert_eq!(read.ret, Some(Value::Int(7)));
+    let write1 = run.ops.iter().find(|r| r.invocation.arg == Value::Int(1)).unwrap();
+    assert_eq!(write1.t_respond, Some(read.t_invoke), "the intervals touch");
+    let history = History::from_run(&run).unwrap();
+    assert!(check_fast(&spec, &history).is_linearizable());
+    for flush in [1, 2, 4, 1024] {
+        let cfg = StreamConfig::default().with_flush_ops(flush);
+        let (verdict, _) = replay_run(&spec, &run, cfg, &lintime_obs::Obs::off());
+        assert!(verdict.is_ok(), "flush {flush}: {verdict:?}");
+    }
+}
+
 #[test]
 #[ignore = "soak: 100-seed randomized sweep; run with --include-ignored"]
 fn linearizability_soak() {
