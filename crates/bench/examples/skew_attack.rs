@@ -67,5 +67,5 @@ fn main() {
     }
 
     println!("The crossover sits exactly at the Theorem 4 formula; run");
-    println!("`cargo run -p lintime-bench --bin lower_bounds` for the full sweeps.");
+    println!("`cargo run -p lintime-bench -- attack` for the full sweeps.");
 }

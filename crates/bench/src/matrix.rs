@@ -19,7 +19,7 @@
 //! Each backend *declares* the fault classes it tolerates
 //! ([`Algorithm::tolerance`]); a `NotLinearizable` verdict on a non-suspect
 //! run inside a tolerated cell is a **confirmed violation** — the CI gate
-//! (`fault_sweep --matrix-only`) exits non-zero on any.
+//! (`lintime fault-sweep --matrix-only`) exits non-zero on any.
 
 use crate::experiments::fault_sweep_schedule;
 use crate::sweep::parallel_map;

@@ -1,6 +1,6 @@
 //! Uniform driver for every implementation in this crate: pick an
 //! [`Algorithm`], a data type, and a [`SimConfig`], get a recorded run and
-//! per-class latency statistics. Used by the table binaries and the benchmark.
+//! per-class latency statistics. Used by the `lintime` reports and the benchmark.
 
 use crate::reliable::RecoveryConfig;
 use crate::wtlw::Waits;
