@@ -28,11 +28,6 @@ impl Default for ExploreLimits {
 }
 
 impl ExploreLimits {
-    /// A deeper/wider exploration for slow, thorough test runs.
-    pub fn thorough() -> Self {
-        ExploreLimits { max_depth: 6, max_states: 4000 }
-    }
-
     /// A quick exploration for smoke tests and fast reports.
     pub fn quick() -> Self {
         ExploreLimits { max_depth: 3, max_states: 100 }
@@ -55,11 +50,6 @@ impl Universe {
                 invocations.push(Invocation { op: meta.name, arg });
             }
         }
-        Universe { invocations }
-    }
-
-    /// Build a universe from an explicit list of invocations.
-    pub fn from_invocations(invocations: Vec<Invocation>) -> Self {
         Universe { invocations }
     }
 

@@ -57,14 +57,6 @@ impl Value {
         }
     }
 
-    /// Returns the boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the two components, if this is a `Pair`.
     pub fn as_pair(&self) -> Option<(&Value, &Value)> {
         match self {
@@ -165,7 +157,7 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(Value::from(7i64).as_int(), Some(7));
-        assert_eq!(Value::from(true).as_bool(), Some(true));
+        assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(()), Value::Unit);
         assert!(Value::Unit.is_unit());
         assert!(!Value::Int(0).is_unit());

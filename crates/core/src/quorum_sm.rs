@@ -287,11 +287,6 @@ impl QsmNode {
         self.stability_waits
     }
 
-    /// Committed log entries held at this replica.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
     fn log_max(&self) -> Option<Timestamp> {
         self.log.keys().next_back().copied()
     }

@@ -33,9 +33,6 @@ use crate::timestamp::Timestamp;
 use crate::wtlw::{Waits, WtlwFx, WtlwMsg, WtlwNode, WtlwTimer};
 use lintime_adt::spec::{Invocation, ObjectSpec};
 use lintime_adt::value::Value;
-use lintime_check::history::History;
-use lintime_check::monitor::check_fast_with;
-use lintime_check::wing_gong::{CheckConfig, Verdict};
 use lintime_obs::{EventCategory, Obs};
 use lintime_sim::engine::{simulate_full, SimConfig};
 use lintime_sim::node::{Effects, Node};
@@ -418,65 +415,6 @@ pub fn run_reliable(
     run
 }
 
-/// A recovered run's linearizability status, with the checker's budget
-/// exhaustion reported as its own case rather than folded into failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunVerdict {
-    /// The run's history is linearizable (witness replay-verified).
-    Linearizable,
-    /// The run's history is provably not linearizable.
-    NotLinearizable,
-    /// The checker's node budget ran out before a decision: the run is
-    /// *unresolved*, not bad. Callers must not count it as a violation.
-    Unknown,
-    /// No checkable history could be extracted (e.g. pending operations).
-    Incomplete(String),
-}
-
-/// The result of [`run_reliable_checked`]: the run plus its verdict.
-#[derive(Debug)]
-pub struct CheckedRun {
-    /// The simulated run (including any `suspect` records from the recovery
-    /// layer's violation detector).
-    pub run: Run,
-    /// Linearizability verdict on the run's extracted history.
-    pub verdict: RunVerdict,
-}
-
-impl CheckedRun {
-    /// True iff the run both looked clean to the recovery layer *and* its
-    /// history was affirmatively certified linearizable.
-    pub fn certified(&self) -> bool {
-        self.run.certifiable() && self.verdict == RunVerdict::Linearizable
-    }
-}
-
-/// [`run_reliable`] followed by a linearizability check of the extracted
-/// history via the fast-path dispatcher
-/// ([`lintime_check::monitor::check_fast`]), which routes to a
-/// type-specialized monitor when one applies and falls back to the Wing–Gong
-/// search otherwise. `Unknown` (budget exhaustion in the fallback) is
-/// surfaced distinctly in [`RunVerdict`] — never conflated with
-/// [`RunVerdict::NotLinearizable`].
-pub fn run_reliable_checked(
-    spec: &Arc<dyn ObjectSpec>,
-    cfg: &SimConfig,
-    x: Time,
-    recovery: RecoveryConfig,
-    check_cfg: CheckConfig,
-) -> CheckedRun {
-    let run = run_reliable(spec, cfg, x, recovery);
-    let verdict = match History::from_run(&run) {
-        Ok(history) => match check_fast_with(spec, &history, check_cfg, &Obs::off()) {
-            Verdict::Linearizable(_) => RunVerdict::Linearizable,
-            Verdict::NotLinearizable => RunVerdict::NotLinearizable,
-            Verdict::Unknown => RunVerdict::Unknown,
-        },
-        Err(why) => RunVerdict::Incomplete(why),
-    };
-    CheckedRun { run, verdict }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,41 +573,5 @@ mod tests {
         assert!(obs.metrics.counter("reliable.retransmissions").get() >= 1);
         assert!(obs.metrics.counter("reliable.acks_sent").get() >= 1);
         assert_eq!(obs.metrics.counter("reliable.violations").get(), 0);
-    }
-
-    #[test]
-    fn checked_run_certifies_clean_recovered_run() {
-        let p = params();
-        let rc = RecoveryConfig { rto: p.d * 2, max_retries: 1 };
-        let spec = erase(Register::new(0));
-        let cfg = SimConfig::new(p, DelaySpec::AllMax)
-            .with_faults(FaultPlan::new(7).drop_exact(Pid(0), Pid(1), 0))
-            .with_schedule(Schedule::new().at(Pid(0), Time(0), Invocation::new("write", 9)).at(
-                Pid(1),
-                Time(200_000),
-                Invocation::nullary("read"),
-            ));
-        let checked = run_reliable_checked(&spec, &cfg, Time::ZERO, rc, CheckConfig::default());
-        assert_eq!(checked.verdict, RunVerdict::Linearizable);
-        assert!(checked.certified(), "{}", checked.run);
-    }
-
-    #[test]
-    fn checked_run_reports_budget_exhaustion_as_unknown() {
-        let p = params();
-        let rc = RecoveryConfig::standard(p);
-        let spec = erase(Register::new(0));
-        let mut schedule = Schedule::new();
-        // Many concurrent same-value writes: ambiguous for the register
-        // monitor (defers) and wide for the fallback search, so a tiny node
-        // budget runs out.
-        for pid in 0..3 {
-            schedule = schedule.at(Pid(pid), Time(0), Invocation::new("write", 7));
-        }
-        let cfg = SimConfig::new(p, DelaySpec::AllMax).with_schedule(schedule);
-        let checked =
-            run_reliable_checked(&spec, &cfg, Time::ZERO, rc, CheckConfig { max_nodes: 1 });
-        assert_eq!(checked.verdict, RunVerdict::Unknown, "{}", checked.run);
-        assert!(!checked.certified());
     }
 }

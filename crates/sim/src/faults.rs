@@ -182,12 +182,6 @@ impl FaultPlan {
         self
     }
 
-    /// Drop messages from `from` to `to` with probability `rate` ∈ [0, 1].
-    pub fn drop_link(mut self, from: Pid, to: Pid, rate: f64) -> FaultPlan {
-        self.drops.push(LinkRule { from: Some(from), to: Some(to), rate_ppm: rate_to_ppm(rate) });
-        self
-    }
-
     /// Drop exactly the `k`-th message from `from` to `to` (0-based,
     /// counting every transmission on the link including retransmissions).
     pub fn drop_exact(mut self, from: Pid, to: Pid, k: u64) -> FaultPlan {
@@ -341,7 +335,8 @@ mod tests {
 
     #[test]
     fn link_rules_scope_correctly() {
-        let plan = FaultPlan::new(3).drop_link(Pid(0), Pid(1), 1.0);
+        let rule = LinkRule { from: Some(Pid(0)), to: Some(Pid(1)), rate_ppm: PPM };
+        let plan = FaultPlan { drops: vec![rule], ..FaultPlan::new(3) };
         for k in 0..50 {
             assert!(plan.should_drop(Pid(0), Pid(1), k));
             assert!(!plan.should_drop(Pid(1), Pid(0), k));

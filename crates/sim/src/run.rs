@@ -196,13 +196,6 @@ impl Run {
         (done > 0).then(|| self.msgs_sent as f64 / done as f64)
     }
 
-    /// Estimated wire bytes sent per completed operation (`None` if nothing
-    /// completed).
-    pub fn bytes_per_completed_op(&self) -> Option<f64> {
-        let done = self.completed().count();
-        (done > 0).then(|| self.bytes_sent as f64 / done as f64)
-    }
-
     /// Latencies of all completed instances of operation `op` (all, if `None`).
     pub fn latencies(&self, op: Option<&str>) -> Vec<Time> {
         self.completed()
@@ -493,7 +486,6 @@ mod tests {
     fn comm_cost_per_completed_op() {
         let mut run = sample_run();
         assert_eq!(run.msgs_per_completed_op(), Some(0.5));
-        assert_eq!(run.bytes_per_completed_op(), Some(12.0));
         assert_eq!(run.pending().count(), 0);
         run.ops[1].ret = None;
         run.ops[1].t_respond = None;

@@ -50,11 +50,6 @@ impl Time {
     pub fn min(self, other: Time) -> Time {
         Time(self.0.min(other.0))
     }
-
-    /// Saturating subtraction clamped at zero (useful for "wait until").
-    pub fn saturating_sub_zero(self, other: Time) -> Time {
-        Time((self.0 - other.0).max(0))
-    }
 }
 
 impl Add for Time {
@@ -214,7 +209,6 @@ mod tests {
         assert_eq!(Time(-4).abs(), Time(4));
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
-        assert_eq!(b.saturating_sub_zero(a), Time::ZERO);
         let total: Time = [a, b].into_iter().sum();
         assert_eq!(total, Time(13));
     }
